@@ -6,7 +6,8 @@ JSON on stdout (diagnostics on stderr) or as readable text; all exponents in
 the JSON are doubled integers and all rationals are strings.
 
 Exit codes: 0 success / verification pass, 1 verification mismatch, 2 bad
-input, 3 internal invariant failure.
+input (including an eval-mode point where a denominator vanishes; another
+--seed picks another point), 3 internal failure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 from fractions import Fraction
 
 from .laurent import (
+    EvaluationPointError,
     InternalInvariantError,
     LaurentPoly,
     T_KIND,
@@ -94,7 +96,11 @@ def series_to_text(s: HalfSeries) -> str:
 # ---------------------------------------------------------------------------
 
 def _parse_order(text: str) -> int:
-    order = Fraction(text)
+    try:
+        order = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"order must be a fraction string like 3 or 9/2, "
+                         f"got {text!r}") from None
     if order < 0:
         raise UsageError("order must be nonnegative")
     trunc2 = order * 2
@@ -107,7 +113,11 @@ def _parse_lambda(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(p) for p in text.split(","))
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise UsageError(f"lambda must be comma-separated integers, "
+                         f"got {text!r}") from None
 
 
 def _emit(args, series: HalfSeries, extra: dict | None = None) -> None:
@@ -327,9 +337,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except EvaluationPointError as exc:
+        print(f"error: {exc}; try another --seed", file=sys.stderr)
         return 2
+    except (ValueError, ZeroDivisionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except InternalInvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 3

@@ -20,6 +20,10 @@ on the exponent tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import combinations, product
+from math import gcd
+from operator import mul, sub
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -420,7 +424,7 @@ def format_poly(p: LaurentPoly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial GCD (recursive PRS with content/primitive-part split)
+# Polynomial GCD (binomial fast path, then recursive PRS)
 # ---------------------------------------------------------------------------
 #
 # These helpers work on raw dicts {exps: coeff} whose exponents are all
@@ -428,10 +432,26 @@ def format_poly(p: LaurentPoly) -> str:
 # view keeps full-width tuples and treats one slot as the polynomial variable,
 # so coefficient-ring arithmetic is the same dict arithmetic.
 #
-# Inputs arrive with Fraction coefficients; the PRS itself runs over integer
-# coefficients (gcds over the rational field are only defined up to units, so
-# clearing denominators is free) because pseudo-remainders swell badly under
-# rational normalization.
+# Binomial fast path.  Every denominator the library builds is a product of
+# binomials x^p - c*x^q with p, q disjoint 0/1 vectors of stored exponents
+# and c = +-1 (u_S -+ 1 and their Weyl-denominator relatives; z_i - z_j is
+# (u_i - u_j)(u_i + u_j) in the stored square roots).  Such a binomial is
+# irreducible: p - q is primitive, so a unimodular change of variables
+# makes it y - c.  Distinct (p, q, c) with p lex above q are not associate.
+# So when one operand splits completely into them, the gcd is the product
+# of its factors that also divide the other operand, each to the smaller
+# multiplicity.  Divisibility by one binomial is a linear substitution test
+# (x^p = c*x^q); the split itself is found by trial division, and the exact
+# divisions certify every step: each raises on a remainder, and the split
+# operand's cofactor must be a unit.  The product is integer-primitive with
+# leading coefficient 1, the same normalization the PRS path returns.
+#
+# PRS fallback.  When neither operand splits (kernel tests, arbitrary input,
+# or more than _SPLIT_MAX_VARS variables), the gcd runs a recursive
+# subresultant PRS.  Inputs arrive with Fraction coefficients; the PRS runs
+# over integer coefficients (gcds over the rational field are only defined
+# up to units, so clearing denominators is free) because pseudo-remainders
+# swell badly under rational normalization.
 
 _Dict = dict
 
@@ -481,30 +501,97 @@ def _d_pow(a: _Dict, n: int, width: int) -> _Dict:
 
 
 def _d_divexact(num: _Dict, den: _Dict) -> _Dict:
-    """Exact division using lex leading terms; raises if not exact."""
+    """Exact division in lex order; raises if not exact.
+
+    Heap-ordered (Monagan & Pearce, "Sparse polynomial division using a
+    heap", J. Symb. Comp. 46(7), 2011): the remainder is never stored.  A
+    heap yields the next lex-largest monomial of num - quo*den by merging
+    num with the products quo_j*den_i, each quotient term advancing along
+    den one term at a time, so a step costs O(log #quo) instead of a scan
+    of the whole remainder.  Exponents are packed into one int per
+    monomial (mixed radix, first variable most significant, so int order
+    is lex order); the quotient exponents are range-checked against the
+    degree bounds an exact quotient obeys, which keeps every packed
+    product inside the radix.  Quotient terms come out in decreasing lex
+    order.
+    """
     if not den:
         raise ZeroDivisionError("division by zero polynomial")
     if not num:
         return {}
-    lden = max(den)
-    cden = den[lden]
-    rem = dict(num)
+    w = len(next(iter(num)))
+    ncols, dcols = list(zip(*num)), list(zip(*den))
+    tops = list(map(max, ncols))
+    # an exact quotient has degree deg(num) - deg(den) in every variable
+    his = list(map(sub, tops, map(max, dcols)))
+    if any(h < 0 for h in his):
+        raise InternalInvariantError("non-exact polynomial division")
+    los = list(map(min, map(min, ncols), map(min, dcols)))
+    radix = [1] * w
+    for v in range(w - 2, -1, -1):
+        radix[v] = radix[v + 1] * (tops[v + 1] - los[v + 1] + 1)
+    off = sum(map(mul, los, radix))
+    fs = sorted(((sum(map(mul, e, radix)) - off, c) for e, c in num.items()),
+                reverse=True)
+    gs = sorted(((sum(map(mul, e, radix)) - off, e, c)
+                 for e, c in den.items()), reverse=True)
+    glead_p, glead, glc = gs[0]
+    gp = [g[0] for g in gs]
+    gc = [g[2] for g in gs]
+    ng, nf = len(gs), len(fs)
+    qp: list[int] = []
+    qc: list = []
     quo: _Dict = {}
-    while rem:
-        lnum = max(rem)
-        qe = tuple(a - b for a, b in zip(lnum, lden))
-        if any(x < 0 for x in qe):
-            raise InternalInvariantError("non-exact polynomial division")
-        qc = _exact_div_scalar(rem[lnum], cden)
-        quo[qe] = quo.get(qe, 0) + qc
-        for e, c in den.items():
-            te = tuple(a + b for a, b in zip(qe, e))
-            s = rem.get(te, 0) - qc * c
-            if s:
-                rem[te] = s
+    heap: list[int] = []          # negated packed monomials, each once
+    chains: dict[int, list] = {}  # monomial -> (j, i) pairs quo_j*den_i
+    fi = 0
+    while True:
+        if heap and (fi == nf or -heap[0] >= fs[fi][0]):
+            m = -heappop(heap)
+            if fi < nf and fs[fi][0] == m:
+                c = fs[fi][1]
+                fi += 1
             else:
-                rem.pop(te, None)
-    return {e: c for e, c in quo.items() if c}
+                c = 0
+            for j, i in chains.pop(m):
+                c -= qc[j] * gc[i]
+                i += 1
+                if i < ng:
+                    mm = qp[j] + gp[i]
+                    ch = chains.get(mm)
+                    if ch is None:
+                        chains[mm] = [(j, i)]
+                        heappush(heap, -mm)
+                    else:
+                        ch.append((j, i))
+        elif fi < nf:
+            m, c = fs[fi]
+            fi += 1
+        else:
+            return quo
+        if not c:
+            continue
+        qe = []
+        r = m
+        for v in range(w):
+            d, r = divmod(r, radix[v])
+            x = d + los[v] - glead[v]
+            if x < 0 or x > his[v]:
+                raise InternalInvariantError("non-exact polynomial division")
+            qe.append(x)
+        qcoef = _exact_div_scalar(c, glc)
+        quo[tuple(qe)] = qcoef
+        j = len(qp)
+        qp.append(m - glead_p)
+        qc.append(qcoef)
+        if ng > 1:
+            mm = qp[j] + gp[1]
+            ch = chains.get(mm)
+            if ch is None:
+                chains[mm] = [(j, 1)]
+                heappush(heap, -mm)
+            else:
+                ch.append((j, 1))
 
 
 def _d_deg(a: _Dict, v: int) -> int:
@@ -559,41 +646,30 @@ def _d_strip_monomial(a: _Dict) -> tuple[_Dict, Exps]:
     """Factor out the componentwise-minimal monomial; returns (stripped, shift)."""
     if not a:
         return a, ()
-    w = len(next(iter(a)))
-    mins = tuple(min(e[i] for e in a) for i in range(w))
-    if all(m == 0 for m in mins):
+    mins = tuple(map(min, zip(*a)))
+    if not any(mins):
         return a, mins
     return ({tuple(x - m for x, m in zip(e, mins)): c for e, c in a.items()},
             mins)
 
 
 def _integerize(a: _Dict) -> _Dict:
-    """Scale a Fraction-coefficient dict to coprime integer coefficients."""
-    if not a:
-        return {}
-    if all(isinstance(c, int) for c in a.values()):
-        num_gcd = 0
-        for c in a.values():
-            num_gcd = _int_gcd(num_gcd, c)
-        if num_gcd in (0, 1):
-            return dict(a)
-        return {e: c // num_gcd for e, c in a.items()}
+    """Scale a Fraction- or int-coefficient dict to coprime integer
+    coefficients (same signs)."""
     den_lcm = 1
     for c in a.values():
         d = c.denominator
-        den_lcm = den_lcm * d // _int_gcd(den_lcm, d)
-    ints = {e: int(c * den_lcm) for e, c in a.items()}
-    num_gcd = 0
-    for c in ints.values():
-        num_gcd = _int_gcd(num_gcd, c)
+        if d != 1:
+            den_lcm = den_lcm * d // gcd(den_lcm, d)
+    if den_lcm == 1:
+        ints = {e: c.numerator for e, c in a.items()}
+    else:
+        ints = {e: c.numerator * (den_lcm // c.denominator)
+                for e, c in a.items()}
+    num_gcd = gcd(*ints.values())
     if num_gcd > 1:
         ints = {e: c // num_gcd for e, c in ints.items()}
     return ints
-
-
-def _int_gcd(a: int, b: int) -> int:
-    from math import gcd
-    return gcd(a, b)
 
 
 def _ig_primitive(a: _Dict) -> _Dict:
@@ -602,7 +678,7 @@ def _ig_primitive(a: _Dict) -> _Dict:
         return {}
     g = 0
     for c in a.values():
-        g = _int_gcd(g, c)
+        g = gcd(g, c)
     if a[max(a)] < 0:
         g = -g
     if g == 1:
@@ -628,8 +704,121 @@ def _d_mul_var_pow_multi(a: _Dict, shift: Exps) -> _Dict:
 
 def _d_gcd(a: _Dict, b: _Dict) -> _Dict:
     """GCD of polynomials with nonnegative exponents; integer-primitive,
-    positive-leading result."""
-    return _ig_gcd(_integerize(a), _integerize(b))
+    positive-leading result.  Binomial fast path first, PRS otherwise."""
+    a, b = _integerize(a), _integerize(b)
+    if a and b:
+        g = _binomial_gcd(a, b)
+        if g is not None:
+            return g
+    return _ig_gcd(a, b)
+
+
+# more variables than this, and an operand is left to the PRS path
+# (3^k - 1 candidate binomials in k variables)
+_SPLIT_MAX_VARS = 5
+
+Binomial = tuple[Exps, Exps, int]  # (p, q, c) for x^p - c*x^q, p lex above q
+
+
+def _binomial_gcd(a: _Dict, b: _Dict) -> _Dict | None:
+    """The gcd when a or b splits into binomials; None if neither does."""
+    a, sa = _d_strip_monomial(a)
+    b, sb = _d_strip_monomial(b)
+    common = tuple(min(x, y) for x, y in zip(sa, sb))
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    split, other = _binomial_split(small), large
+    if split is None:
+        split, other = _binomial_split(large), small
+        if split is None:
+            return None
+    g: _Dict = {(0,) * len(common): 1}
+    for (p, q, c), m in split:
+        binom = {p: 1, q: -c}
+        for _ in range(m):
+            if not _binomial_divides(other, p, q, c):
+                break
+            other = _d_divexact(other, binom)
+            g = _d_mul(g, binom)
+    if any(common):
+        g = _d_mul_var_pow_multi(g, common)
+    return g
+
+
+def _binomial_split(f: _Dict) -> list[tuple[Binomial, int]] | None:
+    """Factor f (no monomial content) into binomials with multiplicities,
+    or None if f is not such a product times a constant.
+
+    A factor's p divides the lex-leading monomial of f and its q the
+    lex-trailing one, which bounds the candidates tried.  Once what is left
+    is itself one binomial, it is taken as found.
+    """
+    lead, trail = max(f), min(f)
+    if abs(f[lead]) != abs(f[trail]):
+        return None  # in such a product they agree up to sign
+    ps = [v for v, x in enumerate(lead) if x]
+    qs = [v for v, x in enumerate(trail) if x]
+    if len(set(ps) | set(qs)) > _SPLIT_MAX_VARS:
+        return None
+    factors = []
+    for (p, q), c in product(_binomial_supports(len(lead), ps, qs), (1, -1)):
+        if len(f) == 1 or (len(f) == 2 and max(lead + trail) == 1):
+            break
+        m = 0
+        while (all(x <= y for x, y in zip(p, lead))
+               and all(x <= y for x, y in zip(q, trail))
+               and _binomial_divides(f, p, q, c)):
+            f = _d_divexact(f, {p: 1, q: -c})
+            lead, trail = next(iter(f)), next(reversed(f))
+            m += 1
+        if m:
+            factors.append(((p, q, c), m))
+    if len(f) == 2 and max(lead + trail) == 1:
+        # no factor found so far divides it, so it is a new one
+        factors.append(((lead, trail, -f[trail] // f[lead]), 1))
+    elif len(f) > 1:
+        return None
+    return factors
+
+
+def _binomial_supports(w: int, ps: list[int], qs: list[int]):
+    """0/1 vectors p, q of width w with p inside ps, q inside qs, disjoint,
+    p nonzero and lex above q."""
+    for r in range(1, len(ps) + 1):
+        for pset in combinations(ps, r):
+            p = tuple(1 if v in pset else 0 for v in range(w))
+            rest = [v for v in qs if v not in pset and v > pset[0]]
+            for s in range(len(rest) + 1):
+                for qset in combinations(rest, s):
+                    yield p, tuple(1 if v in qset else 0 for v in range(w))
+
+
+def _binomial_divides(f: _Dict, p: Exps, q: Exps, c: int) -> bool:
+    """Whether x^p - c*x^q divides f, by substituting x^p = c*x^q.
+
+    With j the first variable of p and d = p - q (so d_j = 1), the monomial
+    x^e becomes c^(e_j) x^(e - e_j*d), whose j-th exponent is 0; those
+    monomials are independent modulo the binomial, so it divides f exactly
+    when every class sums to zero.  A binomial without monomial content
+    divides f in the polynomial ring as soon as it does in the Laurent ring.
+    """
+    j = p.index(1)
+    # quick necessary condition: f vanishes at x_j = c, all else 1, a point
+    # on the binomial's zero set
+    if c > 0:
+        if sum(f.values()):
+            return False
+    elif sum(-a if e[j] & 1 else a for e, a in f.items()):
+        return False
+    d = tuple(x - y for x, y in zip(p, q))
+    acc: _Dict = {}
+    for e, a in f.items():
+        k = e[j]
+        if k:
+            e = tuple(x - k * y for x, y in zip(e, d))
+            if c < 0 and k & 1:
+                a = -a
+        acc[e] = acc.get(e, 0) + a
+    return not any(acc.values())
 
 
 def _ig_gcd(a: _Dict, b: _Dict) -> _Dict:
@@ -740,7 +929,7 @@ def _uni_gcd_degree(f: dict[int, int], g: dict[int, int]) -> int:
     def content(p):
         c = 0
         for x in p.values():
-            c = _int_gcd(c, x)
+            c = gcd(c, x)
         return c or 1
 
     f = {d: c // content(f) for d, c in f.items()}

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations, product as iproduct
 from typing import Iterator, Sequence
 
-from .laurent import LaurentPoly, UsageError, VarTable, Z_KIND
+from .laurent import LaurentPoly, UsageError, VarTable, Z_KIND, poly_divexact
 from .ratfunc import RatFunc
 
 Weight = tuple[Fraction, ...]
@@ -222,15 +222,11 @@ def char_B(lam: Sequence[int], l: int, table: VarTable | None = None,
            z_indices: Sequence[int] | None = None) -> RatFunc:
     """Odd-orthogonal character as the exact ratio of two determinants.
 
-    The quotient is a Laurent polynomial; a nontrivial denominator after
-    reduction indicates a bug.
+    The quotient is a Laurent polynomial, computed by exact division; a
+    remainder raises InternalInvariantError (it indicates a bug).
     """
     if table is None:
         table = VarTable.make(0, l)
     num = char_numerator_B(lam, l, table, z_indices, "minus")
     den = weyl_denominator_det(l, table, z_indices, "minus")
-    r = RatFunc(num, den)
-    if not r.den.is_one():
-        from .laurent import InternalInvariantError
-        raise InternalInvariantError("character ratio failed to divide exactly")
-    return r
+    return RatFunc.from_poly(poly_divexact(num, den))

@@ -6,9 +6,12 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import pytest
+
 from qfock.laurent import LaurentPoly, VarTable
 from qfock.ratfunc import RatFunc
 from qfock.series import HalfSeries
+from qfock import cli
 from qfock.cli import main, series_from_json, series_to_json
 
 
@@ -120,6 +123,35 @@ class TestExitCodes:
         code, _, err = run_cli("compute", "--family", "d-sum", "--l", "1",
                                "--lambda", "2,1", "--n", "1", "--order", "1")
         assert code == 2
+
+    def test_malformed_order_text(self):
+        code, _, err = run_cli("compute", "--family", "theta", "--n", "1",
+                               "--order", "abc")
+        assert code == 2 and "order" in err
+
+    def test_malformed_lambda_text(self):
+        code, _, err = run_cli("compute", "--family", "d-sum", "--l", "2",
+                               "--lambda", "2,a", "--n", "1", "--order", "1")
+        assert code == 2 and "lambda" in err
+
+    def test_vanishing_eval_point_suggests_another_seed(self):
+        # at seed 20 a coefficient the series must invert vanishes at the
+        # evaluation point
+        code, _, err = run_cli("compute", "--family", "d-sum", "--l", "0",
+                               "--n", "2", "--order", "1", "--mode", "eval",
+                               "--seed", "20")
+        assert code == 2
+        assert "--seed" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("exc", [ValueError("boom"),
+                                     ZeroDivisionError("boom")])
+    def test_internal_arithmetic_error_exits_3(self, monkeypatch, exc):
+        def broken(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, "theta", broken)
+        code, _, err = run_cli("compute", "--family", "theta", "--n", "1",
+                               "--order", "1")
+        assert code == 3 and "boom" in err
 
     def test_verify_pass(self):
         code, out, _ = run_cli("verify", "--suite", "weyl-denominator")

@@ -1,7 +1,10 @@
 """Correlation-engine tests: closed forms, vacuum recursion, block functions."""
 
+from fractions import Fraction
+
 import pytest
 
+from qfock import correlation, special
 from qfock.laurent import LaurentPoly, UsageError, VarTable
 from qfock.ratfunc import RatFunc
 from qfock.series import HalfSeries
@@ -227,3 +230,26 @@ class TestDFunctions:
                                          assignment=asn)
                 ext_t = extract_module_function(trt, lam, 2, None, "plus")
                 assert f_t.eq_upto(ext_t), (n, lam, f_t.first_mismatch(ext_t))
+
+
+class TestCacheState:
+    def test_cold_warm_and_foreign_caches_agree(self):
+        caches = (correlation._fbo_generic_cache, correlation._fbo_eval_cache,
+                  correlation._pair_block_cache, correlation._vacuum_cache,
+                  correlation._one_point_cache, special._theta_deriv_cache)
+
+        def compute():
+            return irreducible_function(BLabel((1,)), 1, 2, 4)
+
+        for c in caches:
+            c.clear()
+        cold = compute()
+        warm = compute()
+        # unrelated work that adds entries under other keys
+        d_twisted_function((), 2, 1, 4)
+        d_sum_function((), 0, 2, 4,
+                       assignment={0: Fraction(2), 1: Fraction(3)})
+        vacuum_one_point_series(4)
+        assert all(caches)
+        foreign = compute()
+        assert cold == warm == foreign
