@@ -84,12 +84,6 @@ def _f_bo_at_values(values: tuple[Fraction, ...], trunc2: int) -> dict[int, Frac
     return _fbo_eval_cache[key]
 
 
-def _reduced_table(table: VarTable, assignment) -> VarTable:
-    keep = [i for i in range(len(table)) if i not in assignment]
-    return VarTable(tuple(table.names[i] for i in keep),
-                    tuple(table.kinds[i] for i in keep))
-
-
 def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
                trunc2: int,
                assignment=None) -> HalfSeries:
@@ -103,7 +97,7 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
     t_indices = tuple(t_indices)
     m = len(t_indices)
     qexp2 = k * k  # doubled exponent of q^(k^2/2)
-    out_table = _reduced_table(table, assignment) if assignment else table
+    out_table = table.without(assignment or ())
     key = (table, t_indices, k, trunc2,
            tuple(sorted(assignment.items())) if assignment else None)
     if key in _pair_block_cache:
@@ -176,7 +170,7 @@ def _vacuum_on(table: VarTable, t_indices: tuple[int, ...], trunc2: int,
            tuple(sorted(assignment.items())) if assignment else None)
     if key in _vacuum_cache:
         return _vacuum_cache[key]
-    out_table = _reduced_table(table, assignment) if assignment else table
+    out_table = table.without(assignment or ())
     n = len(t_indices)
     base = _vacuum_base(out_table, trunc2, twisted)
     if n == 0:
@@ -256,7 +250,7 @@ def fock_trace_closed(n: int, trunc2: int, table: VarTable | None = None,
     if z_index is None:
         z_index = table.z_indices()[0]
     t_indices = tuple(t_indices)
-    out_table = _reduced_table(table, assignment) if assignment else table
+    out_table = table.without(assignment or ())
     zi = out_table.index(table.names[z_index])
     acc = HalfSeries.zero(out_table, trunc2)
     for k in range(-isqrt(trunc2), isqrt(trunc2) + 1):
@@ -277,7 +271,7 @@ def fock_trace_at_sign(n: int, trunc2: int, sign: int,
     if t_indices is None:
         t_indices = table.t_indices()[:n]
     t_indices = tuple(t_indices)
-    out_table = _reduced_table(table, assignment) if assignment else table
+    out_table = table.without(assignment or ())
     acc = HalfSeries.zero(out_table, trunc2)
     for k in range(-isqrt(trunc2), isqrt(trunc2) + 1):
         blk = pair_block(table, t_indices, k, trunc2, assignment)
@@ -317,7 +311,7 @@ def _d_function(lam: Sequence[int], l: int, n: int, trunc2: int,
         raise UsageError(f"need {n} t-variables, got {len(t_indices)}")
     if structure not in ("convolved", "printed"):
         raise UsageError(f"unknown structure {structure!r}")
-    out_table = _reduced_table(table, assignment) if assignment else table
+    out_table = table.without(assignment or ())
     acc = HalfSeries.zero(out_table, trunc2)
     if structure == "printed":
         for full_char, perm_char, mu, nrm2 in _weyl_charges(lam, l):

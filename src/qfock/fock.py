@@ -14,7 +14,8 @@ The diagonal operator inserted in traces acts on a state as
       + (2*pairs + neutral) / (t^(1/2) - t^(-1/2)),
 
 assembled here term by term from the elementary mode operators so the
-anticommutation bookkeeping is exercised, not assumed.
+anticommutation bookkeeping is exercised, not assumed.  At an evaluation
+point the same operators run with Fraction coefficients in place of RatFuncs.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .laurent import (
+    EvaluationPointError,
     InternalInvariantError,
     LaurentPoly,
     UsageError,
     VarTable,
+    _fr,
 )
 from .ratfunc import RatFunc
 from .series import HalfSeries
@@ -160,27 +163,59 @@ def apply_field(state: FockState, space: FockSpace, field: str, index: int,
     raise UsageError(f"unknown field {field!r}")
 
 
-StateVector = dict  # FockState -> RatFunc
+StateVector = dict  # FockState -> RatFunc, or Fraction at a point
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def _is_zero(c) -> bool:
+    return c.is_zero() if isinstance(c, RatFunc) else not c
 
 
 def apply_D(state: FockState, space: FockSpace, table: VarTable,
-            t_index: int) -> StateVector:
+            t_index: int, *, point: Mapping[int, Fraction] | None = None
+            ) -> StateVector:
     """Apply the diagonal trace insertion for the variable t_index.
 
     Normal-ordered bilinears are applied term by term through the elementary
     operators (only modes up to the state's energy can contribute), then the
     central scalar (2*pairs + neutral)/(t^(1/2) - t^(-1/2)) adds the input
     state back.
+
+    With a point (variable index -> square-root value v, as for
+    LaurentPoly.evaluate) the coefficients are the Fractions the symbolic
+    ones take there: s*t^(k/2) becomes s*v^k and the central scalar
+    (2*pairs + neutral) * v/(v^2 - 1).
     """
-    x_inv = RatFunc(LaurentPoly.monomial(table, {t_index: 1}),
-                    LaurentPoly.monomial(table, {t_index: 2})
-                    - LaurentPoly.one(table))
+    if point is None:
+        def term(k2: int, sign: int) -> RatFunc:
+            return RatFunc.from_poly(
+                LaurentPoly.monomial(table, {t_index: k2}, sign))
+        central = RatFunc(LaurentPoly.monomial(table, {t_index: 1}),
+                          LaurentPoly.monomial(table, {t_index: 2})
+                          - LaurentPoly.one(table)) * space.central_doubled
+    else:
+        if t_index not in point:
+            raise UsageError(f"no value for insertion variable {t_index}")
+        v = _fr(point[t_index])
+        if v == 0:
+            raise EvaluationPointError("square-root values must be nonzero")
+        central = ZERO
+        if space.central_doubled:
+            if v * v == 1:
+                raise EvaluationPointError(
+                    "the insertion has a pole at t = 1")
+            central = space.central_doubled * v / (v * v - 1)
+
+        def term(k2: int, sign: int) -> Fraction:
+            return sign * v ** k2
     out: StateVector = {}
 
-    def add(st: FockState, coeff: RatFunc) -> None:
+    def add(st: FockState, coeff) -> None:
         cur = out.get(st)
         cur = coeff if cur is None else cur + coeff
-        if cur.is_zero():
+        if _is_zero(cur):
             out.pop(st, None)
         else:
             out[st] = cur
@@ -201,8 +236,7 @@ def apply_D(state: FockState, space: FockSpace, table: VarTable,
                 r2_ = apply_field(st1, space, second, i2, -k2)
                 if r2_ is not None:
                     s2, st2 = r2_
-                    mono = LaurentPoly.monomial(table, {t_index: k2}, s1 * s2)
-                    add(st2, RatFunc.from_poly(mono))
+                    add(st2, term(k2, s1 * s2))
             # negative index term, normal ordered: -t^(-k2/2) (swap the roles)
             r = apply_field(state, space, second, i2, k2)
             if r is not None:
@@ -210,9 +244,8 @@ def apply_D(state: FockState, space: FockSpace, table: VarTable,
                 r2_ = apply_field(st1, space, first, i1, -k2)
                 if r2_ is not None:
                     s2, st2 = r2_
-                    mono = LaurentPoly.monomial(table, {t_index: -k2}, -s1 * s2)
-                    add(st2, RatFunc.from_poly(mono))
-    add(state, x_inv * space.central_doubled)
+                    add(st2, term(-k2, -s1 * s2))
+    add(state, central)
     return out
 
 
@@ -259,23 +292,26 @@ def enumerate_states(space: FockSpace, max2: int) -> dict[int, list[FockState]]:
 
 
 def _diagonal_weight(state: FockState, space: FockSpace, table: VarTable,
-                     t_indices: Sequence[int]) -> RatFunc:
-    """<state| product of insertions |state> via repeated apply_D."""
-    vec: StateVector = {state: RatFunc.one(table)}
+                     t_indices: Sequence[int], *,
+                     point: Mapping[int, Fraction] | None = None):
+    """<state| product of insertions |state> via repeated apply_D: a RatFunc,
+    or a Fraction at a point."""
+    vec: StateVector = {state: RatFunc.one(table) if point is None else ONE}
     for t_index in reversed(tuple(t_indices)):
         nxt: StateVector = {}
         for st, coeff in vec.items():
-            for st2, c2 in apply_D(st, space, table, t_index).items():
+            for st2, c2 in apply_D(st, space, table, t_index,
+                                   point=point).items():
                 if st2.energy2() != st.energy2():
                     raise InternalInvariantError("insertion changed the energy")
                 cur = nxt.get(st2)
                 cur = coeff * c2 if cur is None else cur + coeff * c2
-                if cur.is_zero():
+                if _is_zero(cur):
                     nxt.pop(st2, None)
                 else:
                     nxt[st2] = cur
         vec = nxt
-    return vec.get(state, RatFunc.zero(table))
+    return vec.get(state, RatFunc.zero(table) if point is None else ZERO)
 
 
 def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
@@ -294,8 +330,11 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
     otherwise.  Each q^(m) coefficient is exact: the insertions preserve
     energy, so no truncation leaks between levels.
 
-    With an assignment, t-variables are evaluated at the given square-root
-    values (z-variables survive); the result lives over the reduced table.
+    With an assignment, which must give every insertion variable a value,
+    the t-variables are evaluated at the given square-root values (z-variables
+    survive); the result lives over the reduced table.  Each insertion is
+    applied at the point, so every weight is a Fraction and each q-level is
+    summed as a polynomial in the z-variables.
     """
     if parity_projector not in (None, "even", "odd"):
         raise UsageError(f"unknown projector {parity_projector!r}")
@@ -305,12 +344,12 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
         raise UsageError("neutral parity needs a neutral fermion")
     if z_indices is not None and len(z_indices) != space.pairs:
         raise UsageError("need one z-variable per pair")
-    out_table = table
-    if assignment:
-        keep = [i for i in range(len(table)) if i not in assignment]
-        out_table = VarTable(tuple(table.names[i] for i in keep),
-                             tuple(table.kinds[i] for i in keep))
+    point = assignment or None
+    out_table = table.without(point or ())
+    zi = tuple(out_table.index(table.names[i]) for i in z_indices or ())
     terms: dict[int, RatFunc] = {}
+    # at a point: q-level -> z-exponents over out_table -> Fraction
+    sums: dict[int, dict[tuple[int, ...], Fraction]] = {}
     for e2, states in enumerate_states(space, trunc2).items():
         for state in states:
             if parity_source == "neutral":
@@ -321,46 +360,38 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
                 continue
             if parity_projector == "odd" and not par:
                 continue
-            weight = _diagonal_weight(state, space, table, t_indices)
-            if weight.is_zero():
+            weight = _diagonal_weight(state, space, table, t_indices,
+                                      point=point)
+            if _is_zero(weight):
                 continue
             if parity_sign and par:
                 weight = -weight
-            if assignment:
-                weight = weight.evaluate(assignment, out_table)
-            if z_indices is not None:
-                charges = state.charges(space)
-                mono = LaurentPoly.monomial(
-                    out_table,
-                    {z_indices_out(out_table, table, z_indices)[p]: 2 * charges[p]
-                     for p in range(space.pairs)})
-                weight = weight * RatFunc.from_poly(mono)
+            z_exps = {i: 2 * c for i, c in zip(zi, state.charges(space))}
+            if point is not None:
+                level = sums.setdefault(e2, {})
+                key = tuple(z_exps.get(i, 0) for i in range(len(out_table)))
+                level[key] = level.get(key, ZERO) + weight
+                continue
+            if z_exps:
+                weight = weight * RatFunc.from_poly(
+                    LaurentPoly.monomial(out_table, z_exps))
             cur = terms.get(e2)
             cur = weight if cur is None else cur + weight
             if cur.is_zero():
                 terms.pop(e2, None)
             else:
                 terms[e2] = cur
+    for e2, level in sums.items():
+        poly = LaurentPoly(out_table, {e: c for e, c in level.items() if c},
+                           _clean=True)
+        if not poly.is_zero():
+            terms[e2] = RatFunc.from_poly(poly)
     return HalfSeries(out_table, trunc2, terms, _clean=True)
-
-
-def z_indices_out(out_table: VarTable, table: VarTable,
-                  z_indices: Sequence[int]) -> tuple[int, ...]:
-    """Map z-variable indices through a possible table reduction."""
-    if out_table is table:
-        return tuple(z_indices)
-    return tuple(out_table.index(table.names[i]) for i in z_indices)
 
 
 # ---------------------------------------------------------------------------
 # dominant-monomial extraction
 # ---------------------------------------------------------------------------
-
-def _strip_z(table: VarTable, z_set: frozenset[int]) -> VarTable:
-    keep = [i for i in range(len(table)) if i not in z_set]
-    return VarTable(tuple(table.names[i] for i in keep),
-                    tuple(table.kinds[i] for i in keep))
-
 
 def _rf_z_coefficient(rf: RatFunc, z_exps: Mapping[int, int],
                       z_set: frozenset[int], out_table: VarTable) -> RatFunc:
@@ -394,7 +425,7 @@ def extract_module_function(trace: HalfSeries, lam: Sequence[int], l: int,
     if len(z_indices) != l:
         raise UsageError(f"need {l} z-variables, got {len(z_indices)}")
     z_set = frozenset(z_indices)
-    out_table = _strip_z(table, z_set)
+    out_table = table.without(z_set)
     if l == 0:
         return trace.map_coeffs(
             lambda c: _rf_z_coefficient(c, {}, z_set, out_table),

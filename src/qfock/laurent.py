@@ -25,7 +25,7 @@ from itertools import combinations, product
 from math import gcd
 from operator import mul, sub
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 Exps = tuple[int, ...]
 
@@ -92,6 +92,15 @@ class VarTable:
 
     def z_indices(self) -> tuple[int, ...]:
         return tuple(i for i, k in enumerate(self.kinds) if k == Z_KIND)
+
+    def without(self, indices: Container[int]) -> "VarTable":
+        """The table with the variables at the given indices removed (the
+        same table when none of them is here)."""
+        keep = [i for i in range(len(self)) if i not in indices]
+        if len(keep) == len(self):
+            return self
+        return VarTable(tuple(self.names[i] for i in keep),
+                        tuple(self.kinds[i] for i in keep))
 
 
 def _fr(x) -> Fraction:
@@ -315,8 +324,7 @@ class LaurentPoly:
                 raise EvaluationPointError("square-root values must be nonzero")
         keep = [i for i in range(len(self.table)) if i not in assignment]
         if new_table is None:
-            new_table = VarTable(tuple(self.table.names[i] for i in keep),
-                                 tuple(self.table.kinds[i] for i in keep))
+            new_table = self.table.without(assignment)
         out: dict[Exps, Fraction] = {}
         for e, c in self.terms.items():
             val = c

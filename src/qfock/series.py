@@ -281,9 +281,7 @@ class HalfSeries:
 
     def evaluate(self, assignment: Mapping[int, Fraction]) -> "HalfSeries":
         """Evaluate variables at square-root values (possibly partially)."""
-        keep = [i for i in range(len(self.table)) if i not in assignment]
-        new_table = VarTable(tuple(self.table.names[i] for i in keep),
-                             tuple(self.table.kinds[i] for i in keep))
+        new_table = self.table.without(assignment)
         return self.map_coeffs(lambda c: c.evaluate(assignment, new_table),
                                table=new_table)
 

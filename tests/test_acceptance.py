@@ -165,6 +165,17 @@ def test_criterion_5_main_theorem():
     _report("main-theorem", checks, 600, time.time() - t0)
 
 
+def test_main_theorem_frontier_cells():
+    """The criterion-5 checks at the frontier cells (l=1, n=3) and
+    (l=2, n=2), lam in {(), (1,), (2,)}, eval mode to order 3; < 30 s."""
+    t0 = time.time()
+    checks = []
+    for l, n in ((1, 3), (2, 2)):
+        checks += suite_main_theorem(trunc2=6, mode="eval", seed=11,
+                                     l_values=(l,), n_values=(n,))
+    _report("main-theorem-frontier", checks, 30, time.time() - t0)
+
+
 def test_criterion_6_charge_graded_trace():
     """The closed charge-graded one-pair trace equals the pair oracle for
     n in {1,2} through order 3 (every z-degree |k| <= 2 is retained at this

@@ -11,8 +11,9 @@ import pytest
 from qfock.laurent import LaurentPoly, VarTable
 from qfock.ratfunc import RatFunc
 from qfock.series import HalfSeries
-from qfock import cli
+from qfock import cli, verify
 from qfock.cli import main, series_from_json, series_to_json
+from qfock.fock import FockSpace, oracle_trace
 
 
 def run_cli(*argv):
@@ -173,6 +174,28 @@ class TestOracleCommand:
         data = json.loads(out)
         got = {t["q_x2"]: t["coeff"]["num"][0]["val"] for t in data["terms"]}
         assert got == {0: "1", 1: "-1", 3: "-1", 4: "1", 5: "-1", 6: "1"}
+
+    def test_eval_mode_matches_evaluated_symbolic_trace(self):
+        """At a point the oracle applies each insertion there; its JSON must
+        equal the symbolic trace evaluated at the same point."""
+        code, out, _ = run_cli("oracle", "--l", "1", "--n", "2",
+                               "--z-grading", "--projector", "odd",
+                               "--order", "2", "--mode", "eval",
+                               "--seed", "3")
+        assert code == 0
+        pt = verify.random_point((0, 1), 3)
+        sym = oracle_trace(FockSpace(1), 4, VarTable.make(2, 1), (0, 1),
+                           z_indices=(2,), parity_projector="odd")
+        want = series_to_json(sym.evaluate(pt))
+        assert want["terms"]
+        data = json.loads(out)
+        assert data.pop("evaluation") == {f"t{i + 1}": str(v)
+                                          for i, v in sorted(pt.items())}
+        assert data == want
+        # byte for byte, as the CLI writes it
+        want["evaluation"] = {f"t{i + 1}": str(v)
+                              for i, v in sorted(pt.items())}
+        assert out == json.dumps(want, sort_keys=True) + "\n"
 
     def test_qdim_command(self):
         code, out, _ = run_cli("qdim", "--l", "1", "--lambda", "1",

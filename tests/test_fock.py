@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from qfock.laurent import LaurentPoly, UsageError, VarTable
+from qfock.laurent import (
+    EvaluationPointError,
+    LaurentPoly,
+    UsageError,
+    VarTable,
+)
 from qfock.ratfunc import RatFunc
 from qfock.weylb import BLabel
 from qfock.correlation import d_half_vacuum, irreducible_function
@@ -22,6 +27,7 @@ from qfock.fock import (
     irreducible_from_projected,
     oracle_trace,
 )
+from qfock.verify import random_point
 
 SP0 = FockSpace(0, True)
 SP1 = FockSpace(1, True)
@@ -179,6 +185,40 @@ class TestApplyD:
                 assert st2.energy2() == st.energy2()
 
 
+    @pytest.mark.parametrize("space", [SP0, SP1, PAIR])
+    def test_at_a_point_equals_evaluated_symbolic(self, space):
+        rng = random.Random(25)
+        tab = VarTable.make(2)
+        for seed in (4, 5, 6):
+            pt = random_point((0, 1), seed)
+            for _ in range(20):
+                st = rand_state(rng, space)
+                for t_index in (0, 1):
+                    sym = apply_D(st, space, tab, t_index)
+                    ev = apply_D(st, space, tab, t_index, point=pt)
+                    assert ev == {k: c.evaluate(pt).constant_value()
+                                  for k, c in sym.items()}
+                    assert all(type(c) is Fraction for c in ev.values())
+
+
+class TestEvaluationPointErrors:
+    @pytest.mark.parametrize("v", [Fraction(0), Fraction(1), Fraction(-1)])
+    def test_bad_point_raises_evaluation_error(self, v):
+        tab = VarTable.make(1)
+        with pytest.raises(EvaluationPointError):
+            apply_D(FockState.vacuum(SP1), SP1, tab, 0, point={0: v})
+        with pytest.raises(EvaluationPointError):
+            oracle_trace(SP1, 4, tab, (0,), assignment={0: v})
+
+    def test_missing_insertion_value_is_a_usage_error(self):
+        tab = VarTable.make(2)
+        with pytest.raises(UsageError):
+            oracle_trace(SP1, 4, tab, (0, 1), assignment={0: Fraction(3)})
+        with pytest.raises(UsageError):
+            apply_D(FockState.vacuum(SP1), SP1, tab, 1,
+                    point={0: Fraction(3)})
+
+
 class TestTraces:
     def test_neutral_bases(self):
         tab = VarTable.make(0)
@@ -211,6 +251,29 @@ class TestTraces:
         assert (even + odd).eq_upto(full)
         signed = oracle_trace(SP1, 4, tab, (0,), parity_sign=True)
         assert (even - odd).eq_upto(signed)
+
+    @pytest.mark.parametrize("space", [SP0, SP1, PAIR],
+                             ids=["neutral", "pair+neutral", "pairs-only"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("z_grading", [False, True])
+    def test_eval_first_equals_evaluated_symbolic(self, space, n, z_grading):
+        """Applying each insertion at the point gives exactly the symbolic
+        trace evaluated there: plain, signed and both projectors."""
+        nz = space.pairs if z_grading else 0
+        tab = VarTable.make(n, nz)
+        ti = tuple(range(n))
+        zi = tuple(range(n, n + nz)) if z_grading else None
+        for kwargs in ({}, {"parity_sign": True},
+                       {"parity_projector": "even"},
+                       {"parity_projector": "odd"}):
+            sym = oracle_trace(space, 5, tab, ti, z_indices=zi, **kwargs)
+            for seed in (1, 2, 3):
+                pt = random_point(ti, seed)
+                ev = oracle_trace(space, 5, tab, ti, z_indices=zi,
+                                  assignment=pt, **kwargs)
+                want = sym.evaluate(pt)
+                assert ev.table == want.table and ev.trunc2 == want.trunc2
+                assert ev.terms == want.terms, (kwargs, seed)
 
     def test_eval_mode_matches_symbolic(self):
         tab = VarTable.make(1, 1)
