@@ -8,13 +8,12 @@ from .laurent import (
     LaurentPoly,
     UsageError,
     VarTable,
-    lp_mul,
     lp_tddt,
     poly_divexact,
     poly_gcd,
 )
 from .ratfunc import RatFunc, rf_reduce
-from .series import HalfSeries, hs_eval, hs_inv, hs_mul, hs_subst_monomial
+from .series import HalfSeries
 from .special import f_bo, pochhammer_inf, qq_inf, theta, theta_deriv
 from .weylb import (
     BLabel,
@@ -29,7 +28,6 @@ from .weylb import (
     weyl_denominator_det,
 )
 from .correlation import (
-    CorrSpec,
     d_half_vacuum,
     d_sum_function,
     d_twisted_function,
@@ -51,6 +49,7 @@ from .fock import (
     create,
     enumerate_states,
     extract_module_function,
+    irreducible_from_extracted,
     irreducible_from_projected,
     irreducible_from_traces,
     oracle_trace,

@@ -317,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run identity suites")
     v.add_argument("--suite", default="all")
     v.add_argument("--n", type=int, default=2)
-    v.add_argument("--l", type=int, default=1)
-    v.add_argument("--lambda", dest="lam", default="")
     common(v)
     v.set_defaults(fn=_run_verify)
 

@@ -24,7 +24,6 @@ The twisted functions alternate over the permutation-only sign character (the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import isqrt
@@ -43,17 +42,6 @@ from .weylb import (
     act,
     sign_vectors,
 )
-
-
-@dataclass(frozen=True)
-class CorrSpec:
-    """Parameters of one correlation-function job."""
-
-    l: int
-    label: BLabel | tuple[int, ...]
-    n: int
-    trunc2: int
-    twisted: bool = False
 
 
 # ---------------------------------------------------------------------------

@@ -448,8 +448,16 @@ def irreducible_from_traces(plain: HalfSeries, signed: HalfSeries,
     """Per-irreducible extraction from the plain and parity-signed traces."""
     a = extract_module_function(plain, lam, l, z_indices, denominator="minus")
     b = extract_module_function(signed, lam, l, z_indices, denominator="plus")
-    half = Fraction(1, 2)
-    return ((a - b) if det else (a + b)) * half
+    return irreducible_from_extracted(a, b, det)
+
+
+def irreducible_from_extracted(plain_ext: HalfSeries, signed_ext: HalfSeries,
+                               det: bool) -> HalfSeries:
+    """The irreducible function from the functions extracted from the plain
+    and the parity-signed traces: their half-sum, or half-difference for the
+    det sector."""
+    both = (plain_ext - signed_ext) if det else (plain_ext + signed_ext)
+    return both * Fraction(1, 2)
 
 
 def irreducible_from_projected(even: HalfSeries, odd: HalfSeries,

@@ -230,6 +230,8 @@ class LaurentPoly:
             c = _fr(other)
             if c == 0:
                 return LaurentPoly.zero(self.table)
+            if c == 1:
+                return self  # nothing mutates .terms in place
             return LaurentPoly(self.table,
                                {e: v * c for e, v in self.terms.items()},
                                _clean=True)
@@ -261,6 +263,8 @@ class LaurentPoly:
 
     def shift(self, exps: Exps) -> "LaurentPoly":
         """Multiply by the monomial with the given (doubled) exponents."""
+        if not any(exps):
+            return self
         return LaurentPoly(self.table,
                            {tuple(a + b for a, b in zip(e, exps)): c
                             for e, c in self.terms.items()}, _clean=True)
@@ -453,6 +457,12 @@ def format_poly(p: LaurentPoly) -> str:
 # divisions certify every step: each raises on a remainder, and the split
 # operand's cofactor must be a unit.  The product is integer-primitive with
 # leading coefficient 1, the same normalization the PRS path returns.
+#
+# RatFunc keeps each denominator's split (ratfunc's factor record), so its
+# arithmetic cancels by the substitution test and exact division alone and
+# calls no gcd.  What still comes here is poly_gcd, and RatFunc's fallback
+# for a denominator that did not split; that caller passes b_splits=False,
+# so the split that failed is not tried again.
 #
 # PRS fallback.  When neither operand splits (kernel tests, arbitrary input,
 # or more than _SPLIT_MAX_VARS variables), the gcd runs a recursive
@@ -710,12 +720,14 @@ def _d_mul_var_pow_multi(a: _Dict, shift: Exps) -> _Dict:
     return {tuple(x + s for x, s in zip(e, shift)): c for e, c in a.items()}
 
 
-def _d_gcd(a: _Dict, b: _Dict) -> _Dict:
+def _d_gcd(a: _Dict, b: _Dict, b_splits: bool = True) -> _Dict:
     """GCD of polynomials with nonnegative exponents; integer-primitive,
-    positive-leading result.  Binomial fast path first, PRS otherwise."""
+    positive-leading result.  Binomial fast path first, PRS otherwise.
+    A caller that has already found that b does not split passes
+    b_splits=False, so that only a is offered to the fast path."""
     a, b = _integerize(a), _integerize(b)
     if a and b:
-        g = _binomial_gcd(a, b)
+        g = _binomial_gcd(a, b, b_splits)
         if g is not None:
             return g
     return _ig_gcd(a, b)
@@ -728,17 +740,19 @@ _SPLIT_MAX_VARS = 5
 Binomial = tuple[Exps, Exps, int]  # (p, q, c) for x^p - c*x^q, p lex above q
 
 
-def _binomial_gcd(a: _Dict, b: _Dict) -> _Dict | None:
-    """The gcd when a or b splits into binomials; None if neither does."""
+def _binomial_gcd(a: _Dict, b: _Dict, b_splits: bool = True) -> _Dict | None:
+    """The gcd when a or b splits into binomials (the smaller is tried
+    first; b only if b_splits); None if neither does."""
     a, sa = _d_strip_monomial(a)
     b, sb = _d_strip_monomial(b)
     common = tuple(min(x, y) for x, y in zip(sa, sb))
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    split, other = _binomial_split(small), large
-    if split is None:
-        split, other = _binomial_split(large), small
-        if split is None:
-            return None
+    for f in sorted((a, b), key=len) if b_splits else (a,):
+        split = _binomial_split(f)
+        if split is not None:
+            other = b if f is a else a
+            break
+    else:
+        return None
     g: _Dict = {(0,) * len(common): 1}
     for (p, q, c), m in split:
         binom = {p: 1, q: -c}
@@ -1008,10 +1022,6 @@ def _ig_prs_gcd(f: _Dict, g: _Dict, v: int) -> _Dict:
 
 # -- public wrappers ---------------------------------------------------------
 
-def lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a * b
-
-
 def lp_tddt(a: LaurentPoly, var: int) -> LaurentPoly:
     return a.tddt(var)
 
@@ -1040,8 +1050,14 @@ def poly_divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero(num.table)
-    dn, sn = _d_strip_monomial(dict(num.terms))
-    dd, sd = _d_strip_monomial(dict(den.terms))
-    q = _d_divexact(dn, dd)
+    dn, sn = _d_strip_monomial(num.terms)
+    dd, sd = _d_strip_monomial(den.terms)
+    # divide the primitive integer parts: by Gauss's lemma an exact quotient
+    # of primitive polynomials is primitive, with integer coefficients
+    ni, di = _integerize(dn), _integerize(dd)
+    q = _d_divexact(ni, di)
+    e, f = next(iter(dn)), next(iter(dd))
+    scale = dn[e] / ni[e] * di[f] / dd[f]
     shift = tuple(a - b for a, b in zip(sn, sd))
-    return LaurentPoly(num.table, q, _clean=True).shift(shift)
+    return LaurentPoly(num.table, {e: c * scale for e, c in q.items()},
+                       _clean=True).shift(shift)

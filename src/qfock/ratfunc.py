@@ -2,7 +2,7 @@
 
 A RatFunc is a reduced pair num/den of LaurentPoly.  Canonical form:
 
-  * num and den share no polynomial factor (reduced by multivariate GCD);
+  * num and den share no polynomial factor;
   * den is an honest polynomial with componentwise-minimal exponent 0
     (any monomial factor is a unit and lives in num, which may be Laurent);
   * den has integer, globally coprime coefficients and positive
@@ -10,20 +10,39 @@ A RatFunc is a reduced pair num/den of LaurentPoly.  Canonical form:
 
 Equality of canonical forms is structural, and doubles as the
 cross-multiplication test.
+
+Each RatFunc also carries dfac, the factor record of its denominator: a
+sorted tuple of ((p, q, c), m) whose product of binomials (x^p - c*x^q)^m
+is exactly den, or None when den does not split so (the empty tuple for
+den = 1).  The binomials are laurent's: p, q disjoint 0/1 exponent vectors,
+p lex above q, c = +-1.  Each is irreducible, integer-primitive, with lead
+coefficient 1 and no monomial content, so by Gauss's lemma their product
+already is the canonical den.  The record never enters equality, hashing
+or output.  With it, cancellation is trial division by the few known
+factors: in a product a factor of one den can divide only the other num,
+and in a sum only a factor that both dens hold equally often can divide
+the new numerator.  The multivariate GCD serves only denominators outside
+the binomial basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
+from typing import Mapping
 
 from .laurent import (
+    Binomial,
     LaurentPoly,
     UsageError,
     VarTable,
+    _binomial_divides,
+    _binomial_split,
     _d_divexact,
     _d_gcd,
+    _d_mul,
     _d_strip_monomial,
+    _integerize,
     poly_divexact,
     poly_gcd,
 )
@@ -31,46 +50,54 @@ from .laurent import (
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+Factors = tuple[tuple[Binomial, int], ...]
+
+# default for a denominator whose factors are not known yet: split it
+_UNSPLIT = object()
+
 
 class RatFunc:
-    """A rational function num/den in canonical form."""
+    """A rational function num/den in canonical form, with den's factor
+    record dfac."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "dfac")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None,
-                 *, _canonical: bool = False):
+                 *, dfac=_UNSPLIT, _canonical: bool = False):
+        """Reduce num/den.  A known split of den (up to a constant and a
+        monomial; None when den does not split) is passed as dfac, else den
+        is split here.  With _canonical the pair is taken as it is and dfac
+        is den's factor record."""
         if den is None:
-            den = LaurentPoly.one(num.table)
+            den, dfac = LaurentPoly.one(num.table), ()
         if _canonical:
             self.num = num
             self.den = den
+            self.dfac = _split(den.terms) if dfac is _UNSPLIT else dfac
             return
         if num.table != den.table:
             raise UsageError("num and den use different variable tables")
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        self.num, self.den = _reduce(num, den)
+        self.num, self.den, self.dfac = _reduce(num, den, dfac)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, table: VarTable) -> "RatFunc":
-        return cls(LaurentPoly.zero(table), LaurentPoly.one(table),
-                   _canonical=True)
+        return cls(LaurentPoly.zero(table), _canonical=True)
 
     @classmethod
     def one(cls, table: VarTable) -> "RatFunc":
-        return cls(LaurentPoly.one(table), LaurentPoly.one(table),
-                   _canonical=True)
+        return cls(LaurentPoly.one(table), _canonical=True)
 
     @classmethod
     def const(cls, table: VarTable, c) -> "RatFunc":
-        return cls(LaurentPoly.const(table, c), LaurentPoly.one(table),
-                   _canonical=True)
+        return cls(LaurentPoly.const(table, c), _canonical=True)
 
     @classmethod
     def from_poly(cls, p: LaurentPoly) -> "RatFunc":
-        return cls(p, LaurentPoly.one(p.table), _canonical=True)
+        return cls(p, _canonical=True)
 
     @property
     def table(self) -> VarTable:
@@ -100,14 +127,41 @@ class RatFunc:
             return other
         if other.is_zero():
             return self
+        f1, f2 = self.dfac, other.dfac
+        if f1 is None or f2 is None:
+            return self._add_by_gcd(other)
+        # over L = lcm(d1, d2), each factor at its larger multiplicity:
+        # t = n1 (L/d1) + n2 (L/d2), cofactors multiplied out of binomials
+        m1, m2 = dict(f1), dict(f2)
+        cof1 = tuple((b, m - m1.get(b, 0)) for b, m in f2 if m > m1.get(b, 0))
+        cof2 = tuple((b, m - m2.get(b, 0)) for b, m in f1 if m > m2.get(b, 0))
+        t = _times(self.num, cof1) + _times(other.num, cof2)
+        if t.is_zero():
+            return RatFunc.zero(self.table)
+        # a factor held more often by d2 divides n1 (L/d1) but neither n2
+        # nor L/d2, so it cannot divide t; only equal holdings can cancel
+        shared = tuple((b, m) for b, m in f1 if m2.get(b) == m)
+        t, kept = _cancel(t, shared)
+        if kept is shared and not (cof1 and cof2):
+            den, dfac = (other.den, f2) if cof1 else (self.den, f1)
+        else:
+            # L = d1 (L/d1), less what cancelled
+            left = dict(kept)
+            dfac = _merge(f1, cof1, tuple((b, left.get(b, 0) - m)
+                                          for b, m in shared))
+            den = _expand(self.table, dfac)
+        return RatFunc(t, den, _canonical=True, dfac=dfac)
+
+    def _add_by_gcd(self, other: "RatFunc") -> "RatFunc":
+        """The sum when a denominator does not split into binomials."""
         if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
+            return RatFunc(self.num + other.num, self.den, dfac=None)
         if self.den.is_one():
             return RatFunc(self.num * other.den + other.num, other.den,
-                           _canonical=True)
+                           _canonical=True, dfac=other.dfac)
         if other.den.is_one():
             return RatFunc(self.num + other.num * self.den, self.den,
-                           _canonical=True)
+                           _canonical=True, dfac=self.dfac)
         # classical reduced addition: with g = gcd(d1, d2) and
         # t = n1 (d2/g) + n2 (d1/g), the sum is (t/g2) / ((d1/g2)(d2/g))
         # for g2 = gcd(t, g), already in lowest terms.
@@ -127,15 +181,11 @@ class RatFunc:
         den = poly_divexact(self.den, g2) * poly_divexact(other.den, g)
         return RatFunc(*_finalize(num, den), _canonical=True)
 
-    def _renormalized(self) -> "RatFunc":
-        """Re-normalize a pair already known to be in lowest terms."""
-        return RatFunc(*_finalize(self.num, self.den), _canonical=True)
-
     def __radd__(self, other) -> "RatFunc":
         return self + other
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den, _canonical=True)
+        return RatFunc(-self.num, self.den, _canonical=True, dfac=self.dfac)
 
     def __sub__(self, other) -> "RatFunc":
         return self + (-self._coerce(other))
@@ -147,10 +197,22 @@ class RatFunc:
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
             return RatFunc.zero(self.table)
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc(self.num * other.num, self.den, _canonical=True)
-        # cross-cancellation: with both inputs reduced, only num-den pairs
-        # across the product can share factors
+        f1, f2 = self.dfac, other.dfac
+        if f1 is None or f2 is None:
+            return self._mul_by_gcd(other)
+        # cross-cancellation: with both inputs reduced, a factor of one den
+        # can divide only the other num
+        n1, kept2 = _cancel(self.num, f2)
+        n2, kept1 = _cancel(other.num, f1)
+        if kept1 is f1 and kept2 is f2 and not (f1 and f2):
+            den, dfac = (other.den, f2) if f2 else (self.den, f1)
+        else:
+            dfac = _merge(kept1, kept2)
+            den = _expand(self.table, dfac)
+        return RatFunc(n1 * n2, den, _canonical=True, dfac=dfac)
+
+    def _mul_by_gcd(self, other: "RatFunc") -> "RatFunc":
+        """The product when a denominator does not split into binomials."""
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)
         n1 = self.num if g1.is_one() else poly_divexact(self.num, g1)
@@ -169,7 +231,8 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return RatFunc(self.den, self.num)
+        # num and den are coprime already: only the new den is normalized
+        return RatFunc(*_finalize(self.den, self.num), _canonical=True)
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
@@ -207,8 +270,8 @@ class RatFunc:
         return RatFunc(num, den)
 
     def embed(self, new_table: VarTable) -> "RatFunc":
-        return RatFunc(self.num.embed(new_table), self.den.embed(new_table),
-                       _canonical=True)
+        # reduced again: a new variable order can change the lex-leading term
+        return RatFunc(self.num.embed(new_table), self.den.embed(new_table))
 
     def rename_signed(self, new_table: VarTable, mapping) -> "RatFunc":
         num = self.num.rename_signed(new_table, mapping)
@@ -218,9 +281,11 @@ class RatFunc:
     def tddt(self, var: int) -> "RatFunc":
         """t d/dt by the quotient rule."""
         if self.den.is_one():
-            return RatFunc(self.num.tddt(var), self.den, _canonical=True)
+            return RatFunc(self.num.tddt(var), self.den, _canonical=True,
+                           dfac=())
         dn = self.num.tddt(var) * self.den - self.num * self.den.tddt(var)
-        return RatFunc(dn, self.den * self.den)
+        dfac = self.dfac and _merge(self.dfac, self.dfac)
+        return RatFunc(dn, self.den * self.den, dfac=dfac)
 
     def constant_value(self) -> Fraction:
         if not (self.num.is_constant() and self.den.is_constant()):
@@ -264,37 +329,108 @@ def _finalize(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentP
     table = num.table
     if num.is_zero():
         return LaurentPoly.zero(table), LaurentPoly.one(table)
-    dd, sd = _d_strip_monomial(dict(den.terms))
+    dd, sd = _d_strip_monomial(den.terms)
     den_p = LaurentPoly(table, dd, _clean=True)
     scale = _normalizing_scale(den_p)
     num_p = num * scale
     if scale != 1:
         den_p = den_p * scale
-    if any(sd):
-        num_p = num_p.shift(tuple(-s for s in sd))
-    return num_p, den_p
+    return num_p.shift(tuple(-s for s in sd)), den_p
 
 
-def _reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Canonicalize num/den: strip monomial content, divide by the GCD,
-    normalize the denominator's coefficients."""
+def _reduce(num: LaurentPoly, den: LaurentPoly, split=_UNSPLIT
+            ) -> tuple[LaurentPoly, LaurentPoly, Factors | None]:
+    """Canonicalize num/den and give den's factor record.  split is den's
+    binomial split up to a constant and a monomial (None if den does not
+    split); by default den is split here.  A split den cancels by trial
+    division, any other by the GCD."""
     table = num.table
     if num.is_zero():
-        return LaurentPoly.zero(table), LaurentPoly.one(table)
-    dn, sn = _d_strip_monomial(dict(num.terms))
-    dd, sd = _d_strip_monomial(dict(den.terms))
-    g = _d_gcd(dn, dd)
-    w = len(table)
-    if g != {(0,) * w: ONE}:
-        dn = _d_divexact(dn, g)
-        dd = _d_divexact(dd, g)
-    # normalize den: integer coprime coefficients, positive lex-leading coeff
-    den_p = LaurentPoly(table, dd, _clean=True)
-    scale = _normalizing_scale(den_p)
-    num_p = LaurentPoly(table, dn, _clean=True) * scale
-    den_p = den_p * scale
-    shift = tuple(a - b for a, b in zip(sn, sd))
-    return num_p.shift(shift), den_p
+        return LaurentPoly.zero(table), LaurentPoly.one(table), ()
+    dd, sd = _d_strip_monomial(den.terms)
+    if split is _UNSPLIT:
+        split = _split(dd)
+    if split is not None:
+        # den = k * x^sd * (product of split), and that product has lead 1
+        num_p, dfac = _cancel(num, split)
+        k = dd[max(dd)]
+        if dfac is split and k == 1 and not any(sd):
+            return num_p, den, dfac
+        num_p = (num_p * (1 / k)).shift(tuple(-s for s in sd))
+        return num_p, _expand(table, dfac), dfac
+    dn, sn = _d_strip_monomial(num.terms)
+    g = _d_gcd(dn, dd, b_splits=False)
+    if g == {(0,) * len(table): 1}:
+        return (*_finalize(num, den), None)
+    dd = _d_divexact(dd, g)
+    num = LaurentPoly(table, _d_divexact(dn, g), _clean=True).shift(
+        tuple(a - b for a, b in zip(sn, sd)))
+    den = LaurentPoly(table, dd, _clean=True)
+    return (*_finalize(num, den), _split(dd))  # what is left may split
+
+
+def _split(p: Mapping) -> Factors | None:
+    """The sorted binomial factors of p (a dict without monomial content)
+    up to a constant, or None when p is not such a product."""
+    if len(p) == 1:
+        return ()
+    split = _binomial_split(_integerize(p))
+    return None if split is None else tuple(sorted(split))
+
+
+def _cancel(num: LaurentPoly, factors: Factors) -> tuple[LaurentPoly, Factors]:
+    """Divide num by each binomial factor as often as it goes, at most to
+    the factor's multiplicity.  Returns the quotient and the factors left
+    over (factors itself when none divides).  Each exact division raises on
+    a remainder."""
+    if not factors:
+        return num, factors
+    # the divisibility test takes Laurent exponents; the division does not
+    f = ints = _integerize(num.terms)
+    shift = None
+    kept = []
+    for b, m in factors:
+        p, q, c = b
+        k = 0
+        while k < m and _binomial_divides(f, p, q, c):
+            if shift is None:
+                f, shift = _d_strip_monomial(f)
+            f = _d_divexact(f, {p: 1, q: -c})
+            k += 1
+        if k < m:
+            kept.append((b, m - k))
+    if f is ints:
+        return num, factors
+    e = next(iter(ints))
+    scale = num.terms[e] / ints[e]
+    quo = LaurentPoly(num.table, {e: c * scale for e, c in f.items()},
+                      _clean=True)
+    return quo.shift(shift), tuple(kept)
+
+
+def _expand(table: VarTable, factors: Factors) -> LaurentPoly:
+    """The product of the binomial factors."""
+    out = {(0,) * len(table): 1}
+    for (p, q, c), m in factors:
+        for _ in range(m):
+            out = _d_mul(out, {p: 1, q: -c})
+    return LaurentPoly(table, {e: Fraction(c) for e, c in out.items()},
+                       _clean=True)
+
+
+def _times(p: LaurentPoly, factors: Factors) -> LaurentPoly:
+    """p times the product of the binomial factors."""
+    return p * _expand(p.table, factors) if factors else p
+
+
+def _merge(*records: Factors) -> Factors:
+    """The factor record of a product of factored polynomials (a negative
+    multiplicity divides)."""
+    out: dict[Binomial, int] = {}
+    for record in records:
+        for f, m in record:
+            out[f] = out.get(f, 0) + m
+    return tuple(sorted((f, m) for f, m in out.items() if m))
 
 
 def _normalizing_scale(p: LaurentPoly) -> Fraction:

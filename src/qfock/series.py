@@ -19,10 +19,11 @@ from .laurent import (
     LaurentPoly,
     UsageError,
     VarTable,
+    _d_strip_monomial,
     format_exponent,
     poly_gcd,
 )
-from .ratfunc import RatFunc, _finalize
+from .ratfunc import RatFunc, _finalize, _merge, _split
 
 
 class HalfSeries:
@@ -169,15 +170,16 @@ class HalfSeries:
                 p = c1 * c2
                 by_den = buckets.setdefault(e, {})
                 cur = by_den.get(p.den)
-                by_den[p.den] = p.num if cur is None else cur + p.num
+                by_den[p.den] = (p.num, p.dfac) if cur is None else \
+                    (cur[0] + p.num, cur[1])
         out: dict[int, RatFunc] = {}
         for e, by_den in buckets.items():
             acc = None
-            for den, num in by_den.items():
+            for den, (num, dfac) in by_den.items():
                 if num.is_zero():
                     continue
-                rf = RatFunc(num, den) if not den.is_one() else \
-                    RatFunc.from_poly(num)
+                # den's factors are known: the reduction only trial-divides
+                rf = RatFunc(num, den, dfac=dfac)
                 acc = rf if acc is None else acc + rf
             if acc is not None and not acc.is_zero():
                 out[e] = acc
@@ -220,9 +222,22 @@ class HalfSeries:
                     a0_pows.append(a0_pows[-1] * a0)
                 return a0_pows[k]
 
+            # A_0's binomial factors, split once: each C_k / A_0^(k+1) then
+            # cancels by trial division against them
+            split = _split(_d_strip_monomial(a0.terms)[0])
+
+            def over_a0pow(num: LaurentPoly, k: int) -> RatFunc:
+                if split is not None:
+                    return RatFunc(num, a0pow(k), dfac=_merge(*[split] * k))
+                # coprime to A_0 means coprime to its powers: one cheap gcd
+                if poly_gcd(num, a0).is_one():
+                    return RatFunc(*_finalize(num, a0pow(k)), _canonical=True,
+                                   dfac=None)
+                return RatFunc(num, a0pow(k), dfac=None)
+
             # C_k = -sum_{0<j<=k} A_j C_{k-j} A_0^(j-1), C_0 = 1
             cpoly: dict[int, LaurentPoly] = {0: one}
-            out = {-m2: RatFunc(one, a0)}
+            out = {-m2: over_a0pow(one, 1)}
             for k in range(1, kmax + 1):
                 acc = None
                 for j, aj in apoly.items():
@@ -233,11 +248,7 @@ class HalfSeries:
                     continue
                 ck = -acc
                 cpoly[k] = ck
-                # coprime to A_0 means coprime to its powers: one cheap gcd
-                if poly_gcd(ck, a0).is_one():
-                    rf = RatFunc(*_finalize(ck, a0pow(k + 1)), _canonical=True)
-                else:
-                    rf = RatFunc(ck, a0pow(k + 1))
+                rf = over_a0pow(ck, k + 1)
                 if not rf.is_zero():
                     out[-m2 + k] = rf
             return HalfSeries(self.table, t2, out, _clean=True)
@@ -352,18 +363,3 @@ class HalfSeries:
                 bits.append(f"({cs})*{q}")
         return " + ".join(bits)
 
-
-def hs_mul(a: HalfSeries, b: HalfSeries) -> HalfSeries:
-    return a * b
-
-
-def hs_inv(a: HalfSeries) -> HalfSeries:
-    return a.inverse()
-
-
-def hs_subst_monomial(a: HalfSeries, var: int, target) -> HalfSeries:
-    return a.subst_monomial(var, target)
-
-
-def hs_eval(a: HalfSeries, assignment: Mapping[int, Fraction]) -> HalfSeries:
-    return a.evaluate(assignment)

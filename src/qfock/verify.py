@@ -31,7 +31,7 @@ from .qdim import QDimForm, q_minus, q_plus, qdim_irreducible
 from .fock import (
     FockSpace,
     extract_module_function,
-    irreducible_from_traces,
+    irreducible_from_extracted,
     oracle_trace,
 )
 
@@ -257,7 +257,7 @@ def suite_main_theorem(trunc2: int = 6, mode: str = "symbolic",
         checks.append(_cmp(f"plain function == oracle extraction {tag}", fu, ext_u))
         checks.append(_cmp(f"signed function == oracle extraction {tag}", ft, ext_t))
         for det in (False, True):
-            ext_i = irreducible_from_traces(tru, trt, lam, l, det)
+            ext_i = irreducible_from_extracted(ext_u, ext_t, det)
             checks.append(_cmp(
                 f"irreducible (det={det}) == projector extraction {tag}",
                 fi[det], ext_i))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qfock import correlation, special
+from qfock import correlation, laurent, ratfunc, special
 from qfock.laurent import LaurentPoly, UsageError, VarTable
 from qfock.ratfunc import RatFunc
 from qfock.series import HalfSeries
@@ -253,3 +253,32 @@ class TestCacheState:
         assert all(caches)
         foreign = compute()
         assert cold == warm == foreign
+
+
+class TestGcdOffTheHotPath:
+    def test_closed_forms_cancel_without_the_gcd(self, monkeypatch):
+        # every denominator of the closed forms splits into binomials, whose
+        # record each RatFunc carries, so cancellation is trial division:
+        # the PRS never runs, and the GCD (966 calls here before the factor
+        # record) runs at most a tenth as often
+        calls = {"gcd": 0, "prs": 0}
+
+        def counting(fn, key):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(laurent, "_d_gcd",
+                            counting(laurent._d_gcd, "gcd"))
+        monkeypatch.setattr(ratfunc, "_d_gcd",
+                            counting(ratfunc._d_gcd, "gcd"))
+        monkeypatch.setattr(laurent, "_ig_gcd_core",
+                            counting(laurent._ig_gcd_core, "prs"))
+        for c in (correlation._fbo_generic_cache, correlation._fbo_eval_cache,
+                  correlation._pair_block_cache, correlation._vacuum_cache,
+                  correlation._one_point_cache, special._theta_deriv_cache):
+            c.clear()  # cached blocks would hide the work
+        d_sum_function((1,), 1, 2, 4)
+        assert calls["prs"] == 0
+        assert calls["gcd"] <= 96

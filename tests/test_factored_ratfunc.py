@@ -1,0 +1,223 @@
+"""Differential tests for the factor-carrying RatFunc.  Operands have
+denominators that are products of binomials x^p - c*x^q (p, q disjoint 0/1
+exponent vectors, c = +-1) with repeats, Laurent shifts and scales, some of
+them times a factor outside that basis, and numerators that share binomials
+with the other operand's denominator.  The results of + - * / inverse and
+tddt must equal the canonical form that the PRS GCD alone gives, sympy must
+find them reduced and equal to the unreduced quotient, and every factor
+record must multiply out to its denominator."""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from qfock.laurent import (  # noqa: E402
+    LaurentPoly,
+    VarTable,
+    _d_divexact,
+    _d_mul,
+    _d_strip_monomial,
+    _ig_gcd,
+    _integerize,
+)
+from qfock.ratfunc import (  # noqa: E402
+    RatFunc,
+    _expand,
+    _normalizing_scale,
+    _split,
+)
+from qfock.series import HalfSeries  # noqa: E402
+
+SETTINGS = settings(max_examples=40, deadline=None)
+WIDTH = 3
+TAB = VarTable.make(WIDTH)
+GENS = sympy.symbols(f"u0:{WIDTH}")
+ONE = {(0,) * WIDTH: 1}
+
+NON_BINOMIAL = (
+    {(1, 0, 0): 1, (0, 0, 0): 2},                 # u0 + 2: c is not +-1
+    {(2, 0, 0): 1, (1, 0, 0): 1, (0, 0, 0): 1},   # u0^2 + u0 + 1
+    {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): 1},   # u0 + u1 + 1
+)
+
+
+@st.composite
+def binomials(draw):
+    """{x^p: 1, x^q: -c} with each variable in p, in q, or absent."""
+    roles = draw(st.lists(st.sampled_from((0, 1, 2)), min_size=WIDTH,
+                          max_size=WIDTH).filter(any))
+    p = tuple(int(r == 1) for r in roles)
+    q = tuple(int(r == 2) for r in roles)
+    return {p: 1, q: -draw(st.sampled_from((1, -1)))}
+
+
+def _fold(factors):
+    out = dict(ONE)
+    for f in factors:
+        out = _d_mul(out, f)
+    return out
+
+
+@st.composite
+def polys(draw, pool, extra):
+    """Up to three binomials of the pool (repeats allowed), an optional
+    factor from extra, a scale and a Laurent monomial."""
+    factors = draw(st.lists(st.sampled_from(pool), max_size=3))
+    if extra and draw(st.booleans()):
+        factors.append(draw(st.sampled_from(extra)))
+    shift = tuple(draw(st.lists(st.integers(-2, 2), min_size=WIDTH,
+                                max_size=WIDTH)))
+    scale = draw(st.sampled_from((1, -1, 3, Fraction(-3, 2))))
+    return LaurentPoly(TAB, _d_mul(_fold(factors), {shift: scale}))
+
+
+@st.composite
+def numerators(draw, pool):
+    """A random cofactor times binomials of the pool."""
+    cof = draw(st.dictionaries(
+        st.tuples(*(st.integers(-1, 2) for _ in range(WIDTH))),
+        st.integers(-4, 4).filter(bool), min_size=1, max_size=3))
+    return draw(polys(pool, ())) * LaurentPoly(TAB, cof)
+
+
+@st.composite
+def operand_pairs(draw, mixed):
+    """Two (num, den) pairs over one pool of binomials; with mixed, each
+    denominator may also carry a factor outside the basis."""
+    pool = draw(st.lists(binomials(), min_size=1, max_size=3))
+    extra = NON_BINOMIAL if mixed else ()
+    return tuple((draw(numerators(pool)), draw(polys(pool, extra)))
+                 for _ in range(2))
+
+
+def _prs_canonical(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
+    """num/den in canonical form through the PRS gcd alone."""
+    if num.is_zero():
+        return RatFunc.zero(TAB)
+    dn, sn = _d_strip_monomial(num.terms)
+    dd, sd = _d_strip_monomial(den.terms)
+    g = _ig_gcd(_integerize(dn), _integerize(dd))
+    den_p = LaurentPoly(TAB, _d_divexact(dd, g))
+    scale = _normalizing_scale(den_p)
+    shift = tuple(a - b for a, b in zip(sn, sd))
+    num_p = (LaurentPoly(TAB, _d_divexact(dn, g)) * scale).shift(shift)
+    return RatFunc(num_p, den_p * scale, _canonical=True, dfac=None)
+
+
+def _to_sympy(p: LaurentPoly):
+    """(sympy Poly, shift) with p = Poly * x^shift and Poly free of
+    monomial content."""
+    d, shift = _d_strip_monomial(p.terms)
+    poly = sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator) for e, c in d.items()},
+        *GENS, domain="QQ")
+    return poly, shift
+
+
+def _check_record(r: RatFunc) -> None:
+    """dfac multiplies out to den, and is None only when den does not
+    split."""
+    if r.dfac is None:
+        assert _split(r.den.terms) is None
+    else:
+        assert _expand(r.table, r.dfac) == r.den
+        assert r.dfac == _split(r.den.terms)
+
+
+def _check(result: RatFunc, num: LaurentPoly, den: LaurentPoly) -> None:
+    """result == num/den, canonically and by sympy."""
+    _check_record(result)
+    want = _prs_canonical(num, den)
+    assert (result.num, result.den) == (want.num, want.den)
+    # sympy: the result is in lowest terms, and rn * d == n * rd (products
+    # of content-free polynomials are content-free, so shifts add up)
+    (rn, srn), (rd, srd) = _to_sympy(result.num), _to_sympy(result.den)
+    (n, sn), (d, sd) = _to_sympy(num), _to_sympy(den)
+    assert sympy.gcd(rn, rd).is_ground
+    assert rn * d == n * rd
+    assert [a + b for a, b in zip(srn, sd)] == [a + b for a, b in zip(sn, srd)]
+
+
+def _reduced(pair) -> RatFunc:
+    """The RatFunc of a raw (num, den) pair, checked like any result."""
+    r = RatFunc(*pair)
+    _check(r, *pair)
+    return r
+
+
+def _binary_ops(a: RatFunc, b: RatFunc) -> None:
+    na, da, nb, db = a.num, a.den, b.num, b.den
+    _check(a + b, na * db + nb * da, da * db)
+    _check(a - b, na * db - nb * da, da * db)
+    _check(a * b, na * nb, da * db)
+    if not b.is_zero():
+        _check(a / b, na * db, da * nb)
+    # den(a + b) holds b's factors, so taking b off again must cancel them
+    _check((a + b) - b, na, da)
+
+
+def _unary_ops(a: RatFunc) -> None:
+    _check(a.inverse(), a.den, a.num)
+    for var in range(WIDTH):
+        na, da = a.num, a.den
+        _check(a.tddt(var), na.tddt(var) * da - na * da.tddt(var), da * da)
+
+
+@SETTINGS
+@given(operand_pairs(mixed=False))
+def test_binomial_denominators(pair):
+    a, b = map(_reduced, pair)
+    assert a.dfac is not None and b.dfac is not None
+    _binary_ops(a, b)
+    _binary_ops(a, a)
+    _unary_ops(a)
+
+
+@SETTINGS
+@given(operand_pairs(mixed=True))
+def test_mixed_with_denominators_outside_the_basis(pair):
+    a, b = map(_reduced, pair)
+    _binary_ops(a, b)
+    _binary_ops(b, a)
+    _unary_ops(a)
+
+
+def test_non_splitting_denominator_has_no_record():
+    b = {(1, 1, 0): 1, (0, 0, 0): -1}
+    den = LaurentPoly(TAB, _fold([b, NON_BINOMIAL[1]]))
+    r = RatFunc(LaurentPoly.one(TAB), den)
+    assert r.dfac is None
+    # cancelling the outside factor leaves a denominator that splits
+    s = r * RatFunc(LaurentPoly(TAB, NON_BINOMIAL[1]))
+    assert s.dfac == ((((1, 1, 0), (0, 0, 0), 1), 1),)
+    _check_record(s)
+
+
+@SETTINGS
+@given(st.lists(binomials(), min_size=1, max_size=3),
+       st.lists(st.integers(-2, 2), min_size=WIDTH, max_size=WIDTH),
+       st.lists(st.dictionaries(
+           st.tuples(*(st.integers(-1, 1) for _ in range(WIDTH))),
+           st.integers(-3, 3).filter(bool), max_size=2),
+           min_size=2, max_size=3))
+def test_series_inverse_over_a_split_lead(factors, shift, rest):
+    # the lowest coefficient splits into binomials, so the inverse cancels
+    # every coefficient by trial division against its factors
+    lead = LaurentPoly(TAB, _fold(factors)).shift(tuple(shift))
+    terms = {0: lead}
+    terms.update((2 * (i + 1), LaurentPoly(TAB, c))
+                 for i, c in enumerate(rest))
+    s = HalfSeries(TAB, 6, terms)
+    inv = s.inverse()
+    for c in inv.terms.values():
+        _check_record(c)
+    prod = s * inv
+    assert prod.coeff(0).is_one()
+    assert all(prod.coeff(e2).is_zero() for e2 in range(1, prod.trunc2 + 1))
+    for c in prod.terms.values():
+        _check_record(c)
