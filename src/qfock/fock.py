@@ -382,8 +382,7 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
             else:
                 terms[e2] = cur
     for e2, level in sums.items():
-        poly = LaurentPoly(out_table, {e: c for e, c in level.items() if c},
-                           _clean=True)
+        poly = LaurentPoly(out_table, level)
         if not poly.is_zero():
             terms[e2] = RatFunc.from_poly(poly)
     return HalfSeries(out_table, trunc2, terms, _clean=True)

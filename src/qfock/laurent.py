@@ -3,15 +3,19 @@
 Every exponent in this library lives in (1/2)Z and is stored *doubled*, so a
 stored integer e represents the true exponent e/2.  Equivalently, a t-variable
 is represented through its square root u = t^(1/2): the stored integer is the
-honest integer exponent of u.  Coefficients are exact rationals
-(fractions.Fraction).
+honest integer exponent of u.  Coefficients are exact rationals: an int
+when the value is integral, a fractions.Fraction (denominator > 1) only
+when it is not.  Integer arithmetic is several times faster, and most
+coefficients the library meets are integers.  Sums and products of ints
+stay ints; every operation that can produce a whole Fraction turns it back
+into an int.  Since 3 == Fraction(3), with equal hashes and equal str(),
+the representation never shows in equality or output.
 
 A polynomial is a dict mapping exponent tuples (one doubled exponent per
-variable) to nonzero Fraction coefficients; the zero polynomial stores no
-terms.
+variable) to nonzero coefficients; the zero polynomial stores no terms.
 
-  t1^(1/2) - t1^(-1/2)   over  VarTable(("t1", "t2"))
-      ->  {(1, 0): Fraction(1), (-1, 0): Fraction(-1)}
+  t1^(1/2) - (1/2)*t1^(-1/2)   over  VarTable(("t1", "t2"))
+      ->  {(1, 0): 1, (-1, 0): Fraction(-1, 2)}
 
 Monomial order, where one is needed (exact division, canonical forms), is lex
 on the exponent tuples.
@@ -32,8 +36,8 @@ Exps = tuple[int, ...]
 T_KIND = "t"
 Z_KIND = "z"
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 class UsageError(ValueError):
@@ -103,7 +107,12 @@ class VarTable:
                         tuple(self.kinds[i] for i in keep))
 
 
+Coeff = int | Fraction
+
+
 def _fr(x) -> Fraction:
+    """An evaluation-point value as a Fraction (so that powers with
+    negative exponents and quotients stay exact)."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -111,26 +120,45 @@ def _fr(x) -> Fraction:
     raise UsageError(f"coefficient must be rational, got {type(x).__name__}")
 
 
+def _coef(x) -> Coeff:
+    """A coefficient in the kernel's representation: int when integral."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator if x.denominator == 1 else x
+    raise UsageError(f"coefficient must be rational, got {type(x).__name__}")
+
+
+def _whole(terms: dict) -> dict:
+    """Turn every integral Fraction value of terms back into an int, in
+    place; returns terms."""
+    for e, c in terms.items():
+        if c.__class__ is not int and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
+
+
 class LaurentPoly:
-    """Sparse Laurent polynomial over a VarTable with Fraction coefficients."""
+    """Sparse Laurent polynomial over a VarTable with rational (int or
+    Fraction) coefficients."""
 
     __slots__ = ("table", "terms")
 
-    def __init__(self, table: VarTable, terms: Mapping[Exps, Fraction] | None = None,
+    def __init__(self, table: VarTable, terms: Mapping[Exps, Coeff] | None = None,
                  *, _clean: bool = False):
+        """With _clean, terms is taken as it is: nonzero coefficients, each
+        an int or a non-integral Fraction."""
         self.table = table
         if terms is None:
-            self.terms: dict[Exps, Fraction] = {}
+            self.terms: dict[Exps, Coeff] = {}
         elif _clean:
             self.terms = dict(terms)
         else:
             w = len(table)
-            clean: dict[Exps, Fraction] = {}
+            clean: dict[Exps, Coeff] = {}
             for e, c in terms.items():
                 if len(e) != w:
                     raise UsageError(
                         f"exponent tuple {e} has wrong width (table has {w} variables)")
-                c = _fr(c)
+                c = _coef(c)
                 if c != 0:
                     clean[tuple(e)] = c
             self.terms = clean
@@ -143,7 +171,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, table: VarTable, c) -> "LaurentPoly":
-        c = _fr(c)
+        c = _coef(c)
         if c == 0:
             return cls.zero(table)
         return cls(table, {(0,) * len(table): c}, _clean=True)
@@ -155,7 +183,7 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, table: VarTable, exps: Mapping[int, int], c=1) -> "LaurentPoly":
         """c times the product of var_i^(exps[i]/2) (exponents doubled)."""
-        c = _fr(c)
+        c = _coef(c)
         if c == 0:
             return cls.zero(table)
         e = [0] * len(table)
@@ -175,12 +203,12 @@ class LaurentPoly:
         z = (0,) * len(self.table)
         return not self.terms or (len(self.terms) == 1 and z in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Coeff:
         if not self.is_constant():
             raise UsageError("not a constant polynomial")
         return self.terms.get((0,) * len(self.table), ZERO)
 
-    def coeff(self, exps: Exps) -> Fraction:
+    def coeff(self, exps: Exps) -> Coeff:
         return self.terms.get(tuple(exps), ZERO)
 
     def min_exps(self) -> Exps:
@@ -211,12 +239,12 @@ class LaurentPoly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return LaurentPoly(self.table, out, _clean=True)
+        return LaurentPoly(self.table, _whole(out), _clean=True)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.table, {e: -c for e, c in self.terms.items()},
@@ -227,25 +255,25 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            c = _fr(other)
+            c = _coef(other)
             if c == 0:
                 return LaurentPoly.zero(self.table)
             if c == 1:
                 return self  # nothing mutates .terms in place
             return LaurentPoly(self.table,
-                               {e: v * c for e, v in self.terms.items()},
+                               _whole({e: v * c for e, v in self.terms.items()}),
                                _clean=True)
         self._check(other)
-        out: dict[Exps, Fraction] = {}
+        out: dict[Exps, Coeff] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return LaurentPoly(self.table, out, _clean=True)
+        return LaurentPoly(self.table, _whole(out), _clean=True)
 
     __rmul__ = __mul__
 
@@ -279,11 +307,12 @@ class LaurentPoly:
         """
         if self.table.kinds[var] != T_KIND:
             raise UsageError("tddt applies to t-type variables only")
-        out: dict[Exps, Fraction] = {}
+        out: dict[Exps, Coeff] = {}
         for e, c in self.terms.items():
-            if e[var]:
-                out[e] = c * Fraction(e[var], 2)
-        return LaurentPoly(self.table, out, _clean=True)
+            k = e[var]
+            if k:
+                out[e] = c * Fraction(k, 2) if k & 1 else c * (k >> 1)
+        return LaurentPoly(self.table, _whole(out), _clean=True)
 
     # -- substitution and evaluation ----------------------------------------
 
@@ -307,12 +336,12 @@ class LaurentPoly:
             for j, s in target:
                 ne[j] += ev * s
             ne = tuple(ne)
-            s2 = out.get(ne, ZERO) + c
+            s2 = out.get(ne, 0) + c
             if s2:
                 out[ne] = s2
             else:
                 out.pop(ne, None)
-        return LaurentPoly(self.table, out, _clean=True)
+        return LaurentPoly(self.table, _whole(out), _clean=True)
 
     def evaluate(self, assignment: Mapping[int, Fraction],
                  new_table: VarTable | None = None) -> "LaurentPoly":
@@ -323,30 +352,31 @@ class LaurentPoly:
         variables survive into the result, which lives over new_table (the
         table with assigned variables removed; built here if not supplied).
         """
-        for i, v in assignment.items():
-            if _fr(v) == 0:
-                raise EvaluationPointError("square-root values must be nonzero")
+        point = [(i, _fr(v)) for i, v in assignment.items()]
+        if any(v == 0 for _, v in point):
+            raise EvaluationPointError("square-root values must be nonzero")
         keep = [i for i in range(len(self.table)) if i not in assignment]
         if new_table is None:
             new_table = self.table.without(assignment)
-        out: dict[Exps, Fraction] = {}
+        out: dict[Exps, Coeff] = {}
         for e, c in self.terms.items():
             val = c
-            for i, v in assignment.items():
-                val *= _fr(v) ** e[i]
+            for i, v in point:
+                if e[i]:
+                    val *= v ** e[i]
             ne = tuple(e[i] for i in keep)
-            s = out.get(ne, ZERO) + val
+            s = out.get(ne, 0) + val
             if s:
                 out[ne] = s
             else:
                 out.pop(ne, None)
-        return LaurentPoly(new_table, out, _clean=True)
+        return LaurentPoly(new_table, _whole(out), _clean=True)
 
     def embed(self, new_table: VarTable) -> "LaurentPoly":
         """Reinterpret over a larger table, matching variables by name."""
         pos = [new_table.index(nm) for nm in self.table.names]
         w = len(new_table)
-        out: dict[Exps, Fraction] = {}
+        out: dict[Exps, Coeff] = {}
         for e, c in self.terms.items():
             ne = [0] * w
             for i, v in enumerate(e):
@@ -361,23 +391,23 @@ class LaurentPoly:
         if len(mapping) != len(self.table):
             raise UsageError("mapping must cover every source variable")
         w = len(new_table)
-        out: dict[Exps, Fraction] = {}
+        out: dict[Exps, Coeff] = {}
         for e, c in self.terms.items():
             ne = [0] * w
             for j, (tgt, sgn) in enumerate(mapping):
                 if e[j]:
                     ne[tgt] += e[j] * sgn
             ne = tuple(ne)
-            s = out.get(ne, ZERO) + c
+            s = out.get(ne, 0) + c
             if s:
                 out[ne] = s
             else:
                 out.pop(ne, None)
-        return LaurentPoly(new_table, out, _clean=True)
+        return LaurentPoly(new_table, _whole(out), _clean=True)
 
     # -- ordering helpers -----------------------------------------------------
 
-    def lead(self) -> tuple[Exps, Fraction]:
+    def lead(self) -> tuple[Exps, Coeff]:
         """Lex-leading (exponents, coefficient)."""
         if not self.terms:
             raise UsageError("zero polynomial has no leading term")
@@ -466,21 +496,12 @@ def format_poly(p: LaurentPoly) -> str:
 #
 # PRS fallback.  When neither operand splits (kernel tests, arbitrary input,
 # or more than _SPLIT_MAX_VARS variables), the gcd runs a recursive
-# subresultant PRS.  Inputs arrive with Fraction coefficients; the PRS runs
+# subresultant PRS.  Inputs may carry Fraction coefficients; the PRS runs
 # over integer coefficients (gcds over the rational field are only defined
 # up to units, so clearing denominators is free) because pseudo-remainders
 # swell badly under rational normalization.
 
 _Dict = dict
-
-
-def _exact_div_scalar(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise InternalInvariantError("non-exact coefficient division")
-        return q
-    return a / b
 
 
 def _d_add(a: _Dict, b: _Dict) -> _Dict:
@@ -532,11 +553,16 @@ def _d_divexact(num: _Dict, den: _Dict) -> _Dict:
     degree bounds an exact quotient obeys, which keeps every packed
     product inside the radix.  Quotient terms come out in decreasing lex
     order.
+
+    When every coefficient of num and den is an int, the division is over
+    Z and a quotient coefficient that is not an integer raises; otherwise
+    it is over Q, with coefficients in the kernel's representation.
     """
     if not den:
         raise ZeroDivisionError("division by zero polynomial")
     if not num:
         return {}
+    over_z = all(c.__class__ is int for d in (num, den) for c in d.values())
     w = len(next(iter(num)))
     ncols, dcols = list(zip(*num)), list(zip(*den))
     tops = list(map(max, ncols))
@@ -597,7 +623,12 @@ def _d_divexact(num: _Dict, den: _Dict) -> _Dict:
             if x < 0 or x > his[v]:
                 raise InternalInvariantError("non-exact polynomial division")
             qe.append(x)
-        qcoef = _exact_div_scalar(c, glc)
+        if over_z:
+            qcoef, r = divmod(c, glc)
+            if r:
+                raise InternalInvariantError("non-exact coefficient division")
+        else:
+            qcoef = _coef(Fraction(c) / glc)
         quo[tuple(qe)] = qcoef
         j = len(qp)
         qp.append(m - glead_p)
@@ -673,21 +704,22 @@ def _d_strip_monomial(a: _Dict) -> tuple[_Dict, Exps]:
 
 def _integerize(a: _Dict) -> _Dict:
     """Scale a Fraction- or int-coefficient dict to coprime integer
-    coefficients (same signs)."""
+    coefficients (same signs); a itself when it already has them."""
     den_lcm = 1
+    ints = True
     for c in a.values():
-        d = c.denominator
-        if d != 1:
-            den_lcm = den_lcm * d // gcd(den_lcm, d)
-    if den_lcm == 1:
-        ints = {e: c.numerator for e, c in a.items()}
-    else:
-        ints = {e: c.numerator * (den_lcm // c.denominator)
-                for e, c in a.items()}
-    num_gcd = gcd(*ints.values())
+        if c.__class__ is not int:
+            ints = False
+            d = c.denominator
+            if d != 1:
+                den_lcm = den_lcm * d // gcd(den_lcm, d)
+    if not ints:
+        a = {e: c.numerator * (den_lcm // c.denominator)
+             for e, c in a.items()}
+    num_gcd = gcd(*a.values())
     if num_gcd > 1:
-        ints = {e: c // num_gcd for e, c in ints.items()}
-    return ints
+        a = {e: c // num_gcd for e, c in a.items()}
+    return a
 
 
 def _ig_primitive(a: _Dict) -> _Dict:
@@ -1037,9 +1069,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         raise UsageError("operands use different variable tables")
     da, _ = _d_strip_monomial(dict(a.terms))
     db, _ = _d_strip_monomial(dict(b.terms))
-    g = _d_gcd(da, db)
-    return LaurentPoly(a.table, {e: Fraction(c) for e, c in g.items()},
-                       _clean=True)
+    return LaurentPoly(a.table, _d_gcd(da, db), _clean=True)
 
 
 def poly_divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -1055,9 +1085,8 @@ def poly_divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     # divide the primitive integer parts: by Gauss's lemma an exact quotient
     # of primitive polynomials is primitive, with integer coefficients
     ni, di = _integerize(dn), _integerize(dd)
-    q = _d_divexact(ni, di)
-    e, f = next(iter(dn)), next(iter(dd))
-    scale = dn[e] / ni[e] * di[f] / dd[f]
-    shift = tuple(a - b for a, b in zip(sn, sd))
-    return LaurentPoly(num.table, {e: c * scale for e, c in q.items()},
-                       _clean=True).shift(shift)
+    q = LaurentPoly(num.table, _d_divexact(ni, di), _clean=True)
+    if ni is not dn or di is not dd:
+        e, f = next(iter(dn)), next(iter(dd))
+        q = q * (Fraction(dn[e], ni[e]) * Fraction(di[f], dd[f]))
+    return q.shift(tuple(a - b for a, b in zip(sn, sd)))

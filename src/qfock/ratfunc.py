@@ -47,9 +47,6 @@ from .laurent import (
     poly_gcd,
 )
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 Factors = tuple[tuple[Binomial, int], ...]
 
 # default for a denominator whose factors are not known yet: split it
@@ -276,7 +273,13 @@ class RatFunc:
     def rename_signed(self, new_table: VarTable, mapping) -> "RatFunc":
         num = self.num.rename_signed(new_table, mapping)
         den = self.den.rename_signed(new_table, mapping)
-        return RatFunc(num, den)
+        if len({t for t, _ in mapping}) < len(mapping):
+            return RatFunc(num, den)
+        # an injective renaming is a ring isomorphism onto its image, so num
+        # and den stay coprime and each binomial factor maps to one binomial
+        dfac = self.dfac and _rename_factors(self.dfac, len(new_table),
+                                             mapping)
+        return RatFunc(*_finalize(num, den), _canonical=True, dfac=dfac)
 
     def tddt(self, var: int) -> "RatFunc":
         """t d/dt by the quotient rule."""
@@ -290,9 +293,7 @@ class RatFunc:
     def constant_value(self) -> Fraction:
         if not (self.num.is_constant() and self.den.is_constant()):
             raise UsageError("not a constant")
-        if self.num.is_zero():
-            return ZERO
-        return self.num.constant_value() / self.den.constant_value()
+        return Fraction(self.num.constant_value(), self.den.constant_value())
 
     # -- equality / display --------------------------------------------------------
 
@@ -332,10 +333,9 @@ def _finalize(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentP
     dd, sd = _d_strip_monomial(den.terms)
     den_p = LaurentPoly(table, dd, _clean=True)
     scale = _normalizing_scale(den_p)
-    num_p = num * scale
     if scale != 1:
-        den_p = den_p * scale
-    return num_p.shift(tuple(-s for s in sd)), den_p
+        num, den_p = num * scale, den_p * scale
+    return num.shift(tuple(-s for s in sd)), den_p
 
 
 def _reduce(num: LaurentPoly, den: LaurentPoly, split=_UNSPLIT
@@ -356,17 +356,14 @@ def _reduce(num: LaurentPoly, den: LaurentPoly, split=_UNSPLIT
         k = dd[max(dd)]
         if dfac is split and k == 1 and not any(sd):
             return num_p, den, dfac
-        num_p = (num_p * (1 / k)).shift(tuple(-s for s in sd))
+        num_p = (num_p * Fraction(1, k)).shift(tuple(-s for s in sd))
         return num_p, _expand(table, dfac), dfac
-    dn, sn = _d_strip_monomial(num.terms)
-    g = _d_gcd(dn, dd, b_splits=False)
+    g = _d_gcd(_d_strip_monomial(num.terms)[0], dd, b_splits=False)
     if g == {(0,) * len(table): 1}:
         return (*_finalize(num, den), None)
-    dd = _d_divexact(dd, g)
-    num = LaurentPoly(table, _d_divexact(dn, g), _clean=True).shift(
-        tuple(a - b for a, b in zip(sn, sd)))
-    den = LaurentPoly(table, dd, _clean=True)
-    return (*_finalize(num, den), _split(dd))  # what is left may split
+    g = LaurentPoly(table, g, _clean=True)
+    num, den = _finalize(poly_divexact(num, g), poly_divexact(den, g))
+    return num, den, _split(den.terms)  # what is left may split
 
 
 def _split(p: Mapping) -> Factors | None:
@@ -383,16 +380,29 @@ def _cancel(num: LaurentPoly, factors: Factors) -> tuple[LaurentPoly, Factors]:
     the factor's multiplicity.  Returns the quotient and the factors left
     over (factors itself when none divides).  Each exact division raises on
     a remainder."""
-    if not factors:
-        return num, factors
+    if not factors or len(num.terms) == 1:
+        return num, factors  # a binomial never divides a monomial
     # the divisibility test takes Laurent exponents; the division does not
     f = ints = _integerize(num.terms)
     shift = None
     kept = []
+    # the +-1 prefilter of _binomial_divides, shared between factors: f at
+    # all ones (key -1) for c = +1, at x_j = -1 and all else 1 for c = -1
+    # with j the first variable of p.  A quotient of f vanishes at such a
+    # point only if f does, so a value stays a valid filter after division.
+    evals: dict[int, int] = {}
+
+    def vanishes(j: int) -> bool:
+        if j not in evals:
+            evals[j] = sum(f.values()) if j < 0 else sum(f.values()) - 2 * sum(
+                [a for e, a in f.items() if e[j] & 1])
+        return not evals[j]
+
     for b, m in factors:
         p, q, c = b
+        j = p.index(1) if c < 0 else -1
         k = 0
-        while k < m and _binomial_divides(f, p, q, c):
+        while k < m and vanishes(j) and _binomial_divides(f, p, q, c):
             if shift is None:
                 f, shift = _d_strip_monomial(f)
             f = _d_divexact(f, {p: 1, q: -c})
@@ -401,10 +411,10 @@ def _cancel(num: LaurentPoly, factors: Factors) -> tuple[LaurentPoly, Factors]:
             kept.append((b, m - k))
     if f is ints:
         return num, factors
-    e = next(iter(ints))
-    scale = num.terms[e] / ints[e]
-    quo = LaurentPoly(num.table, {e: c * scale for e, c in f.items()},
-                      _clean=True)
+    quo = LaurentPoly(num.table, f, _clean=True)
+    if ints is not num.terms:
+        e = next(iter(ints))
+        quo = quo * Fraction(num.terms[e], ints[e])
     return quo.shift(shift), tuple(kept)
 
 
@@ -414,8 +424,7 @@ def _expand(table: VarTable, factors: Factors) -> LaurentPoly:
     for (p, q, c), m in factors:
         for _ in range(m):
             out = _d_mul(out, {p: 1, q: -c})
-    return LaurentPoly(table, {e: Fraction(c) for e, c in out.items()},
-                       _clean=True)
+    return LaurentPoly(table, out, _clean=True)
 
 
 def _times(p: LaurentPoly, factors: Factors) -> LaurentPoly:
@@ -431,6 +440,27 @@ def _merge(*records: Factors) -> Factors:
         for f, m in record:
             out[f] = out.get(f, 0) + m
     return tuple(sorted((f, m) for f, m in out.items() if m))
+
+
+def _rename_factors(dfac: Factors, width: int, mapping) -> Factors:
+    """The factor record of a denominator after an injective renaming that
+    sends variable j to mapping[j][0] raised to mapping[j][1].
+
+    x^p - c*x^q becomes y^a - c*y^b up to a monomial, where a collects the
+    images of p's variables kept in sign and of q's flipped, and b the
+    rest; when a is lex below b it is -c*(y^b - c*y^a), and the unit is
+    left to the caller's normalization."""
+    out = []
+    for (p, q, c), m in dfac:
+        a, b = [0] * width, [0] * width
+        for j, (t, s) in enumerate(mapping):
+            if p[j]:
+                (a if s > 0 else b)[t] = 1
+            elif q[j]:
+                (b if s > 0 else a)[t] = 1
+        a, b = tuple(a), tuple(b)
+        out.append(((a, b, c) if a > b else (b, a, c), m))
+    return tuple(sorted(out))
 
 
 def _normalizing_scale(p: LaurentPoly) -> Fraction:

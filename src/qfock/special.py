@@ -110,19 +110,15 @@ def _scratch_subst(series: HalfSeries, table: VarTable, arg: ThetaArg) -> HalfSe
 
 
 def _distribute(p: LaurentPoly, table: VarTable, arg: ThetaArg) -> LaurentPoly:
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int | Fraction] = {}
     w = len(table)
     for e, c in p.terms.items():
         ne = [0] * w
         for i, s in arg:
             ne[i] = e[0] * s
         ne = tuple(ne)
-        s2 = terms.get(ne, Fraction(0)) + c
-        if s2:
-            terms[ne] = s2
-        else:
-            terms.pop(ne, None)
-    return LaurentPoly(table, terms, _clean=True)
+        terms[ne] = terms.get(ne, 0) + c
+    return LaurentPoly(table, terms)  # drops zeros, normalizes
 
 
 def theta_deriv(table: VarTable, trunc2: int, k: int, arg: ThetaArg) -> HalfSeries:

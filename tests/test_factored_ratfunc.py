@@ -221,3 +221,24 @@ def test_series_inverse_over_a_split_lead(factors, shift, rest):
     assert all(prod.coeff(e2).is_zero() for e2 in range(1, prod.trunc2 + 1))
     for c in prod.terms.values():
         _check_record(c)
+
+
+@SETTINGS
+@given(operand_pairs(mixed=True), st.permutations(range(WIDTH + 1)),
+       st.lists(st.sampled_from((1, -1)), min_size=WIDTH, max_size=WIDTH),
+       st.booleans())
+def test_rename_signed_against_full_reduction(pair, perm, signs, collide):
+    # injective renamings (into a wider table) map the factor record;
+    # a renaming that sends two variables to one reduces again
+    a = _reduced(pair[0])
+    wide = VarTable.make(WIDTH + 1)
+    targets = list(perm[:WIDTH])
+    if collide:
+        targets[1] = targets[0]
+    mapping = list(zip(targets, signs))
+    num, den = (p.rename_signed(wide, mapping) for p in (a.num, a.den))
+    hypothesis.assume(not den.is_zero())  # u0/u1 - 1 can collapse to 0
+    r = a.rename_signed(wide, mapping)
+    want = RatFunc(num, den)
+    assert (r.num, r.den) == (want.num, want.den)
+    _check_record(r)
