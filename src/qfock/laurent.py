@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations, product
-from math import gcd
+from math import gcd, isqrt
 from operator import mul, sub
 from fractions import Fraction
 from typing import Container, Mapping, Sequence
@@ -372,18 +372,6 @@ class LaurentPoly:
                 out.pop(ne, None)
         return LaurentPoly(new_table, _whole(out), _clean=True)
 
-    def embed(self, new_table: VarTable) -> "LaurentPoly":
-        """Reinterpret over a larger table, matching variables by name."""
-        pos = [new_table.index(nm) for nm in self.table.names]
-        w = len(new_table)
-        out: dict[Exps, Coeff] = {}
-        for e, c in self.terms.items():
-            ne = [0] * w
-            for i, v in enumerate(e):
-                ne[pos[i]] = v
-            out[tuple(ne)] = c
-        return LaurentPoly(new_table, out, _clean=True)
-
     def rename_signed(self, new_table: VarTable,
                       mapping: Sequence[tuple[int, int]]) -> "LaurentPoly":
         """Send variable j to new_table variable mapping[j][0], raised to the
@@ -466,7 +454,7 @@ def format_poly(p: LaurentPoly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial GCD (binomial fast path, then recursive PRS)
+# Polynomial GCD (heuristic GCD; the subresultant PRS as a fallback)
 # ---------------------------------------------------------------------------
 #
 # These helpers work on raw dicts {exps: coeff} whose exponents are all
@@ -474,32 +462,32 @@ def format_poly(p: LaurentPoly) -> str:
 # view keeps full-width tuples and treats one slot as the polynomial variable,
 # so coefficient-ring arithmetic is the same dict arithmetic.
 #
-# Binomial fast path.  Every denominator the library builds is a product of
+# Every gcd takes one path.  Both operands are scaled to integer
+# coefficients (gcds over the rational field are only defined up to units,
+# so clearing denominators is free), stripped of their monomial content and
+# made primitive.  GCDHEU (Char, Geddes & Gonnet, "GCDHEU: Heuristic
+# polynomial GCD algorithm based on integer GCD computation", J. Symb.
+# Comp. 7(1), 1989) runs on what is left: it evaluates one variable at an
+# integer xi > 2*min(|a|, |b|) + 2 (max norms of the primitive operands),
+# recurses down to an integer gcd, and rebuilds a candidate xi-adically
+# from symmetric remainders.  By their theorem a candidate that divides
+# both operands exactly is the gcd, so the two exact divisions certify it,
+# the coprime case (candidate 1) included; otherwise a larger xi is tried.
+# Only when no xi tried gives a certified candidate does the recursive
+# subresultant PRS run, on the same primitive integer operands.
+#
+# Binomial factors.  Every denominator the library builds is a product of
 # binomials x^p - c*x^q with p, q disjoint 0/1 vectors of stored exponents
 # and c = +-1 (u_S -+ 1 and their Weyl-denominator relatives; z_i - z_j is
 # (u_i - u_j)(u_i + u_j) in the stored square roots).  Such a binomial is
 # irreducible: p - q is primitive, so a unimodular change of variables
 # makes it y - c.  Distinct (p, q, c) with p lex above q are not associate.
-# So when one operand splits completely into them, the gcd is the product
-# of its factors that also divide the other operand, each to the smaller
-# multiplicity.  Divisibility by one binomial is a linear substitution test
-# (x^p = c*x^q); the split itself is found by trial division, and the exact
-# divisions certify every step: each raises on a remainder, and the split
-# operand's cofactor must be a unit.  The product is integer-primitive with
-# leading coefficient 1, the same normalization the PRS path returns.
-#
-# RatFunc keeps each denominator's split (ratfunc's factor record), so its
-# arithmetic cancels by the substitution test and exact division alone and
-# calls no gcd.  What still comes here is poly_gcd, and RatFunc's fallback
-# for a denominator that did not split; that caller passes b_splits=False,
-# so the split that failed is not tried again.
-#
-# PRS fallback.  When neither operand splits (kernel tests, arbitrary input,
-# or more than _SPLIT_MAX_VARS variables), the gcd runs a recursive
-# subresultant PRS.  Inputs may carry Fraction coefficients; the PRS runs
-# over integer coefficients (gcds over the rational field are only defined
-# up to units, so clearing denominators is free) because pseudo-remainders
-# swell badly under rational normalization.
+# _binomial_split finds such a factorization by trial division;
+# divisibility by one binomial is a linear substitution test (x^p = c*x^q),
+# and each exact division raises on a remainder.  RatFunc keeps each
+# denominator's split (ratfunc's factor record), so its arithmetic cancels
+# by the substitution test and exact division alone; only a denominator
+# that does not split comes to the gcd.
 
 _Dict = dict
 
@@ -752,50 +740,18 @@ def _d_mul_var_pow_multi(a: _Dict, shift: Exps) -> _Dict:
     return {tuple(x + s for x, s in zip(e, shift)): c for e, c in a.items()}
 
 
-def _d_gcd(a: _Dict, b: _Dict, b_splits: bool = True) -> _Dict:
-    """GCD of polynomials with nonnegative exponents; integer-primitive,
-    positive-leading result.  Binomial fast path first, PRS otherwise.
-    A caller that has already found that b does not split passes
-    b_splits=False, so that only a is offered to the fast path."""
-    a, b = _integerize(a), _integerize(b)
-    if a and b:
-        g = _binomial_gcd(a, b, b_splits)
-        if g is not None:
-            return g
-    return _ig_gcd(a, b)
+def _d_gcd(a: _Dict, b: _Dict) -> _Dict:
+    """GCD of polynomials with nonnegative exponents and int or Fraction
+    coefficients: integer-primitive, with positive lex-leading coefficient.
+    GCDHEU first; the PRS only when GCDHEU certifies no candidate."""
+    return _ig_gcd(_integerize(a), _integerize(b))
 
 
-# more variables than this, and an operand is left to the PRS path
+# more variables than this, and _binomial_split gives up
 # (3^k - 1 candidate binomials in k variables)
 _SPLIT_MAX_VARS = 5
 
 Binomial = tuple[Exps, Exps, int]  # (p, q, c) for x^p - c*x^q, p lex above q
-
-
-def _binomial_gcd(a: _Dict, b: _Dict, b_splits: bool = True) -> _Dict | None:
-    """The gcd when a or b splits into binomials (the smaller is tried
-    first; b only if b_splits); None if neither does."""
-    a, sa = _d_strip_monomial(a)
-    b, sb = _d_strip_monomial(b)
-    common = tuple(min(x, y) for x, y in zip(sa, sb))
-    for f in sorted((a, b), key=len) if b_splits else (a,):
-        split = _binomial_split(f)
-        if split is not None:
-            other = b if f is a else a
-            break
-    else:
-        return None
-    g: _Dict = {(0,) * len(common): 1}
-    for (p, q, c), m in split:
-        binom = {p: 1, q: -c}
-        for _ in range(m):
-            if not _binomial_divides(other, p, q, c):
-                break
-            other = _d_divexact(other, binom)
-            g = _d_mul(g, binom)
-    if any(common):
-        g = _d_mul_var_pow_multi(g, common)
-    return g
 
 
 def _binomial_split(f: _Dict) -> list[tuple[Binomial, int]] | None:
@@ -891,125 +847,119 @@ def _ig_gcd(a: _Dict, b: _Dict) -> _Dict:
 
 
 def _ig_gcd_core(a: _Dict, b: _Dict) -> _Dict:
-    w = len(next(iter(a)))
-    unit = {(0,) * w: 1}
+    """GCD of primitive integer dicts without monomial content."""
     if a == b:
         return dict(a)
     if len(a) == 1 or len(b) == 1:
         # after monomial stripping, a single term means a unit
-        return unit
+        return {(0,) * len(next(iter(a))): 1}
+    g = _heu_gcd(a, b)
+    return _ig_prs_fallback(a, b) if g is None else g
+
+
+# values of xi that GCDHEU tries at each level before it gives up
+_HEU_TRIES = 6
+
+
+def _heu_gcd(a: _Dict, b: _Dict) -> _Dict | None:
+    """GCDHEU on nonzero integer dicts: their gcd, or None when no xi tried
+    gives a candidate that divides both.
+
+    The integer content is carried through the recursion: the result is
+    gcd(cont a, cont b) times the primitive, positive-leading candidate, so
+    the gcd of primitive operands comes out normalized.  A factor in the
+    variable evaluated here is only integer content in the images, so an
+    inner level that dropped its content would lose it.
+    """
+    ca, cb = gcd(*a.values()), gcd(*b.values())
+    g = gcd(ca, cb)
+    w = len(next(iter(a)))
+    v = next((v for v in range(w)
+              if any(e[v] for e in a) or any(e[v] for e in b)), None)
+    if v is None:
+        return {(0,) * w: g}
+    if ca > 1:
+        a = {e: c // ca for e, c in a.items()}
+    if cb > 1:
+        b = {e: c // cb for e, c in b.items()}
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 3
+    for _ in range(_HEU_TRIES):
+        fa, fb = _d_at(a, v, xi), _d_at(b, v, xi)
+        if fa and fb:
+            h = _heu_gcd(fa, fb)
+            if h is None:
+                return None
+            h = _ig_primitive(_xi_adic(h, v, xi))
+            if _divides(a, h) and _divides(b, h):
+                return {e: g * c for e, c in h.items()} if g > 1 else h
+        # grow xi by a factor of about 2.7 * xi^(1/4), as sympy does
+        xi = xi * isqrt(isqrt(xi)) * 73794 // 27011
+    return None
+
+
+def _d_at(a: _Dict, v: int, x: int) -> _Dict:
+    """a with x_v set to the integer x (slot v becomes 0)."""
+    out: _Dict = {}
+    for e, c in a.items():
+        k = e[v]
+        if k:
+            e = e[:v] + (0,) + e[v + 1:]
+            c *= x ** k
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _xi_adic(h: _Dict, v: int, xi: int) -> _Dict:
+    """The polynomial whose x_v-coefficients are the symmetric base-xi
+    digits of h's coefficients (h has slot v 0, xi >= 3): it gives back a
+    from _d_at(a, v, xi) when every coefficient of a is below xi/2 in
+    size."""
+    out: _Dict = {}
+    half = xi // 2
+    for e, c in h.items():
+        k = 0
+        while c:
+            r = c % xi
+            if r > half:
+                r -= xi
+            if r:
+                out[e[:v] + (k,) + e[v + 1:]] = r
+            c = (c - r) // xi
+            k += 1
+    return out
+
+
+def _divides(a: _Dict, h: _Dict) -> bool:
+    try:
+        _d_divexact(a, h)
+    except InternalInvariantError:
+        return False
+    return True
+
+
+def _ig_prs_fallback(a: _Dict, b: _Dict) -> _Dict:
+    """GCD of primitive integer dicts without monomial content by a content
+    split and the subresultant PRS, checked by dividing both inputs.  The
+    tests take it as their reference."""
+    w = len(next(iter(a)))
     va = {i for e in a for i in range(w) if e[i]}
     vb = {i for e in b for i in range(w) if e[i]}
     both = va & vb
     if not both:
-        return unit
-    # divisibility shortcut: nested powers of one base dominate the real
-    # workload, and one exact division settles them
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    try:
-        _d_divexact(large, small)
-        return _ig_primitive(small)
-    except InternalInvariantError:
-        pass
+        return {(0,) * w: 1}
     # main variable: smallest combined degree keeps remainders small
     v = min(both, key=lambda i: _d_deg(a, i) + _d_deg(b, i))
-    ca = _ig_content(a, v)
-    cb = _ig_content(b, v)
-    pa = _d_divexact(a, ca)
-    pb = _d_divexact(b, cb)
-    cg = _ig_gcd(ca, cb)
-    if _ig_probe_coprime(pa, pb, v, w):
-        pg = unit
-    else:
-        pg = _ig_prs_gcd(pa, pb, v)
-    g = _ig_primitive(_d_mul(cg, pg))
+    ca, cb = _ig_content(a, v), _ig_content(b, v)
+    pg = _ig_prs_gcd(_d_divexact(a, ca), _d_divexact(b, cb), v)
+    g = _ig_primitive(_d_mul(_ig_gcd(ca, cb), pg))
     # safety net: a gcd must divide both inputs
-    try:
-        _d_divexact(a, g)
-        _d_divexact(b, g)
-    except InternalInvariantError:
+    if not (_divides(a, g) and _divides(b, g)):
         raise InternalInvariantError("PRS produced a non-divisor; gcd bug")
     return g
-
-
-def _ig_probe_coprime(pa: _Dict, pb: _Dict, v: int, w: int) -> bool:
-    """Certify that the primitive parts share no factor of positive degree
-    in v, by specializing the other variables at integer points.
-
-    If neither leading coefficient drops degree under the specialization,
-    any common factor survives with its v-degree intact, so a degree-0
-    univariate gcd proves coprimality.  Failure to certify returns False
-    (full PRS runs); no wrong answers either way.
-    """
-    others = [i for i in range(w) if i != v and
-              (_d_deg(pa, i) > 0 or _d_deg(pb, i) > 0)]
-    if not others:
-        return _uni_gcd_degree(_as_univariate(pa, v), _as_univariate(pb, v)) == 0
-    da, db = _d_deg(pa, v), _d_deg(pb, v)
-    for salt in range(3, 3 + 4):
-        point = {i: salt + 2 * k + 1 for k, i in enumerate(others)}
-        fa = _specialize(pa, v, point)
-        fb = _specialize(pb, v, point)
-        if max(fa, default=-1) != da or max(fb, default=-1) != db:
-            continue
-        if _uni_gcd_degree(fa, fb) == 0:
-            return True
-        return False
-    return False
-
-
-def _specialize(p: _Dict, v: int, point: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for e, c in p.items():
-        val = c
-        for i, x in point.items():
-            if e[i]:
-                val *= x ** e[i]
-        d = e[v]
-        s = out.get(d, 0) + val
-        if s:
-            out[d] = s
-        else:
-            out.pop(d, None)
-    return out
-
-
-def _as_univariate(p: _Dict, v: int) -> dict[int, int]:
-    return {e[v]: c for e, c in p.items()}
-
-
-def _uni_gcd_degree(f: dict[int, int], g: dict[int, int]) -> int:
-    """Degree of the gcd of univariate integer polynomials (primitive PRS)."""
-    def content(p):
-        c = 0
-        for x in p.values():
-            c = gcd(c, x)
-        return c or 1
-
-    f = {d: c // content(f) for d, c in f.items()}
-    g = {d: c // content(g) for d, c in g.items()}
-    while g:
-        df, dg = max(f), max(g)
-        if df < dg:
-            f, g = g, f
-            continue
-        # pseudo-remainder step
-        lcg = g[max(g)]
-        r = dict(f)
-        while r and max(r) >= dg:
-            dr = max(r)
-            lcr = r[dr]
-            shift = dr - dg
-            nr: dict[int, int] = {}
-            for d, c in r.items():
-                nr[d] = c * lcg
-            for d, c in g.items():
-                nr[d + shift] = nr.get(d + shift, 0) - c * lcr
-            r = {d: c for d, c in nr.items() if c}
-        cr = content(r)
-        r = {d: c // cr for d, c in r.items()}
-        f, g = g, r
-    return max(f) if f else 0
 
 
 def _ig_prs_gcd(f: _Dict, g: _Dict, v: int) -> _Dict:

@@ -21,8 +21,9 @@ already is the canonical den.  The record never enters equality, hashing
 or output.  With it, cancellation is trial division by the few known
 factors: in a product a factor of one den can divide only the other num,
 and in a sum only a factor that both dens hold equally often can divide
-the new numerator.  The multivariate GCD serves only denominators outside
-the binomial basis.
+the new numerator.  A sum or product with a denominator outside the
+binomial basis goes through the generic constructor, whose one
+multivariate GCD (laurent's heuristic GCD) reduces the cross products.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .laurent import (
     _d_strip_monomial,
     _integerize,
     poly_divexact,
-    poly_gcd,
 )
 
 Factors = tuple[tuple[Binomial, int], ...]
@@ -126,7 +126,9 @@ class RatFunc:
             return self
         f1, f2 = self.dfac, other.dfac
         if f1 is None or f2 is None:
-            return self._add_by_gcd(other)
+            # binomials are irreducible, so d1*d2 does not split either
+            return RatFunc(self.num * other.den + other.num * self.den,
+                           self.den * other.den, dfac=None)
         # over L = lcm(d1, d2), each factor at its larger multiplicity:
         # t = n1 (L/d1) + n2 (L/d2), cofactors multiplied out of binomials
         m1, m2 = dict(f1), dict(f2)
@@ -149,35 +151,6 @@ class RatFunc:
             den = _expand(self.table, dfac)
         return RatFunc(t, den, _canonical=True, dfac=dfac)
 
-    def _add_by_gcd(self, other: "RatFunc") -> "RatFunc":
-        """The sum when a denominator does not split into binomials."""
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den, dfac=None)
-        if self.den.is_one():
-            return RatFunc(self.num * other.den + other.num, other.den,
-                           _canonical=True, dfac=other.dfac)
-        if other.den.is_one():
-            return RatFunc(self.num + other.num * self.den, self.den,
-                           _canonical=True, dfac=self.dfac)
-        # classical reduced addition: with g = gcd(d1, d2) and
-        # t = n1 (d2/g) + n2 (d1/g), the sum is (t/g2) / ((d1/g2)(d2/g))
-        # for g2 = gcd(t, g), already in lowest terms.
-        g = poly_gcd(self.den, other.den)
-        if g.is_one():
-            num = self.num * other.den + other.num * self.den
-            if num.is_zero():
-                return RatFunc.zero(self.table)
-            return RatFunc(*_finalize(num, self.den * other.den),
-                           _canonical=True)
-        t = self.num * poly_divexact(other.den, g) + \
-            other.num * poly_divexact(self.den, g)
-        if t.is_zero():
-            return RatFunc.zero(self.table)
-        g2 = poly_gcd(t, g)
-        num = t if g2.is_one() else poly_divexact(t, g2)
-        den = poly_divexact(self.den, g2) * poly_divexact(other.den, g)
-        return RatFunc(*_finalize(num, den), _canonical=True)
-
     def __radd__(self, other) -> "RatFunc":
         return self + other
 
@@ -196,7 +169,8 @@ class RatFunc:
             return RatFunc.zero(self.table)
         f1, f2 = self.dfac, other.dfac
         if f1 is None or f2 is None:
-            return self._mul_by_gcd(other)
+            return RatFunc(self.num * other.num, self.den * other.den,
+                           dfac=None)
         # cross-cancellation: with both inputs reduced, a factor of one den
         # can divide only the other num
         n1, kept2 = _cancel(self.num, f2)
@@ -207,16 +181,6 @@ class RatFunc:
             dfac = _merge(kept1, kept2)
             den = _expand(self.table, dfac)
         return RatFunc(n1 * n2, den, _canonical=True, dfac=dfac)
-
-    def _mul_by_gcd(self, other: "RatFunc") -> "RatFunc":
-        """The product when a denominator does not split into binomials."""
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = self.num if g1.is_one() else poly_divexact(self.num, g1)
-        n2 = other.num if g2.is_one() else poly_divexact(other.num, g2)
-        d1 = self.den if g2.is_one() else poly_divexact(self.den, g2)
-        d2 = other.den if g1.is_one() else poly_divexact(other.den, g1)
-        return RatFunc(*_finalize(n1 * n2, d1 * d2), _canonical=True)
 
     def __rmul__(self, other) -> "RatFunc":
         return self * other
@@ -265,10 +229,6 @@ class RatFunc:
             raise _eval_error()
         num = self.num.evaluate(assignment, den.table)
         return RatFunc(num, den)
-
-    def embed(self, new_table: VarTable) -> "RatFunc":
-        # reduced again: a new variable order can change the lex-leading term
-        return RatFunc(self.num.embed(new_table), self.den.embed(new_table))
 
     def rename_signed(self, new_table: VarTable, mapping) -> "RatFunc":
         num = self.num.rename_signed(new_table, mapping)
@@ -358,7 +318,7 @@ def _reduce(num: LaurentPoly, den: LaurentPoly, split=_UNSPLIT
             return num_p, den, dfac
         num_p = (num_p * Fraction(1, k)).shift(tuple(-s for s in sd))
         return num_p, _expand(table, dfac), dfac
-    g = _d_gcd(_d_strip_monomial(num.terms)[0], dd, b_splits=False)
+    g = _d_gcd(_d_strip_monomial(num.terms)[0], dd)
     if g == {(0,) * len(table): 1}:
         return (*_finalize(num, den), None)
     g = LaurentPoly(table, g, _clean=True)

@@ -296,9 +296,6 @@ class HalfSeries:
         return self.map_coeffs(lambda c: c.evaluate(assignment, new_table),
                                table=new_table)
 
-    def embed(self, new_table: VarTable) -> "HalfSeries":
-        return self.map_coeffs(lambda c: c.embed(new_table), table=new_table)
-
     def rename_signed(self, new_table: VarTable, mapping) -> "HalfSeries":
         return self.map_coeffs(lambda c: c.rename_signed(new_table, mapping),
                                table=new_table)

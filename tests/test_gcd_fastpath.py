@@ -1,9 +1,14 @@
-"""Differential tests for the binomial GCD fast path and the heap-ordered
-exact division: the fast path against the PRS path it bypasses, and both
-against sympy.  Operands are products of binomials x^p - c*x^q (p, q
+"""Differential tests for the polynomial GCD and the heap-ordered exact
+division: the GCD (heuristic first) against the PRS fallback alone, and
+both against sympy.  Operands are products of binomials x^p - c*x^q (p, q
 disjoint 0/1 exponent vectors, c = +-1) with repeated factors, mixed signs
-and monomial shifts, times random cofactors."""
+and monomial shifts, times random cofactors, and operands outside that
+basis: random polynomials with Fraction coefficients and Laurent exponents
+times a shared random factor.  Two tests force the heuristic's failure
+modes: giving up (the PRS must answer) and rebuilding a non-divisor (the
+certifying divisions must reject it)."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,17 +18,19 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from qfock import laurent  # noqa: E402
 from qfock.laurent import (  # noqa: E402
     InternalInvariantError,
     LaurentPoly,
     VarTable,
-    _binomial_gcd,
     _binomial_split,
     _d_divexact,
     _d_gcd,
     _d_mul,
+    _d_mul_var_pow_multi,
     _d_strip_monomial,
-    _ig_gcd,
+    _ig_primitive,
+    _ig_prs_fallback,
     _integerize,
     poly_gcd,
 )
@@ -77,7 +84,11 @@ def _to_sympy(d):
 
 
 def _prs_gcd(a, b):
-    return _ig_gcd(_integerize(a), _integerize(b))
+    """The reference: the PRS fallback alone on the primitive integer parts
+    without monomial content, times the common monomial."""
+    (a, sa), (b, sb) = (_d_strip_monomial(_integerize(x)) for x in (a, b))
+    g = _ig_prs_fallback(_ig_primitive(a), _ig_primitive(b))
+    return _d_mul_var_pow_multi(g, tuple(map(min, sa, sb)))
 
 
 def _assert_matches_sympy(g, a, b):
@@ -88,12 +99,12 @@ def _assert_matches_sympy(g, a, b):
 @SETTINGS
 @given(binomial_products(), binomial_products(), cofactors())
 def test_fast_path_equals_prs_and_sympy(split, other, cof):
+    # a splits into binomials, the case a binomial fast path once decided
     a, _ = split
     b = _d_mul(other[0], cof)
-    fast = _binomial_gcd(_integerize(a), _integerize(b))
-    assert fast is not None  # a splits, so the fast path decides
-    assert _d_gcd(a, b) == fast == _prs_gcd(a, b)
-    _assert_matches_sympy(fast, a, b)
+    g = _d_gcd(a, b)
+    assert g == _prs_gcd(a, b)
+    _assert_matches_sympy(g, a, b)
 
 
 @SETTINGS
@@ -127,8 +138,8 @@ def test_non_binomial_factor_falls_back(split_a, split_b, extra_a, extra_b):
     b = _d_mul(split_b[0], extra_b)
     ia, _ = _d_strip_monomial(_integerize(a))
     assert _binomial_split(ia) is None
-    assert _binomial_gcd(_integerize(a), _integerize(b)) is None
     g = _d_gcd(a, b)
+    assert g == _prs_gcd(a, b)
     _assert_matches_sympy(g, a, b)
 
 
@@ -200,5 +211,99 @@ def test_more_variables_than_the_split_bound_fall_back():
     b = {wide: 1, (0,) * 6: -1}
     a = _d_mul(b, {(1, 0, 0, 0, 0, 0): 1, (0,) * 6: 2})
     assert _binomial_split(b) is None
-    assert _binomial_gcd(a, b) is None
     assert _d_gcd(a, b) == b
+
+
+@st.composite
+def fraction_polys(draw, max_exp=3):
+    """Criterion 1's random polynomials: up to three terms in two
+    variables, exponents in [-max_exp, max_exp], coefficients n/d with
+    0 < |n| <= 9 and 0 < d <= 5."""
+    exps = st.integers(-max_exp, max_exp)
+    return draw(st.dictionaries(
+        st.tuples(exps, exps, st.just(0)),
+        st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                  st.integers(1, 5)),
+        min_size=1, max_size=3))
+
+
+def _outside_pair(shared, cof_a, cof_b, extra_a, extra_b):
+    """Laurent polynomials shared*cof*extra over one table, for a and b."""
+    tab = VarTable.make(WIDTH)
+    return tuple(LaurentPoly(tab, _fold([shared, cof, extra]))
+                 for cof, extra in ((cof_a, extra_a), (cof_b, extra_b)))
+
+
+# cofactors of small degree keep the PRS reference fast
+OUTSIDE = (fraction_polys(), fraction_polys(1), fraction_polys(1),
+           st.sampled_from(NON_BINOMIAL), st.sampled_from(NON_BINOMIAL))
+
+
+@SETTINGS
+@given(*OUTSIDE, st.tuples(*(st.integers(-2, 2) for _ in range(WIDTH))))
+def test_gcd_outside_the_binomial_basis(shared, cof_a, cof_b, extra_a,
+                                        extra_b, shift):
+    a, b = _outside_pair(shared, cof_a, cof_b, extra_a, extra_b)
+    g = poly_gcd(a, b)
+    da, db = (_d_strip_monomial(p.terms)[0] for p in (a, b))
+    assert g.terms == _d_gcd(da, db) == _prs_gcd(da, db)
+    _assert_matches_sympy(g.terms, da, db)
+    assert poly_gcd(a.shift(shift), b) == poly_gcd(a, b.shift(shift)) == g
+
+
+def _random_outside_pairs(n):
+    """n operand pairs like test_gcd_outside_the_binomial_basis draws,
+    from a fixed seed, as stripped dicts."""
+    rng = random.Random(17)
+
+    def poly(m):
+        return {(rng.randint(-m, m), rng.randint(-m, m), 0):
+                Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                         rng.randint(1, 5)) for _ in range(rng.randint(1, 3))}
+
+    for _ in range(n):
+        a, b = _outside_pair(poly(3), poly(1), poly(1),
+                             rng.choice(NON_BINOMIAL), rng.choice(NON_BINOMIAL))
+        yield tuple(_d_strip_monomial(p.terms)[0] for p in (a, b))
+
+
+def test_prs_answers_when_the_heuristic_gives_up(monkeypatch):
+    pairs = list(_random_outside_pairs(12))
+    want = [_d_gcd(a, b) for a, b in pairs]
+    prs, prs_gcd = [], laurent._ig_prs_gcd
+    monkeypatch.setattr(laurent, "_heu_gcd", lambda a, b: None)
+    monkeypatch.setattr(laurent, "_ig_prs_gcd",
+                        lambda *args: prs.append(args) or prs_gcd(*args))
+    for (a, b), g in zip(pairs, want):
+        assert _d_gcd(a, b) == g
+        _assert_matches_sympy(g, a, b)
+    assert prs  # the fallback ran
+
+
+def test_a_rebuilt_non_divisor_is_rejected(monkeypatch):
+    # the first rebuilt candidate is replaced by x_v^50 + 1, which divides
+    # neither operand: the certifying divisions reject it, a larger xi is
+    # tried, and the gcd is still right without the PRS
+    rebuild = laurent._xi_adic
+    retried = 0
+    for a, b in _random_outside_pairs(12):
+        calls = []
+
+        def first_wrong(h, v, xi):
+            calls.append(xi)
+            if len(calls) > 1:
+                return rebuild(h, v, xi)
+            e = [0] * WIDTH
+            e[v] = 50
+            return {tuple(e): 1, (0,) * WIDTH: 1}
+
+        want = _d_gcd(a, b)
+        monkeypatch.setattr(laurent, "_xi_adic", first_wrong)
+        monkeypatch.setattr(laurent, "_ig_prs_gcd",
+                            lambda *args: pytest.fail("the PRS ran"))
+        assert _d_gcd(a, b) == want
+        monkeypatch.undo()
+        _assert_matches_sympy(want, a, b)
+        retried += len(calls) > 1
+    # one pair has equal primitive parts, whose gcd needs no heuristic
+    assert retried == 11

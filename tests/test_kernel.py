@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qfock import laurent
 from qfock.laurent import (
     LaurentPoly,
     UsageError,
@@ -134,6 +135,33 @@ class TestGCD:
         t1 = LaurentPoly.monomial(TAB, {0: 2})
         with pytest.raises(InternalInvariantError):
             poly_divexact(t1 + ONE, t1 - ONE)
+
+    def test_prs_stays_cold(self, monkeypatch):
+        # criterion 1's kinds of operands: reductions, sums and products of
+        # rational functions, and series products and inverses, whose
+        # coefficient reductions called the PRS 134 times in criterion 1
+        # before the heuristic GCD.  It certifies every gcd here, so the
+        # PRS fallback never runs.
+        calls = []
+        prs = laurent._ig_prs_gcd
+        monkeypatch.setattr(laurent, "_ig_prs_gcd",
+                            lambda *args: calls.append(args) or prs(*args))
+        rng = random.Random(101)
+        done = 0
+        while done < 200:
+            num, den, num2, den2 = (rand_poly(rng, max_exp=3)
+                                    for _ in range(4))
+            s, t = rand_series(rng, trunc2=5), rand_series(rng, trunc2=5)
+            if den.is_zero() or den2.is_zero() or s.floor2() != 0:
+                continue
+            x, y = rf_reduce(num, den), rf_reduce(num2, den2)
+            assert rf_reduce(x.num, x.den) == x
+            assert (x + y) - y == x
+            if not y.is_zero():
+                assert (x * y) / y == x
+            assert (s * t * s.inverse()).eq_upto(t)
+            done += 1
+        assert calls == []
 
 
 class TestRatFunc:
