@@ -871,17 +871,13 @@ def _heu_gcd(a: _Dict, b: _Dict) -> _Dict | None:
     variable evaluated here is only integer content in the images, so an
     inner level that dropped its content would lose it.
     """
-    ca, cb = gcd(*a.values()), gcd(*b.values())
-    g = gcd(ca, cb)
+    g = gcd(gcd(*a.values()), gcd(*b.values()))
     w = len(next(iter(a)))
     v = next((v for v in range(w)
               if any(e[v] for e in a) or any(e[v] for e in b)), None)
     if v is None:
         return {(0,) * w: g}
-    if ca > 1:
-        a = {e: c // ca for e, c in a.items()}
-    if cb > 1:
-        b = {e: c // cb for e, c in b.items()}
+    a, b = _ig_primitive(a), _ig_primitive(b)
     xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 3
     for _ in range(_HEU_TRIES):
         fa, fb = _d_at(a, v, xi), _d_at(b, v, xi)
