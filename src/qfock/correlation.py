@@ -20,26 +20,33 @@ Two structural readings of the level-(l+1/2) functions are provided:
 
 The twisted functions alternate over the permutation-only sign character (the
 "+"-alternant pairing); the untwisted ones use the full sign character.
+
+Both readings are one determinant (special._det).  The sign flips of a signed
+permutation factor out of its character, so the Weyl sum is det[M_ab] with
+
+    M_ab(S) = sum_{eps = +-1} c(eps) pair_block(S, (lam + rho)_a - eps rho_b),
+
+c(eps) = eps for the full character and 1 for the permutation sign.  In the
+convolved reading the entries are set functions of the points, multiplied by
+subset convolution, and the function is (vacuum * det)([n]); in the printed
+one they are the full-point blocks and the function is vacuum([n]) * det.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
 from math import isqrt
 from typing import Sequence
 
 from .laurent import LaurentPoly, UsageError, VarTable
 from .ratfunc import RatFunc
 from .series import HalfSeries
-from .special import f_bo, pochhammer_inf, qq_inf
+from .special import _det, f_bo, pochhammer_inf, qq_inf
 from .weylb import (
     check_partition,
     BLabel,
-    enumerate_WB,
     pad_weight,
     rho_B,
-    act,
     sign_vectors,
 )
 
@@ -53,6 +60,20 @@ _fbo_eval_cache: dict = {}
 _pair_block_cache: dict = {}
 _vacuum_cache: dict = {}
 _one_point_cache: dict = {}
+
+
+def _points_of(n: int, table: VarTable | None,
+               t_indices: Sequence[int] | None,
+               z: int = 0) -> tuple[VarTable, tuple[int, ...]]:
+    """The table (default: n t-variables and z z-variables) and the n
+    insertion variables (default: its first n t-variables)."""
+    if table is None:
+        table = VarTable.make(n, z)
+    t_indices = tuple(table.t_indices()[:n] if t_indices is None
+                      else t_indices)
+    if len(t_indices) != n:
+        raise UsageError(f"need {n} t-variables, got {len(t_indices)}")
+    return table, t_indices
 
 
 def _f_bo_generic(m: int, trunc2: int) -> HalfSeries:
@@ -92,14 +113,10 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
         return _pair_block_cache[key]
     if qexp2 > trunc2:
         out = HalfSeries.zero(out_table, trunc2)
-        _pair_block_cache[key] = out
-        return out
-    if m == 0:
+    elif m == 0:
         out = qq_inf(out_table, trunc2).inverse() * HalfSeries.q_power(
             out_table, trunc2, qexp2)
-        _pair_block_cache[key] = out
-        return out
-    if assignment:
+    elif assignment:
         values = tuple(Fraction(assignment[i]) for i in t_indices)
         acc_c: dict[int, Fraction] = {}
         for eps, peps in sign_vectors(m):
@@ -112,24 +129,18 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
         out = HalfSeries(out_table, trunc2,
                          {e2 + qexp2: c for e2, c in acc_c.items()
                           if c and e2 + qexp2 <= trunc2})
-        _pair_block_cache[key] = out
-        return out
-    generic = _f_bo_generic(m, trunc2)
-    acc = HalfSeries.zero(table, trunc2)
-    for eps, peps in sign_vectors(m):
-        mapping = [(t_indices[j], eps[j]) for j in range(m)]
-        renamed = generic.rename_signed(table, mapping)
-        mono = LaurentPoly.monomial(
-            table, {t_indices[j]: 2 * k * eps[j] for j in range(m)}, peps)
-        acc = acc + renamed.scale(mono)
-    out = acc * HalfSeries.q_power(table, trunc2, qexp2)
+    else:
+        generic = _f_bo_generic(m, trunc2)
+        acc = HalfSeries.zero(table, trunc2)
+        for eps, peps in sign_vectors(m):
+            mapping = [(t_indices[j], eps[j]) for j in range(m)]
+            renamed = generic.rename_signed(table, mapping)
+            mono = LaurentPoly.monomial(
+                table, {t_indices[j]: 2 * k * eps[j] for j in range(m)}, peps)
+            acc = acc + renamed.scale(mono)
+        out = acc * HalfSeries.q_power(table, trunc2, qexp2)
     _pair_block_cache[key] = out
     return out
-
-
-def _vacuum_base(table: VarTable, trunc2: int, twisted: bool) -> HalfSeries:
-    """(q^(1/2);q)_inf for the twisted trace, (-q^(1/2);q)_inf untwisted."""
-    return pochhammer_inf(table, trunc2, 1, coeff=1 if twisted else -1)
 
 
 def d_half_vacuum(n: int, trunc2: int, twisted: bool,
@@ -142,13 +153,7 @@ def d_half_vacuum(n: int, trunc2: int, twisted: bool,
     n >= 1 the k-sum over charge blocks carries (-1)^k in the twisted case
     and is plain in the untwisted one; proper subsets recurse.
     """
-    if table is None:
-        table = VarTable.make(n)
-    if t_indices is None:
-        t_indices = table.t_indices()[:n]
-    t_indices = tuple(t_indices)
-    if len(t_indices) != n:
-        raise UsageError(f"need {n} t-variables, got {len(t_indices)}")
+    table, t_indices = _points_of(n, table, t_indices)
     return _vacuum_on(table, t_indices, trunc2, twisted, assignment)
 
 
@@ -160,25 +165,22 @@ def _vacuum_on(table: VarTable, t_indices: tuple[int, ...], trunc2: int,
         return _vacuum_cache[key]
     out_table = table.without(assignment or ())
     n = len(t_indices)
-    base = _vacuum_base(out_table, trunc2, twisted)
+    # (q^(1/2);q)_inf for the twisted trace, (-q^(1/2);q)_inf untwisted
+    base = pochhammer_inf(out_table, trunc2, 1, coeff=1 if twisted else -1)
     if n == 0:
         _vacuum_cache[key] = base
         return base
-    ksum = HalfSeries.zero(out_table, trunc2)
-    for k in range(-isqrt(trunc2), isqrt(trunc2) + 1):
-        blk = pair_block(table, t_indices, k, trunc2, assignment)
-        if twisted and k % 2:
-            blk = -blk
-        ksum = ksum + blk
+    ksum = fock_trace_at_sign(n, trunc2, -1 if twisted else 1, table,
+                              t_indices, assignment)
+    # half the sum over ordered splits: the splits whose left part holds the
+    # first point (odd masks)
     sub = HalfSeries.zero(out_table, trunc2)
-    for bits in iproduct((0, 1), repeat=n):
-        if not any(bits) or all(bits):
-            continue
-        left = tuple(t_indices[i] for i in range(n) if bits[i])
-        right = tuple(t_indices[i] for i in range(n) if not bits[i])
+    for m in range(1, (1 << n) - 1, 2):
+        left = tuple(t_indices[i] for i in range(n) if m >> i & 1)
+        right = tuple(t_indices[i] for i in range(n) if not m >> i & 1)
         sub = sub + _vacuum_on(table, left, trunc2, twisted, assignment) * \
             _vacuum_on(table, right, trunc2, twisted, assignment)
-    out = (ksum - sub) * base.inverse() * Fraction(1, 2)
+    out = (ksum * Fraction(1, 2) - sub) * base.inverse()
     _vacuum_cache[key] = out
     return out
 
@@ -198,13 +200,7 @@ def gl_function(lam: Sequence[int], l: int, n: int, trunc2: int,
     lam = check_partition(lam, None, allow_negative=True)
     if len(lam) != l:
         raise UsageError(f"weight {lam} must have exactly {l} parts")
-    if table is None:
-        table = VarTable.make(n)
-    if t_indices is None:
-        t_indices = table.t_indices()[:n]
-    t_indices = tuple(t_indices)
-    if len(t_indices) != n:
-        raise UsageError(f"need {n} t-variables, got {len(t_indices)}")
+    table, t_indices = _points_of(n, table, t_indices)
     nrm2 = sum(x * x for x in lam)  # doubled exponent of q^(|lam|^2/2)
     size = sum(lam)
     out = HalfSeries.q_power(table, trunc2, nrm2) if nrm2 <= trunc2 else \
@@ -231,13 +227,9 @@ def fock_trace_closed(n: int, trunc2: int, table: VarTable | None = None,
                       z_index: int | None = None,
                       assignment=None) -> HalfSeries:
     """Charge-graded one-pair trace: sum_k z^k q^(k^2/2) (inversion blocks)."""
-    if table is None:
-        table = VarTable.make(n, 1)
-    if t_indices is None:
-        t_indices = table.t_indices()[:n]
+    table, t_indices = _points_of(n, table, t_indices, z=1)
     if z_index is None:
         z_index = table.z_indices()[0]
-    t_indices = tuple(t_indices)
     out_table = table.without(assignment or ())
     zi = out_table.index(table.names[z_index])
     acc = HalfSeries.zero(out_table, trunc2)
@@ -254,34 +246,13 @@ def fock_trace_at_sign(n: int, trunc2: int, sign: int,
     """The charge-graded one-pair trace specialized at z = +1 or z = -1."""
     if sign not in (1, -1):
         raise UsageError("sign must be +1 or -1")
-    if table is None:
-        table = VarTable.make(n)
-    if t_indices is None:
-        t_indices = table.t_indices()[:n]
-    t_indices = tuple(t_indices)
+    table, t_indices = _points_of(n, table, t_indices)
     out_table = table.without(assignment or ())
     acc = HalfSeries.zero(out_table, trunc2)
     for k in range(-isqrt(trunc2), isqrt(trunc2) + 1):
         blk = pair_block(table, t_indices, k, trunc2, assignment)
-        if sign < 0 and k % 2:
-            blk = -blk
-        acc = acc + blk
+        acc = acc - blk if sign < 0 and k % 2 else acc + blk
     return acc
-
-
-def _weyl_charges(lam: Sequence[int], l: int):
-    """Yield (character pair, integer charge vector, doubled q-norm) per
-    Weyl element; charges are the components of lam + rho - sigma(rho)."""
-    rho = rho_B(l)
-    lamrho = tuple(a + b for a, b in zip(pad_weight(lam, l), rho))
-    for sigma, full_char in enumerate_WB(l):
-        srho = act(sigma, rho)
-        mu = tuple(lamrho[i] - srho[i] for i in range(l))
-        if any(m.denominator != 1 for m in mu):
-            raise UsageError("charges must be integers")
-        mu_int = tuple(int(m) for m in mu)
-        nrm2 = sum(m * m for m in mu_int)
-        yield full_char, sigma.perm_sign(), mu_int, nrm2
 
 
 def _d_function(lam: Sequence[int], l: int, n: int, trunc2: int,
@@ -290,44 +261,64 @@ def _d_function(lam: Sequence[int], l: int, n: int, trunc2: int,
                 t_indices: Sequence[int] | None,
                 assignment=None) -> HalfSeries:
     lam = check_partition(lam, l)
-    if table is None:
-        table = VarTable.make(n)
-    if t_indices is None:
-        t_indices = table.t_indices()[:n]
-    t_indices = tuple(t_indices)
-    if len(t_indices) != n:
-        raise UsageError(f"need {n} t-variables, got {len(t_indices)}")
+    table, t_indices = _points_of(n, table, t_indices)
     if structure not in ("convolved", "printed"):
         raise UsageError(f"unknown structure {structure!r}")
     out_table = table.without(assignment or ())
+    rho = rho_B(l)
+    lamrho = tuple(a + b for a, b in zip(pad_weight(lam, l), rho))
+    printed = structure == "printed"
+    # set functions of the points: dicts bitmask -> series, absent masks
+    # zero; printed, every entry sits at the full mask
+    full = (1 << n) - 1
+    points = [tuple(t_indices[j] for j in range(n) if m >> j & 1)
+              for m in range(full + 1)]
+
+    def mul(x: HalfSeries, y: HalfSeries) -> HalfSeries:
+        # factors start at q^0 or later: each needs its terms up to trunc2
+        # minus the other's floor, and the product is exact to trunc2 only
+        fx, fy = x.floor2(), y.floor2()
+        if fx + fy > trunc2:
+            return HalfSeries.zero(out_table, trunc2)
+        return x.truncate(trunc2 - fy) * y.truncate(trunc2 - fx)
+
+    def put(f: dict, m: int, x: HalfSeries) -> None:
+        f[m] = f[m] + x if m in f else x
+
+    def conv(f: dict, g: dict) -> dict:
+        out: dict[int, HalfSeries] = {}
+        for m1, x in f.items():
+            for m2, y in g.items():
+                if printed or not m1 & m2:
+                    put(out, m1 | m2, mul(x, y))
+        return out
+
+    def add(f: dict, g: dict) -> dict:
+        out = dict(f)
+        for m, y in g.items():
+            put(out, m, y)
+        return out
+
+    def entry(a: int, b: int) -> dict | None:
+        f: dict[int, HalfSeries] = {}
+        for m in [full] if printed else range(full + 1):
+            for eps in (1, -1):
+                k = int(lamrho[a] - eps * rho[b])
+                if k * k > trunc2:  # the block starts at q^(k^2/2)
+                    continue
+                blk = pair_block(table, points[m], k, trunc2, assignment)
+                put(f, m, -blk if eps < 0 and (printed or not twisted)
+                    else blk)
+        return f or None
+
+    det = _det([[entry(a, b) for b in range(l)] for a in range(l)],
+               {0: HalfSeries.one(out_table, trunc2)}, conv, add,
+               lambda f: {m: -x for m, x in f.items()}) or {}
     acc = HalfSeries.zero(out_table, trunc2)
-    if structure == "printed":
-        for full_char, perm_char, mu, nrm2 in _weyl_charges(lam, l):
-            if nrm2 > trunc2:
-                continue
-            term = HalfSeries.one(out_table, trunc2)
-            for ka in mu:
-                term = term * pair_block(table, t_indices, ka, trunc2, assignment)
-            acc = acc + (term if full_char > 0 else -term)
-        return _vacuum_on(table, t_indices, trunc2, twisted, assignment) * acc
-    for full_char, perm_char, mu, nrm2 in _weyl_charges(lam, l):
-        if nrm2 > trunc2:
-            continue
-        char = perm_char if twisted else full_char
-        for assign in iproduct(range(l + 1), repeat=n):
-            term = HalfSeries.one(out_table, trunc2)
-            for a in range(1, l + 1):
-                block = tuple(t_indices[j] for j in range(n) if assign[j] == a)
-                term = term * pair_block(table, block, mu[a - 1], trunc2,
-                                         assignment)
-                if term.is_zero():
-                    break
-            else:
-                neutral = tuple(t_indices[j] for j in range(n) if assign[j] == 0)
-                term = term * _vacuum_on(table, neutral, trunc2, twisted,
-                                         assignment)
-            if not term.is_zero():
-                acc = acc + (term if char > 0 else -term)
+    for m, x in det.items():
+        vac = _vacuum_on(table, points[full if printed else full & ~m],
+                         trunc2, twisted, assignment)
+        acc = acc + mul(vac, x)
     return acc
 
 

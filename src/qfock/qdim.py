@@ -26,8 +26,7 @@ from typing import Sequence
 from .laurent import UsageError, VarTable
 from .series import HalfSeries
 from .special import pochhammer_inf, qq_inf
-from .weylb import BLabel, check_partition
-from .correlation import _weyl_charges
+from .weylb import BLabel, check_partition, weyl_charges
 
 FORMS = ("weyl-sum", "product")
 READINGS = ("corrected", "as-printed")
@@ -67,7 +66,7 @@ def _qdim(lam: Sequence[int], l: int, trunc2: int, twisted: bool,
             pref = pref * qq_inv
     if form.form == "weyl-sum":
         body: dict[int, Fraction] = {}
-        for full_char, perm_char, _mu, nrm2 in _weyl_charges(lam, l):
+        for full_char, perm_char, _mu, nrm2 in weyl_charges(lam, l):
             if nrm2 > trunc2:
                 continue
             char = perm_char if (twisted and form.reading == "corrected") \

@@ -7,17 +7,18 @@ Theta here is the specific product
 
 and F_bo packages all n-point functions as the standard permutation sum of
 determinants of theta derivatives divided by a chain of theta factors, with
-the conventions 1/(-k)! = 0 for k > 0 and F_bo() = (q;q)_inf^(-1).
+the conventions 1/(-k)! = 0 for k > 0 and F_bo() = (q;q)_inf^(-1).  The sum
+is computed as a recursion over the 2^n subsets of the points (see f_bo).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
+from functools import cache
 from typing import Mapping, Sequence
 
-from .laurent import LaurentPoly, T_KIND, UsageError, VarTable
+from .laurent import (
+    EvaluationPointError, LaurentPoly, T_KIND, UsageError, VarTable)
 from .ratfunc import RatFunc
 from .series import HalfSeries
 
@@ -129,30 +130,35 @@ def theta_deriv(table: VarTable, trunc2: int, k: int, arg: ThetaArg) -> HalfSeri
     return _scratch_subst(_theta_deriv_scratch(k, trunc2), table, arg)
 
 
-def _det(entries: list[list[HalfSeries | None]], table: VarTable,
-         trunc2: int) -> HalfSeries:
-    """Cofactor-expansion determinant; None entries are zero."""
+def _det(entries: list[list], one, mul, add, neg):
+    """Cofactor-expansion determinant over a commutative ring given by its
+    one, product, sum and negation; None entries are zero, and the result is
+    None when every term vanishes."""
     n = len(entries)
-    memo: dict[tuple[int, tuple[int, ...]], HalfSeries] = {}
+    memo: dict[tuple[int, ...], object] = {}
 
-    def minor(row: int, cols: tuple[int, ...]) -> HalfSeries:
-        if not cols:
-            return HalfSeries.one(table, trunc2)
-        key = (row, cols)
-        if key in memo:
-            return memo[key]
-        acc = HalfSeries.zero(table, trunc2)
+    def minor(cols: tuple[int, ...]):
+        row = n - len(cols)
+        if len(cols) == 1:
+            return entries[row][cols[0]]
+        if cols in memo:
+            return memo[cols]
+        acc = None
         for pos, j in enumerate(cols):
             e = entries[row][j]
             if e is None:
                 continue
-            sub = minor(row + 1, cols[:pos] + cols[pos + 1:])
-            term = e * sub
-            acc = acc + (term if pos % 2 == 0 else -term)
-        memo[key] = acc
+            sub = minor(cols[:pos] + cols[pos + 1:])
+            if sub is None:
+                continue
+            term = mul(e, sub)
+            if pos % 2:
+                term = neg(term)
+            acc = term if acc is None else add(acc, term)
+        memo[cols] = acc
         return acc
 
-    return minor(0, tuple(range(n)))
+    return minor(tuple(range(n))) if n else one
 
 
 def f_bo(n: int, trunc2: int, table: VarTable | None = None,
@@ -161,8 +167,9 @@ def f_bo(n: int, trunc2: int, table: VarTable | None = None,
          assignment: Mapping[int, Fraction] | None = None) -> HalfSeries:
     """The n-point correlation kernel in the variables t_indices.
 
-    path: "auto" uses the closed form for n <= 1 and the determinant sum
-    otherwise; "det" forces the permutation/determinant path; "closed" forces
+    path: "auto" uses the closed form for n <= 1 and the subset recursion
+    otherwise; "det" forces the recursion (at n = 1 it gives
+    Theta'(1)/Theta(t), the closed form since Theta'(1) = 1); "closed" forces
     the n=1 closed form (only valid for n <= 1).
 
     With an assignment (square-root values for every variable used), the
@@ -172,6 +179,8 @@ def f_bo(n: int, trunc2: int, table: VarTable | None = None,
     """
     if n < 0:
         raise UsageError("point count must be nonnegative")
+    if path not in ("auto", "det", "closed"):
+        raise UsageError(f"unknown f_bo path {path!r}")
     if table is None:
         table = VarTable.make(n)
     if t_indices is None:
@@ -184,8 +193,6 @@ def f_bo(n: int, trunc2: int, table: VarTable | None = None,
 
     if n == 0:
         return ev(qq_inf(table, trunc2)).inverse()
-    if path not in ("auto", "det", "closed"):
-        raise UsageError(f"unknown f_bo path {path!r}")
     if path == "closed" and n != 1:
         raise UsageError("closed form is the n=1 special case")
     if n == 1 and path != "det":
@@ -193,49 +200,37 @@ def f_bo(n: int, trunc2: int, table: VarTable | None = None,
         den = ev(qq_inf(table, trunc2) * theta(table, trunc2, ((i, 1),)))
         return _invert_checked(den)
 
-    # memoized pieces keyed by the set of variables in the theta argument
-    th_at: dict[tuple[int, frozenset[int]], HalfSeries] = {}
-    inv_th: dict[frozenset[int], HalfSeries] = {}
-
+    @cache
     def theta_k_at(k: int, vars_: frozenset[int]) -> HalfSeries:
-        key = (k, vars_)
-        if key not in th_at:
-            arg = tuple((i, 1) for i in sorted(vars_))
-            th_at[key] = ev(theta_deriv(table, trunc2, k, arg))
-        return th_at[key]
+        """Theta^(k) at the product of a set of variables."""
+        arg = tuple((i, 1) for i in sorted(vars_))
+        return ev(theta_deriv(table, trunc2, k, arg))
 
-    def inv_theta_at(vars_: frozenset[int]) -> HalfSeries:
-        if vars_ not in inv_th:
-            arg = tuple((i, 1) for i in sorted(vars_))
-            inv_th[vars_] = _invert_checked(ev(theta(table, trunc2, arg)))
-        return inv_th[vars_]
-
-    out_table = theta_k_at(1, frozenset()).table
-    total = None
-    for sigma in permutations(t_indices):
-        entries: list[list[HalfSeries | None]] = []
-        for i in range(1, n + 1):
-            row: list[HalfSeries | None] = []
-            for j in range(1, n + 1):
-                k = j - i + 1
-                if k < 0:
-                    row.append(None)
-                    continue
-                arg_vars = frozenset(sigma[:n - j])
-                row.append(theta_k_at(k, arg_vars) * Fraction(1, factorial(k)))
-            entries.append(row)
-        term = _det(entries, out_table, trunc2)
-        for j in range(1, n + 1):
-            term = term * inv_theta_at(frozenset(sigma[:j]))
-        total = term if total is None else total + term
-    return total * ev(qq_inf(table, trunc2)).inverse()
+    # The permutation sum of Hessenberg determinants folds into a recursion
+    # over the subsets S of the points (bitmasks): G(empty) = 1 and
+    #   G(S) = Theta(S)^-1 sum_{T < S} (-1)^(|S-T|-1) Theta^(|S-T|)(T) G(T).
+    # The subdiagonal Theta's cancel the chain denominators, and the |S-T|!
+    # permutations through each link of a chain cancel the 1/|S-T|!.
+    points = [frozenset(t_indices[j] for j in range(n) if m >> j & 1)
+              for m in range(1 << n)]
+    g: list[HalfSeries | None] = [None]  # None stands for G(empty) = 1
+    for s in range(1, 1 << n):
+        acc = None
+        for t in (t for t in range(s) if not t & ~s):
+            k = len(points[s]) - len(points[t])
+            th = theta_k_at(k, points[t])
+            term = th if t == 0 else (th * g[t]).truncate(trunc2)
+            term = term if k % 2 else -term
+            acc = term if acc is None else acc + term
+        g.append((acc * _invert_checked(theta_k_at(0, points[s])))
+                 .truncate(trunc2))
+    return g[-1] * ev(qq_inf(table, trunc2)).inverse()
 
 
-def _invert_checked(s: HalfSeries, expected_floor2: int = 0) -> HalfSeries:
+def _invert_checked(s: HalfSeries) -> HalfSeries:
     """Invert, reporting a vanished leading coefficient as an
     evaluation-point problem rather than silently inverting a shifted series."""
-    from .laurent import EvaluationPointError
-    if s.is_zero() or s.floor2() != expected_floor2:
+    if s.is_zero() or s.floor2() != 0:
         raise EvaluationPointError(
             "leading coefficient vanished at the evaluation point")
     return s.inverse()

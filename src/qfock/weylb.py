@@ -145,6 +145,21 @@ def pad_weight(parts: Sequence[int], l: int) -> Weight:
     return t
 
 
+def weyl_charges(lam: Sequence[int], l: int):
+    """Yield (character pair, integer charge vector, doubled q-norm) per
+    Weyl element; charges are the components of lam + rho - sigma(rho)."""
+    rho = rho_B(l)
+    lamrho = tuple(a + b for a, b in zip(pad_weight(lam, l), rho))
+    for sigma, full_char in enumerate_WB(l):
+        srho = act(sigma, rho)
+        mu = tuple(lamrho[i] - srho[i] for i in range(l))
+        if any(m.denominator != 1 for m in mu):
+            raise UsageError("charges must be integers")
+        mu_int = tuple(int(m) for m in mu)
+        nrm2 = sum(m * m for m in mu_int)
+        yield full_char, sigma.perm_sign(), mu_int, nrm2
+
+
 def _z_vars(table: VarTable, l: int, z_indices: Sequence[int] | None) -> tuple[int, ...]:
     if z_indices is None:
         z_indices = table.z_indices()

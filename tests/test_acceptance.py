@@ -176,6 +176,16 @@ def test_main_theorem_frontier_cells():
     _report("main-theorem-frontier", checks, 30, time.time() - t0)
 
 
+def test_main_theorem_rank_three():
+    """The criterion-5 checks at (l=3, n=2), lam in {(), (1,), (2,)}, eval
+    mode to order 3: the closed forms run a 3x3 determinant over the ring
+    of set functions; < 10 s."""
+    t0 = time.time()
+    checks = suite_main_theorem(trunc2=6, mode="eval", seed=11,
+                                l_values=(3,), n_values=(2,))
+    _report("main-theorem-rank-three", checks, 10, time.time() - t0)
+
+
 def test_criterion_6_charge_graded_trace():
     """The closed charge-graded one-pair trace equals the pair oracle for
     n in {1,2} through order 3 (every z-degree |k| <= 2 is retained at this

@@ -148,3 +148,8 @@ class TestFbo:
     def test_negative_points_rejected(self):
         with pytest.raises(UsageError):
             f_bo(-1, 4)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_unknown_path_rejected(self, n):
+        with pytest.raises(UsageError):
+            f_bo(n, 4, path="bogus")
