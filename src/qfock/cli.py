@@ -6,7 +6,7 @@ JSON on stdout (diagnostics on stderr) or as readable text; all exponents in
 the JSON are doubled integers and all rationals are strings.
 
 Exit codes: 0 success / verification pass, 1 verification mismatch, 2 bad
-input (including an eval-mode point where a denominator vanishes; another
+input (including an eval-mode point at a pole of the function; another
 --seed picks another point), 3 internal failure.
 """
 
@@ -150,8 +150,6 @@ def _run_compute(args) -> int:
     asn = _assignment(args, n)
     if args.family == "gl":
         s = gl_function(lam, args.l, n, trunc2, VarTable.make(n), ti)
-        if asn:
-            s = s.evaluate(asn)
     elif args.family == "d-sum":
         s = d_sum_function(lam, args.l, n, trunc2, args.structure,
                            VarTable.make(n), ti, assignment=asn)
@@ -163,13 +161,11 @@ def _run_compute(args) -> int:
                                  args.structure, VarTable.make(n), ti,
                                  assignment=asn)
     elif args.family == "fbo":
-        s = f_bo(n, trunc2, VarTable.make(n), ti, assignment=asn)
+        s = f_bo(n, trunc2, VarTable.make(n), ti)
     elif args.family == "theta":
         if n != 1:
             raise UsageError("theta takes one variable (set --n 1)")
         s = theta(VarTable.make(1), trunc2, ((0, 1),))
-        if asn:
-            s = s.evaluate(asn)
     elif args.family == "fock-trace":
         s = fock_trace_closed(n, trunc2, table, ti, n, assignment=asn)
     elif args.family == "q-plus":
@@ -178,6 +174,9 @@ def _run_compute(args) -> int:
         s = q_minus(lam, args.l, trunc2, QDimForm(args.form, args.reading))
     else:
         raise UsageError(f"unknown family {args.family!r}")
+    if asn and args.family in ("gl", "fbo", "theta"):
+        # these closed forms are computed symbolically, then evaluated
+        s = s.evaluate(asn)
     extra = {}
     if asn:
         extra["evaluation"] = {f"t{i + 1}": str(v) for i, v in sorted(asn.items())}

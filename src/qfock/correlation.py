@@ -35,13 +35,13 @@ one they are the full-point blocks and the function is vacuum([n]) * det.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from typing import Sequence
 
 from .laurent import LaurentPoly, UsageError, VarTable
 from .ratfunc import RatFunc
 from .series import HalfSeries
-from .special import _det, f_bo, pochhammer_inf, qq_inf
+from .special import _det, f_bo, pochhammer_inf
 from .weylb import (
     check_partition,
     BLabel,
@@ -83,16 +83,6 @@ def _f_bo_generic(m: int, trunc2: int) -> HalfSeries:
     return _fbo_generic_cache[key]
 
 
-def _f_bo_at_values(values: tuple[Fraction, ...], trunc2: int) -> dict[int, Fraction]:
-    """Correlation kernel evaluated at square-root values, as plain fractions."""
-    key = (values, trunc2)
-    if key not in _fbo_eval_cache:
-        m = len(values)
-        s = f_bo(m, trunc2, assignment={j: values[j] for j in range(m)})
-        _fbo_eval_cache[key] = {e2: c.constant_value() for e2, c in s.terms.items()}
-    return _fbo_eval_cache[key]
-
-
 def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
                trunc2: int,
                assignment=None) -> HalfSeries:
@@ -100,8 +90,12 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
 
         sum_{eps in {+1,-1}^S} [eps] (prod_S t^eps)^k F_bo(q; t_S^eps)
 
-    This is the z^k coefficient of the charge-graded one-pair trace.  With an
-    assignment the t-variables are evaluated (fast path for verification).
+    This is the z^k coefficient of the charge-graded one-pair trace.  Each
+    term substitutes the one cached symbolic kernel F_bo(q; t_1..t_m) at the
+    signed points: it is renamed onto the signed t-variables, or, with an
+    assignment, evaluated at the signed square-root values.  An evaluation
+    fails only at a pole of the reduced kernel, whose denominators are
+    products of t_j^(1/2) +- 1 (see verify.random_point).
     """
     t_indices = tuple(t_indices)
     m = len(t_indices)
@@ -111,34 +105,29 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
            tuple(sorted(assignment.items())) if assignment else None)
     if key in _pair_block_cache:
         return _pair_block_cache[key]
-    if qexp2 > trunc2:
-        out = HalfSeries.zero(out_table, trunc2)
-    elif m == 0:
-        out = qq_inf(out_table, trunc2).inverse() * HalfSeries.q_power(
-            out_table, trunc2, qexp2)
-    elif assignment:
-        values = tuple(Fraction(assignment[i]) for i in t_indices)
-        acc_c: dict[int, Fraction] = {}
-        for eps, peps in sign_vectors(m):
-            pt = tuple(v if e > 0 else 1 / v for v, e in zip(values, eps))
-            mono = Fraction(peps)
-            for v, e in zip(values, eps):
-                mono *= v ** (2 * k * e)
-            for e2, c in _f_bo_at_values(pt, trunc2).items():
-                acc_c[e2] = acc_c.get(e2, Fraction(0)) + mono * c
-        out = HalfSeries(out_table, trunc2,
-                         {e2 + qexp2: c for e2, c in acc_c.items()
-                          if c and e2 + qexp2 <= trunc2})
-    else:
+    out = HalfSeries.zero(out_table, trunc2)
+    if qexp2 <= trunc2:
         generic = _f_bo_generic(m, trunc2)
-        acc = HalfSeries.zero(table, trunc2)
         for eps, peps in sign_vectors(m):
-            mapping = [(t_indices[j], eps[j]) for j in range(m)]
-            renamed = generic.rename_signed(table, mapping)
-            mono = LaurentPoly.monomial(
-                table, {t_indices[j]: 2 * k * eps[j] for j in range(m)}, peps)
-            acc = acc + renamed.scale(mono)
-        out = acc * HalfSeries.q_power(table, trunc2, qexp2)
+            if assignment:
+                point = tuple(Fraction(assignment[i]) ** e
+                              for i, e in zip(t_indices, eps))
+                ekey = (point, trunc2, out_table)
+                if ekey not in _fbo_eval_cache:
+                    at = generic.evaluate(dict(enumerate(point)))
+                    _fbo_eval_cache[ekey] = HalfSeries(
+                        out_table, trunc2,
+                        {e2: c.constant_value() for e2, c in at.terms.items()})
+                kernel = _fbo_eval_cache[ekey]
+                factor = prod((v ** (2 * k) for v in point), start=peps)
+            else:
+                kernel = generic.rename_signed(
+                    table, list(zip(t_indices, eps)))
+                factor = LaurentPoly.monomial(
+                    table, {i: 2 * k * e for i, e in zip(t_indices, eps)},
+                    peps)
+            out = out + kernel.scale(factor)
+        out = out * HalfSeries.q_power(out_table, trunc2, qexp2)
     _pair_block_cache[key] = out
     return out
 
@@ -215,8 +204,7 @@ def gl_function(lam: Sequence[int], l: int, n: int, trunc2: int,
                                    else {0: 1})
     if l:
         fb = _f_bo_generic(n, trunc2).rename_signed(
-            table, [(i, 1) for i in t_indices]) if n else \
-            qq_inf(table, trunc2).inverse()
+            table, [(i, 1) for i in t_indices])
         for _ in range(l):
             out = out * fb
     return out

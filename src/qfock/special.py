@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .laurent import (
-    EvaluationPointError, LaurentPoly, T_KIND, UsageError, VarTable)
+from .laurent import LaurentPoly, T_KIND, UsageError, VarTable
 from .ratfunc import RatFunc
 from .series import HalfSeries
 
@@ -163,8 +162,7 @@ def _det(entries: list[list], one, mul, add, neg):
 
 def f_bo(n: int, trunc2: int, table: VarTable | None = None,
          t_indices: Sequence[int] | None = None,
-         path: str = "auto",
-         assignment: Mapping[int, Fraction] | None = None) -> HalfSeries:
+         path: str = "auto") -> HalfSeries:
     """The n-point correlation kernel in the variables t_indices.
 
     path: "auto" uses the closed form for n <= 1 and the subset recursion
@@ -172,10 +170,10 @@ def f_bo(n: int, trunc2: int, table: VarTable | None = None,
     Theta'(1)/Theta(t), the closed form since Theta'(1) = 1); "closed" forces
     the n=1 closed form (only valid for n <= 1).
 
-    With an assignment (square-root values for every variable used), the
-    theta factors are evaluated before the heavy series arithmetic, and the
-    result lives over the reduced table.  A vanished denominator raises
-    EvaluationPointError; retry with a new point.
+    The result is symbolic: each Theta(S) it divides by starts at q^0 with
+    the nonzero coefficient u_S - 1/u_S (u_S the square root of the product
+    over S), so every inverse exists.  The kernel at a point is this result
+    evaluated there, which fails only at a pole of a reduced coefficient.
     """
     if n < 0:
         raise UsageError("point count must be nonnegative")
@@ -188,23 +186,19 @@ def f_bo(n: int, trunc2: int, table: VarTable | None = None,
     if len(t_indices) != n:
         raise UsageError(f"need {n} t-variables, got {len(t_indices)}")
 
-    def ev(s: HalfSeries) -> HalfSeries:
-        return s.evaluate(assignment) if assignment else s
-
     if n == 0:
-        return ev(qq_inf(table, trunc2)).inverse()
+        return qq_inf(table, trunc2).inverse()
     if path == "closed" and n != 1:
         raise UsageError("closed form is the n=1 special case")
     if n == 1 and path != "det":
-        i = t_indices[0]
-        den = ev(qq_inf(table, trunc2) * theta(table, trunc2, ((i, 1),)))
-        return _invert_checked(den)
+        th = theta(table, trunc2, ((t_indices[0], 1),))
+        return (qq_inf(table, trunc2) * th).inverse()
 
     @cache
     def theta_k_at(k: int, vars_: frozenset[int]) -> HalfSeries:
         """Theta^(k) at the product of a set of variables."""
         arg = tuple((i, 1) for i in sorted(vars_))
-        return ev(theta_deriv(table, trunc2, k, arg))
+        return theta_deriv(table, trunc2, k, arg)
 
     # The permutation sum of Hessenberg determinants folds into a recursion
     # over the subsets S of the points (bitmasks): G(empty) = 1 and
@@ -222,15 +216,6 @@ def f_bo(n: int, trunc2: int, table: VarTable | None = None,
             term = th if t == 0 else (th * g[t]).truncate(trunc2)
             term = term if k % 2 else -term
             acc = term if acc is None else acc + term
-        g.append((acc * _invert_checked(theta_k_at(0, points[s])))
-                 .truncate(trunc2))
-    return g[-1] * ev(qq_inf(table, trunc2)).inverse()
+        g.append((acc * theta_k_at(0, points[s]).inverse()).truncate(trunc2))
+    return g[-1] * qq_inf(table, trunc2).inverse()
 
-
-def _invert_checked(s: HalfSeries) -> HalfSeries:
-    """Invert, reporting a vanished leading coefficient as an
-    evaluation-point problem rather than silently inverting a shifted series."""
-    if s.is_zero() or s.floor2() != 0:
-        raise EvaluationPointError(
-            "leading coefficient vanished at the evaluation point")
-    return s.inverse()

@@ -79,7 +79,13 @@ def _cmp(name: str, a: HalfSeries, b: HalfSeries,
 
 
 def random_point(t_indices: Sequence[int], seed: int, attempt: int = 0):
-    """Small random rational square-root values, avoiding the unit circle."""
+    """Small random rational square-root values, avoiding the unit circle.
+
+    That suffices for the closed forms and the oracle: the closed forms are
+    built from the kernel F_bo at the values and their inverses, whose
+    reduced denominators are products of u_j - 1 and u_j + 1, and the
+    oracle's central scalar has v^2 - 1.  A product of several values may
+    still be 1; Theta vanishes there, but the reduced kernel has no pole."""
     rng = random.Random(1000003 * seed + attempt)
     asn = {}
     for i in t_indices:

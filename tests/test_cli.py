@@ -13,6 +13,7 @@ from qfock.ratfunc import RatFunc
 from qfock.series import HalfSeries
 from qfock import cli, verify
 from qfock.cli import main, series_from_json, series_to_json
+from qfock.correlation import d_sum_function
 from qfock.fock import FockSpace, oracle_trace
 
 
@@ -96,6 +97,21 @@ class TestCompute:
             HalfSeries.q_power(tab, 4, 1)
         assert back.eq_upto(want)
 
+    @pytest.mark.parametrize("family, n", [("gl", 2), ("fbo", 2),
+                                           ("theta", 1)])
+    def test_eval_mode_evaluates_the_symbolic_series(self, family, n):
+        common = ("compute", "--family", family, "--l", "1", "--lambda", "1",
+                  "--n", str(n), "--order", "2")
+        code, sym, _ = run_cli(*common)
+        assert code == 0
+        code, out, _ = run_cli(*common, "--mode", "eval", "--seed", "7")
+        assert code == 0
+        pt = verify.random_point(tuple(range(n)), 7)
+        want = series_to_json(series_from_json(json.loads(sym)).evaluate(pt))
+        want["evaluation"] = {f"t{i + 1}": str(v)
+                              for i, v in sorted(pt.items())}
+        assert out == json.dumps(want, sort_keys=True) + "\n"
+
     def test_deterministic_output(self):
         args = ("compute", "--family", "d-twisted", "--l", "1", "--lambda",
                 "1", "--n", "1", "--order", "2", "--mode", "eval",
@@ -135,14 +151,29 @@ class TestExitCodes:
                                "--lambda", "2,a", "--n", "1", "--order", "1")
         assert code == 2 and "lambda" in err
 
-    def test_vanishing_eval_point_suggests_another_seed(self):
-        # at seed 20 a coefficient the series must invert vanishes at the
-        # evaluation point
+    def test_vanishing_eval_point_suggests_another_seed(self, monkeypatch):
+        # u1 = 1 is a genuine pole: the kernel's denominator factor u1 - 1
+        # vanishes there
+        monkeypatch.setattr(verify, "random_point", lambda ti, seed: {
+            i: Fraction(1) if i == 0 else Fraction(3) for i in ti})
         code, _, err = run_cli("compute", "--family", "d-sum", "--l", "0",
                                "--n", "2", "--order", "1", "--mode", "eval",
                                "--seed", "20")
         assert code == 2
         assert "--seed" in err and len(err.strip().splitlines()) == 1
+
+    def test_removable_singularity_evaluates(self):
+        # at seed 20, u1 = u2 = -3: Theta(u1/u2) vanishes, but the reduced
+        # function has no pole there
+        code, out, _ = run_cli("compute", "--family", "d-sum", "--l", "0",
+                               "--n", "2", "--order", "1", "--mode", "eval",
+                               "--seed", "20")
+        assert code == 0
+        pt = verify.random_point((0, 1), 20)
+        assert pt == {0: -3, 1: -3}
+        want = series_to_json(d_sum_function((), 0, 2, 2).evaluate(pt))
+        want["evaluation"] = {"t1": "-3", "t2": "-3"}
+        assert out == json.dumps(want, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("exc", [ValueError("boom"),
                                      ZeroDivisionError("boom")])

@@ -1,14 +1,17 @@
 """Correlation-engine tests: closed forms, vacuum recursion, block functions."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from qfock import correlation, laurent, ratfunc, special
+from qfock.cli import series_to_json
 from qfock.laurent import LaurentPoly, UsageError, VarTable
 from qfock.ratfunc import RatFunc
 from qfock.series import HalfSeries
 from qfock.special import f_bo, pochhammer_inf, qq_inf
+from qfock.verify import random_point
 from qfock.weylb import BLabel
 from qfock.correlation import (
     d_half_vacuum,
@@ -230,6 +233,44 @@ class TestDFunctions:
                                          assignment=asn)
                 ext_t = extract_module_function(trt, lam, 2, None, "plus")
                 assert f_t.eq_upto(ext_t), (n, lam, f_t.first_mismatch(ext_t))
+
+
+def _json_bytes(s):
+    return json.dumps(series_to_json(s), sort_keys=True)
+
+
+# Seeds 20, 31, 38 and 54 draw points where a product u_S^eps of the signed
+# square-root values is 1 for |S| >= 2, so Theta(u_S^eps) vanishes there
+# although the reduced kernel has no pole; 0, 1 and 3 draw clean points.
+EVAL_SEEDS = [20, 31, 38, 54, 0, 1, 3]
+
+
+class TestEvalAtRemovableSingularities:
+    @pytest.mark.parametrize("seed", EVAL_SEEDS)
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("lam, l", [((), 0), ((1,), 1)])
+    @pytest.mark.parametrize("fn", [d_sum_function, d_twisted_function])
+    def test_d_functions_equal_evaluated_symbolic(self, fn, lam, l, n, seed):
+        pt = random_point(tuple(range(n)), seed)
+        want = fn(lam, l, n, 4).evaluate(pt)
+        assert _json_bytes(fn(lam, l, n, 4, assignment=pt)) == \
+            _json_bytes(want)
+
+    @pytest.mark.parametrize("seed", EVAL_SEEDS)
+    def test_fock_trace_equals_evaluated_symbolic(self, seed):
+        pt = random_point((0, 1), seed)
+        want = fock_trace_closed(2, 4).evaluate(pt)
+        assert _json_bytes(fock_trace_closed(2, 4, assignment=pt)) == \
+            _json_bytes(want)
+
+    @pytest.mark.parametrize("m, trunc2", [(1, 8), (2, 8), (3, 6)])
+    def test_kernel_denominators_are_u_plus_minus_one(self, m, trunc2):
+        # every denominator of F_bo splits into factors u_j - 1 and u_j + 1,
+        # which no random_point (|u_j| != 1, |1/u_j| != 1) can zero
+        for _, c in f_bo(m, trunc2).items():
+            assert c.dfac is not None
+            for (p, q, _sign), _mult in c.dfac:
+                assert sum(p) == 1 and not any(q), (p, q)
 
 
 class TestCacheState:

@@ -18,10 +18,19 @@ import pytest
 
 from qfock.cli import series_to_json
 from qfock.correlation import _d_function, _vacuum_on, pair_block
-from qfock.laurent import VarTable
+from qfock.laurent import EvaluationPointError, VarTable
 from qfock.series import HalfSeries
-from qfock.special import _invert_checked, f_bo, qq_inf, theta, theta_deriv
+from qfock.special import f_bo, qq_inf, theta, theta_deriv
 from qfock.weylb import check_partition, weyl_charges
+
+
+def _invert_checked(s: HalfSeries) -> HalfSeries:
+    """Invert, reporting a vanished leading coefficient as an
+    evaluation-point problem rather than silently inverting a shifted series."""
+    if s.is_zero() or s.floor2() != 0:
+        raise EvaluationPointError(
+            "leading coefficient vanished at the evaluation point")
+    return s.inverse()
 
 
 def _series_det(entries, table, trunc2):
@@ -130,7 +139,7 @@ class TestFboSubsetRecursion:
         ti = tab.t_indices()
         pt = {i: POINT[i] for i in ti}
         want = perm_sum_f_bo(n, trunc2, tab, ti, pt)
-        got = f_bo(n, trunc2, tab, ti, path="det", assignment=pt)
+        got = f_bo(n, trunc2, tab, ti, path="det").evaluate(pt)
         assert _bytes(got) == _bytes(want)
 
 

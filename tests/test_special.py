@@ -129,12 +129,6 @@ class TestFbo:
         swapped = fb.rename_signed(TAB, [(1, 1), (0, 1)])
         assert fb.eq_upto(swapped)
 
-    def test_eval_mode_matches_symbolic(self):
-        pt = {0: Fraction(3, 2), 1: Fraction(-5, 3)}
-        sym = f_bo(2, 6, TAB, (0, 1)).evaluate(pt)
-        ev = f_bo(2, 6, TAB, (0, 1), assignment=pt)
-        assert sym.eq_upto(ev)
-
     def test_three_point_symmetry(self):
         # n = 3 is the smallest case with vanishing factorial-reciprocal
         # entries in the determinant
