@@ -125,8 +125,8 @@ def _emit(args, series: HalfSeries, extra: dict | None = None) -> None:
         data = series_to_json(series)
         if extra:
             data.update(extra)
-        json.dump(data, sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
+        # json.dumps takes the C encoder, which json.dump never does
+        sys.stdout.write(json.dumps(data, sort_keys=True) + "\n")
     else:
         if extra:
             for k, v in extra.items():

@@ -43,6 +43,7 @@ from .ratfunc import RatFunc
 from .series import HalfSeries
 from .special import _det, f_bo, pochhammer_inf
 from .weylb import (
+    _det_sector,
     check_partition,
     BLabel,
     pad_weight,
@@ -56,6 +57,10 @@ from .weylb import (
 # ---------------------------------------------------------------------------
 
 _fbo_generic_cache: dict[tuple[int, int], HalfSeries] = {}
+# pair_block's kernel at the signed points, one entry per sign vector:
+# (table, t_indices, eps, trunc2) -> the generic kernel renamed onto the
+# signed t-variables; (point, trunc2, out_table) -> its values at the signed
+# square-root values
 _fbo_eval_cache: dict = {}
 _pair_block_cache: dict = {}
 _vacuum_cache: dict = {}
@@ -93,9 +98,11 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
     This is the z^k coefficient of the charge-graded one-pair trace.  Each
     term substitutes the one cached symbolic kernel F_bo(q; t_1..t_m) at the
     signed points: it is renamed onto the signed t-variables, or, with an
-    assignment, evaluated at the signed square-root values.  An evaluation
-    fails only at a pole of the reduced kernel, whose denominators are
-    products of t_j^(1/2) +- 1 (see verify.random_point).
+    assignment, evaluated at the signed square-root values.  The kernel at
+    the signed points does not depend on k, so it is made once per sign
+    vector and held in _fbo_eval_cache.  An evaluation fails only at a pole
+    of the reduced kernel, whose denominators are products of
+    t_j^(1/2) +- 1 (see verify.random_point).
     """
     t_indices = tuple(t_indices)
     m = len(t_indices)
@@ -118,15 +125,16 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
                     _fbo_eval_cache[ekey] = HalfSeries(
                         out_table, trunc2,
                         {e2: c.constant_value() for e2, c in at.terms.items()})
-                kernel = _fbo_eval_cache[ekey]
                 factor = prod((v ** (2 * k) for v in point), start=peps)
             else:
-                kernel = generic.rename_signed(
-                    table, list(zip(t_indices, eps)))
+                ekey = (table, t_indices, eps, trunc2)
+                if ekey not in _fbo_eval_cache:
+                    _fbo_eval_cache[ekey] = generic.rename_signed(
+                        table, list(zip(t_indices, eps)))
                 factor = LaurentPoly.monomial(
                     table, {i: 2 * k * e for i, e in zip(t_indices, eps)},
                     peps)
-            out = out + kernel.scale(factor)
+            out = out + _fbo_eval_cache[ekey].scale(factor)
         out = out * HalfSeries.q_power(out_table, trunc2, qexp2)
     _pair_block_cache[key] = out
     return out
@@ -336,16 +344,16 @@ def irreducible_function(label: BLabel, l: int, n: int, trunc2: int,
                          t_indices: Sequence[int] | None = None,
                          assignment=None) -> HalfSeries:
     """Per-irreducible n-point function: half sum (det flag off) or half
-    difference (det flag on) of the plain and parity-signed functions."""
+    difference (det flag on) of the plain and parity-signed functions.
+
+    Both determinants are computed here; verify.suite_main_theorem, which
+    holds them already, derives both det flags from them directly."""
     lam = check_partition(label.partition, l)
     plain = d_sum_function(lam, l, n, trunc2, structure, table, t_indices,
                            assignment)
     signed = d_twisted_function(lam, l, n, trunc2, structure, table, t_indices,
                                 assignment)
-    half = Fraction(1, 2)
-    if label.det:
-        return (plain - signed) * half
-    return (plain + signed) * half
+    return _det_sector(plain, signed, label.det)
 
 
 # ---------------------------------------------------------------------------

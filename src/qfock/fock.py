@@ -31,10 +31,17 @@ from .laurent import (
     UsageError,
     VarTable,
     _fr,
+    _whole,
 )
 from .ratfunc import RatFunc
 from .series import HalfSeries
-from .weylb import check_partition, pad_weight, rho_B, weyl_denominator_B
+from .weylb import (
+    _det_sector,
+    check_partition,
+    pad_weight,
+    rho_B,
+    weyl_denominator_B,
+)
 
 
 @dataclass(frozen=True)
@@ -392,22 +399,6 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
 # dominant-monomial extraction
 # ---------------------------------------------------------------------------
 
-def _rf_z_coefficient(rf: RatFunc, z_exps: Mapping[int, int],
-                      z_set: frozenset[int], out_table: VarTable) -> RatFunc:
-    """Coefficient of the z-monomial with the given doubled exponents."""
-    if any(i in z_set for i in rf.den.variables_used()):
-        raise InternalInvariantError("denominator involves charge variables")
-    keep = [i for i in range(len(rf.table)) if i not in z_set]
-    num_terms = {}
-    for e, c in rf.num.terms.items():
-        if all(e[i] == z_exps.get(i, 0) for i in z_set):
-            num_terms[tuple(e[i] for i in keep)] = c
-    num = LaurentPoly(out_table, num_terms, _clean=True)
-    den_terms = {tuple(e[i] for i in keep): c for e, c in rf.den.terms.items()}
-    den = LaurentPoly(out_table, den_terms, _clean=True)
-    return RatFunc(num, den, _canonical=True)
-
-
 def extract_module_function(trace: HalfSeries, lam: Sequence[int], l: int,
                             z_indices: Sequence[int] | None = None,
                             denominator: str = "minus") -> HalfSeries:
@@ -416,6 +407,11 @@ def extract_module_function(trace: HalfSeries, lam: Sequence[int], l: int,
 
     Use denominator "minus" on plain traces and "plus" on parity-signed
     traces (the twisted sectors decompose over the +-alternant characters).
+
+    The Weyl denominator has only z-variables and a trace coefficient's
+    denominator has none, so c * den is c.num * den over c.den, already
+    reduced.  The coefficient is read off the terms of c.num and den without
+    forming the product; it keeps c.den, as that product would.
     """
     lam = check_partition(lam, l)
     table = trace.table
@@ -424,20 +420,31 @@ def extract_module_function(trace: HalfSeries, lam: Sequence[int], l: int,
     if len(z_indices) != l:
         raise UsageError(f"need {l} z-variables, got {len(z_indices)}")
     z_set = frozenset(z_indices)
+    keep = [i for i in range(len(table)) if i not in z_set]
     out_table = table.without(z_set)
-    if l == 0:
-        return trace.map_coeffs(
-            lambda c: _rf_z_coefficient(c, {}, z_set, out_table),
-            table=out_table)
     den = weyl_denominator_B(l, table, z_indices, variant=denominator)
     rho = rho_B(l)
-    lamrho = tuple(a + b for a, b in zip(pad_weight(lam, l), rho))
-    z_exps = {z_indices[i]: int(2 * lamrho[i]) for i in range(l)}
+    target = tuple(int(2 * (a + b)) for a, b in zip(pad_weight(lam, l), rho))
+    # the z-exponents a term of c.num needs: den's coefficient at target - e_z
+    need = {tuple(t - e[i] for t, i in zip(target, z_indices)): c
+            for e, c in den.terms.items()}
     out: dict[int, RatFunc] = {}
     for e2, c in trace.terms.items():
-        v = _rf_z_coefficient(c * den, z_exps, z_set, out_table)
-        if not v.is_zero():
-            out[e2] = v
+        if any(i in z_set for i in c.den.variables_used()):
+            raise InternalInvariantError("denominator involves charge variables")
+        num_terms: dict = {}
+        for e, a in c.num.terms.items():
+            b = need.get(tuple(e[i] for i in z_indices))
+            if b is not None:
+                k = tuple(e[i] for i in keep)
+                num_terms[k] = num_terms.get(k, 0) + a * b
+        num_terms = _whole({k: v for k, v in num_terms.items() if v})
+        if num_terms:
+            den_terms = {tuple(e[i] for i in keep): v
+                         for e, v in c.den.terms.items()}
+            out[e2] = RatFunc(LaurentPoly(out_table, num_terms, _clean=True),
+                              LaurentPoly(out_table, den_terms, _clean=True),
+                              _canonical=True)
     return HalfSeries(out_table, trace.trunc2, out, _clean=True)
 
 
@@ -455,8 +462,7 @@ def irreducible_from_extracted(plain_ext: HalfSeries, signed_ext: HalfSeries,
     """The irreducible function from the functions extracted from the plain
     and the parity-signed traces: their half-sum, or half-difference for the
     det sector."""
-    both = (plain_ext - signed_ext) if det else (plain_ext + signed_ext)
-    return both * Fraction(1, 2)
+    return _det_sector(plain_ext, signed_ext, det)
 
 
 def irreducible_from_projected(even: HalfSeries, odd: HalfSeries,

@@ -26,7 +26,7 @@ from typing import Sequence
 from .laurent import UsageError, VarTable
 from .series import HalfSeries
 from .special import pochhammer_inf, qq_inf
-from .weylb import BLabel, check_partition, weyl_charges
+from .weylb import BLabel, _det_sector, check_partition, weyl_charges
 
 FORMS = ("weyl-sum", "product")
 READINGS = ("corrected", "as-printed")
@@ -118,7 +118,4 @@ def qdim_irreducible(label: BLabel, l: int, trunc2: int,
     form = QDimForm("weyl-sum", "corrected")
     plus = q_plus(label.partition, l, trunc2, form, table)
     minus = q_minus(label.partition, l, trunc2, form, table)
-    half = Fraction(1, 2)
-    if label.det:
-        return (plus - minus) * half
-    return (plus + minus) * half
+    return _det_sector(plus, minus, label.det)

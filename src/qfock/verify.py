@@ -16,7 +16,12 @@ from typing import Iterable, Sequence
 
 from .laurent import EvaluationPointError, VarTable, format_exponent
 from .series import HalfSeries
-from .weylb import BLabel, weyl_denominator_B, weyl_denominator_det
+from .weylb import (
+    BLabel,
+    _det_sector,
+    weyl_denominator_B,
+    weyl_denominator_det,
+)
 from .correlation import (
     ONE_POINT_READINGS,
     d_half_vacuum,
@@ -24,7 +29,6 @@ from .correlation import (
     d_twisted_function,
     fock_trace_at_sign,
     fock_trace_closed,
-    irreducible_function,
     vacuum_one_point_series,
 )
 from .qdim import QDimForm, q_minus, q_plus, qdim_irreducible
@@ -218,7 +222,11 @@ def suite_main_theorem(trunc2: int = 6, mode: str = "symbolic",
                        l_values=(0, 1), n_values=(1, 2)) -> list[Check]:
     """Level-(l+1/2) n-point closed forms against oracle extraction, plus the
     per-irreducible functions via parity projectors.  The printed compact
-    structure's divergence is reported informationally."""
+    structure's divergence is reported informationally.
+
+    Each cell computes the plain and the parity-signed function once; the
+    irreducible functions of both det flags are their half sum and half
+    difference, as irreducible_function defines them."""
     checks: list[Check] = []
     printed_reported = False
     # The traces do not depend on lam: (l, n, point) -> (plain, signed).
@@ -248,15 +256,12 @@ def suite_main_theorem(trunc2: int = 6, mode: str = "symbolic",
                                 assignment=a)
             ft = d_twisted_function(lam, l, n, trunc2, "convolved", ftab, ti,
                                     assignment=a)
-            fi = {det: irreducible_function(BLabel(lam, det), l, n, trunc2,
-                                            "convolved", ftab, ti, assignment=a)
-                  for det in (False, True)}
-            return tru, trt, fu, ft, fi
+            return tru, trt, fu, ft
 
         if asn is not None:
-            (tru, trt, fu, ft, fi), asn = with_retries(all_parts, ti, seed)
+            (tru, trt, fu, ft), asn = with_retries(all_parts, ti, seed)
         else:
-            tru, trt, fu, ft, fi = all_parts(None)
+            tru, trt, fu, ft = all_parts(None)
         tag = f"l={l} lam={lam} n={n}" + (" [eval]" if asn else "")
         ext_u = extract_module_function(tru, lam, l, None, "minus")
         ext_t = extract_module_function(trt, lam, l, None, "plus")
@@ -266,7 +271,7 @@ def suite_main_theorem(trunc2: int = 6, mode: str = "symbolic",
             ext_i = irreducible_from_extracted(ext_u, ext_t, det)
             checks.append(_cmp(
                 f"irreducible (det={det}) == projector extraction {tag}",
-                fi[det], ext_i))
+                _det_sector(fu, ft, det), ext_i))
         if l == 1 and n == 1 and lam == () and not printed_reported and not asn:
             fp = d_sum_function(lam, l, n, trunc2, "printed", ftab, ti)
             mm = fp.first_mismatch(ext_u)

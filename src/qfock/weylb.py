@@ -49,6 +49,13 @@ class BLabel:
         check_partition(self.partition)
 
 
+def _det_sector(plain, signed, det: bool):
+    """One irreducible's function from the plain and the parity-signed
+    functions of the two det-sectors' direct sum: their half sum, or half
+    difference for the det sector."""
+    return ((plain - signed) if det else (plain + signed)) * Fraction(1, 2)
+
+
 @dataclass(frozen=True)
 class SignedPerm:
     """A signed permutation: i -> signs[perm[i]] * (place perm[i]).

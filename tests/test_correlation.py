@@ -11,7 +11,7 @@ from qfock.laurent import LaurentPoly, UsageError, VarTable
 from qfock.ratfunc import RatFunc
 from qfock.series import HalfSeries
 from qfock.special import f_bo, pochhammer_inf, qq_inf
-from qfock.verify import random_point
+from qfock.verify import random_point, suite_main_theorem, suite_passed
 from qfock.weylb import BLabel
 from qfock.correlation import (
     d_half_vacuum,
@@ -31,6 +31,13 @@ N2 = 6
 def x_inv(table, i=0):
     return RatFunc(LaurentPoly.monomial(table, {i: 1}),
                    LaurentPoly.monomial(table, {i: 2}) - LaurentPoly.one(table))
+
+
+def _clear_caches():
+    for c in (correlation._fbo_generic_cache, correlation._fbo_eval_cache,
+              correlation._pair_block_cache, correlation._vacuum_cache,
+              correlation._one_point_cache, special._theta_deriv_cache):
+        c.clear()
 
 
 class TestGlFunction:
@@ -316,10 +323,46 @@ class TestGcdOffTheHotPath:
                             counting(ratfunc._d_gcd, "gcd"))
         monkeypatch.setattr(laurent, "_ig_gcd_core",
                             counting(laurent._ig_gcd_core, "prs"))
-        for c in (correlation._fbo_generic_cache, correlation._fbo_eval_cache,
-                  correlation._pair_block_cache, correlation._vacuum_cache,
-                  correlation._one_point_cache, special._theta_deriv_cache):
-            c.clear()  # cached blocks would hide the work
+        _clear_caches()  # cached blocks would hide the work
         d_sum_function((1,), 1, 2, 4)
         assert calls["prs"] == 0
         assert calls["gcd"] <= 96
+
+
+class TestWorkDoneOnce:
+    @pytest.mark.parametrize("mode, printed", [("symbolic", 1), ("eval", 0)])
+    def test_two_determinants_per_suite_cell(self, monkeypatch, mode,
+                                             printed):
+        # the plain and the signed function once per (l, lam, n); both
+        # irreducible functions derive from them (one more call in symbolic
+        # mode: the printed structure, reported once)
+        calls = []
+        inner = correlation._d_function
+
+        def counting(*args, **kwargs):
+            calls.append(args[:3])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(correlation, "_d_function", counting)
+        checks = suite_main_theorem(trunc2=4, mode=mode)
+        assert suite_passed(checks)
+        cells = set(calls)
+        # the default grid: l = 0 with lam = (), l = 1 with (), (1,), (2,);
+        # n = 1, 2 each
+        assert len(cells) == 8
+        assert len(calls) == 2 * len(cells) + printed
+
+    def test_one_renamed_kernel_per_signed_point(self, monkeypatch):
+        # pair_block renames the kernel onto each sign vector of each subset
+        # once, not once per charge: at most sum_S 2^|S| = 27 for 3 points
+        calls = []
+        inner = HalfSeries.rename_signed
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(HalfSeries, "rename_signed", counting)
+        _clear_caches()
+        d_sum_function((1,), 1, 3, 6)
+        assert 0 < len(calls) <= 27

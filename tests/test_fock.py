@@ -1,18 +1,30 @@
 """Fock-oracle tests: state enumeration, operator algebra, traces, extraction."""
 
+import json
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from typing import Mapping, Sequence
 
 import pytest
 
+from qfock.cli import series_to_json
 from qfock.laurent import (
     EvaluationPointError,
+    InternalInvariantError,
     LaurentPoly,
     UsageError,
     VarTable,
 )
 from qfock.ratfunc import RatFunc
-from qfock.weylb import BLabel
+from qfock.series import HalfSeries
+from qfock.weylb import (
+    BLabel,
+    check_partition,
+    pad_weight,
+    rho_B,
+    weyl_denominator_B,
+)
 from qfock.correlation import d_half_vacuum, irreducible_function
 from qfock.fock import (
     FockSpace,
@@ -329,3 +341,111 @@ class TestExtraction:
         tr = oracle_trace(SP0, 4, tab, (0,))
         with pytest.raises(UsageError):
             tr.coeff(6)
+
+
+# ---------------------------------------------------------------------------
+# the extraction as it was: the whole product c * den, then one z-coefficient
+# ---------------------------------------------------------------------------
+
+def _rf_z_coefficient(rf: RatFunc, z_exps: Mapping[int, int],
+                      z_set: frozenset[int], out_table: VarTable) -> RatFunc:
+    """Coefficient of the z-monomial with the given doubled exponents."""
+    if any(i in z_set for i in rf.den.variables_used()):
+        raise InternalInvariantError("denominator involves charge variables")
+    keep = [i for i in range(len(rf.table)) if i not in z_set]
+    num_terms = {}
+    for e, c in rf.num.terms.items():
+        if all(e[i] == z_exps.get(i, 0) for i in z_set):
+            num_terms[tuple(e[i] for i in keep)] = c
+    num = LaurentPoly(out_table, num_terms, _clean=True)
+    den_terms = {tuple(e[i] for i in keep): c for e, c in rf.den.terms.items()}
+    den = LaurentPoly(out_table, den_terms, _clean=True)
+    return RatFunc(num, den, _canonical=True)
+
+
+def _extract_by_product(trace: HalfSeries, lam: Sequence[int], l: int,
+                        z_indices: Sequence[int] | None = None,
+                        denominator: str = "minus") -> HalfSeries:
+    lam = check_partition(lam, l)
+    table = trace.table
+    if z_indices is None:
+        z_indices = table.z_indices()
+    if len(z_indices) != l:
+        raise UsageError(f"need {l} z-variables, got {len(z_indices)}")
+    z_set = frozenset(z_indices)
+    out_table = table.without(z_set)
+    if l == 0:
+        return trace.map_coeffs(
+            lambda c: _rf_z_coefficient(c, {}, z_set, out_table),
+            table=out_table)
+    den = weyl_denominator_B(l, table, z_indices, variant=denominator)
+    rho = rho_B(l)
+    lamrho = tuple(a + b for a, b in zip(pad_weight(lam, l), rho))
+    z_exps = {z_indices[i]: int(2 * lamrho[i]) for i in range(l)}
+    out: dict[int, RatFunc] = {}
+    for e2, c in trace.terms.items():
+        v = _rf_z_coefficient(c * den, z_exps, z_set, out_table)
+        if not v.is_zero():
+            out[e2] = v
+    return HalfSeries(out_table, trace.trunc2, out, _clean=True)
+
+
+def _suite_traces():
+    """The plain and parity-signed oracle traces of the main-theorem cells
+    (l <= 2, n <= 2), symbolic and at a point, with their partitions: every
+    lam with at most l parts, each part <= 2."""
+    for l in (0, 1, 2):
+        lams = [lam for r in range(l + 1)
+                for lam in combinations_with_replacement((2, 1), r)]
+        for n in (0, 1, 2):
+            table = VarTable.make(n, l)
+            ti = tuple(range(n))
+            zi = tuple(range(n, n + l))
+            for asn in [None] + ([random_point(ti, 11)] if n else []):
+                even, odd = (oracle_trace(FockSpace(l, True), 6, table, ti,
+                                          z_indices=zi, parity_projector=p,
+                                          assignment=asn)
+                             for p in ("even", "odd"))
+                for trace in (even + odd, even - odd):
+                    yield l, lams, trace
+
+
+class TestExtractionWithoutTheProduct:
+    def test_matches_the_full_product_and_is_canonical(self):
+        compared = 0
+        for l, lams, trace in _suite_traces():
+            for lam in lams:
+                for variant in ("minus", "plus"):
+                    got = extract_module_function(trace, lam, l, None,
+                                                  variant)
+                    want = _extract_by_product(trace, lam, l, None, variant)
+                    assert json.dumps(series_to_json(got)) == \
+                        json.dumps(series_to_json(want)), (l, lam, variant)
+                    # marked canonical without a reduction: it must be one,
+                    # with an int for every integral coefficient
+                    for _, c in got.items():
+                        r = RatFunc(c.num, c.den)
+                        assert (r.num, r.den) == (c.num, c.den), (l, lam)
+                        assert all(type(v) is int or v.denominator != 1
+                                   for v in c.num.terms.values())
+                    compared += 1
+        # 10 traces per l (plain and signed; n = 0 symbolic, n = 1, 2 both
+        # ways), 1 + 3 + 6 partitions, two variants
+        assert compared == 10 * (1 + 3 + 6) * 2
+
+    def test_an_integral_sum_of_fractions_is_an_int(self):
+        # (z^0 - z) / 2 times z^(1/2) - z^(-1/2): 1/2 + 1/2 at z^(1/2)
+        tab = VarTable.make(0, 1)
+        num = LaurentPoly(tab, {(0,): Fraction(1, 2), (2,): Fraction(-1, 2)})
+        trace = HalfSeries(tab, 2, {0: RatFunc.from_poly(num)})
+        c = extract_module_function(trace, (), 1).coeff(0)
+        assert c.num.terms == {(): 1} and type(c.num.terms[()]) is int
+        assert c == _extract_by_product(trace, (), 1).coeff(0)
+
+    def test_charge_variables_in_a_denominator_are_refused(self):
+        tab = VarTable.make(0, 1)
+        z = LaurentPoly.monomial(tab, {0: 2})
+        bad = HalfSeries(tab, 2, {0: RatFunc(LaurentPoly.one(tab),
+                                             z + LaurentPoly.one(tab))})
+        with pytest.raises(InternalInvariantError):
+            extract_module_function(bad, (), 1)
