@@ -49,7 +49,6 @@ from .fock import (
     create,
     enumerate_states,
     extract_module_function,
-    irreducible_from_extracted,
     irreducible_from_projected,
     irreducible_from_traces,
     oracle_trace,

@@ -172,13 +172,6 @@ def apply_field(state: FockState, space: FockSpace, field: str, index: int,
 
 StateVector = dict  # FockState -> RatFunc, or Fraction at a point
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def _is_zero(c) -> bool:
-    return c.is_zero() if isinstance(c, RatFunc) else not c
-
 
 def apply_D(state: FockState, space: FockSpace, table: VarTable,
             t_index: int, *, point: Mapping[int, Fraction] | None = None
@@ -208,7 +201,7 @@ def apply_D(state: FockState, space: FockSpace, table: VarTable,
         v = _fr(point[t_index])
         if v == 0:
             raise EvaluationPointError("square-root values must be nonzero")
-        central = ZERO
+        central = 0
         if space.central_doubled:
             if v * v == 1:
                 raise EvaluationPointError(
@@ -222,7 +215,7 @@ def apply_D(state: FockState, space: FockSpace, table: VarTable,
     def add(st: FockState, coeff) -> None:
         cur = out.get(st)
         cur = coeff if cur is None else cur + coeff
-        if _is_zero(cur):
+        if not cur:
             out.pop(st, None)
         else:
             out[st] = cur
@@ -302,8 +295,9 @@ def _diagonal_weight(state: FockState, space: FockSpace, table: VarTable,
                      t_indices: Sequence[int], *,
                      point: Mapping[int, Fraction] | None = None):
     """<state| product of insertions |state> via repeated apply_D: a RatFunc,
-    or a Fraction at a point."""
-    vec: StateVector = {state: RatFunc.one(table) if point is None else ONE}
+    or a Fraction at a point (the int 1 without insertions, 0 when the
+    insertions do not return to the state)."""
+    vec: StateVector = {state: 1}
     for t_index in reversed(tuple(t_indices)):
         nxt: StateVector = {}
         for st, coeff in vec.items():
@@ -313,12 +307,12 @@ def _diagonal_weight(state: FockState, space: FockSpace, table: VarTable,
                     raise InternalInvariantError("insertion changed the energy")
                 cur = nxt.get(st2)
                 cur = coeff * c2 if cur is None else cur + coeff * c2
-                if _is_zero(cur):
+                if not cur:
                     nxt.pop(st2, None)
                 else:
                     nxt[st2] = cur
         vec = nxt
-    return vec.get(state, RatFunc.zero(table) if point is None else ZERO)
+    return vec.get(state, 0)
 
 
 def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
@@ -340,8 +334,10 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
     With an assignment, which must give every insertion variable a value,
     the t-variables are evaluated at the given square-root values (z-variables
     survive); the result lives over the reduced table.  Each insertion is
-    applied at the point, so every weight is a Fraction and each q-level is
-    summed as a polynomial in the z-variables.
+    applied at the point, so every weight is a Fraction.
+
+    Either way the weights are summed per q-level and charge vector, and each
+    q-level is built once as the sum of weight * z^charges.
     """
     if parity_projector not in (None, "even", "odd"):
         raise UsageError(f"unknown projector {parity_projector!r}")
@@ -354,9 +350,8 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
     point = assignment or None
     out_table = table.without(point or ())
     zi = tuple(out_table.index(table.names[i]) for i in z_indices or ())
-    terms: dict[int, RatFunc] = {}
-    # at a point: q-level -> z-exponents over out_table -> Fraction
-    sums: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    # q-level -> z-exponents over out_table -> summed weight
+    sums: dict[int, dict[tuple[int, ...], object]] = {}
     for e2, states in enumerate_states(space, trunc2).items():
         for state in states:
             if parity_source == "neutral":
@@ -369,29 +364,21 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
                 continue
             weight = _diagonal_weight(state, space, table, t_indices,
                                       point=point)
-            if _is_zero(weight):
+            if not weight:
                 continue
             if parity_sign and par:
                 weight = -weight
             z_exps = {i: 2 * c for i, c in zip(zi, state.charges(space))}
-            if point is not None:
-                level = sums.setdefault(e2, {})
-                key = tuple(z_exps.get(i, 0) for i in range(len(out_table)))
-                level[key] = level.get(key, ZERO) + weight
-                continue
-            if z_exps:
-                weight = weight * RatFunc.from_poly(
-                    LaurentPoly.monomial(out_table, z_exps))
-            cur = terms.get(e2)
-            cur = weight if cur is None else cur + weight
-            if cur.is_zero():
-                terms.pop(e2, None)
-            else:
-                terms[e2] = cur
+            key = tuple(z_exps.get(i, 0) for i in range(len(out_table)))
+            level = sums.setdefault(e2, {})
+            level[key] = level[key] + weight if key in level else weight
+    terms: dict[int, RatFunc] = {}
     for e2, level in sums.items():
-        poly = LaurentPoly(out_table, level)
-        if not poly.is_zero():
-            terms[e2] = RatFunc.from_poly(poly)
+        c = RatFunc.zero(out_table)
+        for key, weight in level.items():
+            c = c + weight * LaurentPoly(out_table, {key: 1}, _clean=True)
+        if c:
+            terms[e2] = c
     return HalfSeries(out_table, trunc2, terms, _clean=True)
 
 
@@ -411,7 +398,8 @@ def extract_module_function(trace: HalfSeries, lam: Sequence[int], l: int,
     The Weyl denominator has only z-variables and a trace coefficient's
     denominator has none, so c * den is c.num * den over c.den, already
     reduced.  The coefficient is read off the terms of c.num and den without
-    forming the product; it keeps c.den, as that product would.
+    forming the product; it keeps c.den and its factor record, as that
+    product would.
     """
     lam = check_partition(lam, l)
     table = trace.table
@@ -442,9 +430,14 @@ def extract_module_function(trace: HalfSeries, lam: Sequence[int], l: int,
         if num_terms:
             den_terms = {tuple(e[i] for i in keep): v
                          for e, v in c.den.terms.items()}
+            # c.den's binomial factors are zero in every z-column, so the
+            # factor record maps over with those columns dropped
+            dfac = c.dfac and tuple(
+                ((tuple(p[i] for i in keep), tuple(q[i] for i in keep), s), m)
+                for (p, q, s), m in c.dfac)
             out[e2] = RatFunc(LaurentPoly(out_table, num_terms, _clean=True),
                               LaurentPoly(out_table, den_terms, _clean=True),
-                              _canonical=True)
+                              _canonical=True, dfac=dfac)
     return HalfSeries(out_table, trace.trunc2, out, _clean=True)
 
 
@@ -454,15 +447,7 @@ def irreducible_from_traces(plain: HalfSeries, signed: HalfSeries,
     """Per-irreducible extraction from the plain and parity-signed traces."""
     a = extract_module_function(plain, lam, l, z_indices, denominator="minus")
     b = extract_module_function(signed, lam, l, z_indices, denominator="plus")
-    return irreducible_from_extracted(a, b, det)
-
-
-def irreducible_from_extracted(plain_ext: HalfSeries, signed_ext: HalfSeries,
-                               det: bool) -> HalfSeries:
-    """The irreducible function from the functions extracted from the plain
-    and the parity-signed traces: their half-sum, or half-difference for the
-    det sector."""
-    return _det_sector(plain_ext, signed_ext, det)
+    return _det_sector(a, b, det)
 
 
 def irreducible_from_projected(even: HalfSeries, odd: HalfSeries,

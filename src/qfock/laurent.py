@@ -208,22 +208,6 @@ class LaurentPoly:
             raise UsageError("not a constant polynomial")
         return self.terms.get((0,) * len(self.table), ZERO)
 
-    def coeff(self, exps: Exps) -> Coeff:
-        return self.terms.get(tuple(exps), ZERO)
-
-    def min_exps(self) -> Exps:
-        """Componentwise minimum exponent over the support (requires nonzero)."""
-        if not self.terms:
-            raise UsageError("zero polynomial has no support")
-        w = len(self.table)
-        return tuple(min(e[i] for e in self.terms) for i in range(w))
-
-    def degrees(self) -> Exps:
-        if not self.terms:
-            raise UsageError("zero polynomial has no support")
-        w = len(self.table)
-        return tuple(max(e[i] for e in self.terms) for i in range(w))
-
     def variables_used(self) -> tuple[int, ...]:
         w = len(self.table)
         return tuple(i for i in range(w)
@@ -237,14 +221,8 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly(self.table, _whole(out), _clean=True)
+        return LaurentPoly(self.table, _whole(_d_add(self.terms, other.terms)),
+                           _clean=True)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.table, {e: -c for e, c in self.terms.items()},
@@ -264,30 +242,10 @@ class LaurentPoly:
                                _whole({e: v * c for e, v in self.terms.items()}),
                                _clean=True)
         self._check(other)
-        out: dict[Exps, Coeff] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPoly(self.table, _whole(out), _clean=True)
+        return LaurentPoly(self.table, _whole(_d_mul(self.terms, other.terms)),
+                           _clean=True)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise UsageError("negative powers are RatFunc territory")
-        result = LaurentPoly.one(self.table)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def shift(self, exps: Exps) -> "LaurentPoly":
         """Multiply by the monomial with the given (doubled) exponents."""

@@ -105,16 +105,14 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self) -> bool:
+        return bool(self.num.terms)
+
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
     def is_poly(self) -> bool:
         return self.den.is_one()
-
-    def as_poly(self) -> LaurentPoly:
-        if not self.den.is_one():
-            raise UsageError("rational function has a nontrivial denominator")
-        return self.num
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -194,14 +192,6 @@ class RatFunc:
             raise ZeroDivisionError("inverse of zero")
         # num and den are coprime already: only the new den is normalized
         return RatFunc(*_finalize(self.den, self.num), _canonical=True)
-
-    def __pow__(self, n: int) -> "RatFunc":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = RatFunc.one(self.table)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def _coerce(self, other) -> "RatFunc":
         if isinstance(other, RatFunc):

@@ -15,15 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
-from .laurent import (
-    LaurentPoly,
-    UsageError,
-    VarTable,
-    _d_strip_monomial,
-    format_exponent,
-    poly_gcd,
-)
-from .ratfunc import RatFunc, _finalize, _merge, _split
+from .laurent import LaurentPoly, UsageError, VarTable, format_exponent
+from .ratfunc import RatFunc
 
 
 class HalfSeries:
@@ -72,11 +65,6 @@ class HalfSeries:
     @classmethod
     def one(cls, table: VarTable, trunc2: int) -> "HalfSeries":
         return cls(table, trunc2, {0: RatFunc.one(table)}, _clean=True)
-
-    @classmethod
-    def const(cls, table: VarTable, trunc2: int, c) -> "HalfSeries":
-        s = cls(table, trunc2)
-        return s + cls(table, trunc2, {0: c})
 
     @classmethod
     def q_power(cls, table: VarTable, trunc2: int, e2: int, c=1) -> "HalfSeries":
@@ -199,60 +187,15 @@ class HalfSeries:
         exponent -floor2 and truncation trunc2 - 2*floor2.
 
         In shifted coordinates (A_j = a_{m+j}, B_j = b_{-m+j}) the inverse
-        solves B_0 = 1/A_0 and B_k = -(sum_{0<j<=k} A_j B_{k-j})/A_0.  When
-        every coefficient is polynomial the recursion is run on polynomial
-        numerators C_k with B_k = C_k / A_0^(k+1), so each coefficient costs
-        a single reduction instead of one per intermediate sum.
+        solves B_0 = 1/A_0 and B_k = -(sum_{0<j<=k} A_j B_{k-j})/A_0.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero series")
         m2 = self.floor2()
-        lead = self.terms[m2]
         t2 = self.trunc2 - 2 * m2
         kmax = t2 + m2  # shifted top index so that -m2 + k <= t2
         shifted_a = {e - m2: c for e, c in self.terms.items()}
-        if all(c.is_poly() for c in self.terms.values()):
-            a0 = lead.num
-            apoly = {j: c.num for j, c in shifted_a.items()}
-            one = LaurentPoly.one(self.table)
-            a0_pows = [one, a0]
-
-            def a0pow(k: int) -> LaurentPoly:
-                while len(a0_pows) <= k:
-                    a0_pows.append(a0_pows[-1] * a0)
-                return a0_pows[k]
-
-            # A_0's binomial factors, split once: each C_k / A_0^(k+1) then
-            # cancels by trial division against them
-            split = _split(_d_strip_monomial(a0.terms)[0])
-
-            def over_a0pow(num: LaurentPoly, k: int) -> RatFunc:
-                if split is not None:
-                    return RatFunc(num, a0pow(k), dfac=_merge(*[split] * k))
-                # coprime to A_0 means coprime to its powers: one cheap gcd
-                if poly_gcd(num, a0).is_one():
-                    return RatFunc(*_finalize(num, a0pow(k)), _canonical=True,
-                                   dfac=None)
-                return RatFunc(num, a0pow(k), dfac=None)
-
-            # C_k = -sum_{0<j<=k} A_j C_{k-j} A_0^(j-1), C_0 = 1
-            cpoly: dict[int, LaurentPoly] = {0: one}
-            out = {-m2: over_a0pow(one, 1)}
-            for k in range(1, kmax + 1):
-                acc = None
-                for j, aj in apoly.items():
-                    if 0 < j <= k and (k - j) in cpoly:
-                        term = aj * cpoly[k - j] * a0pow(j - 1)
-                        acc = term if acc is None else acc + term
-                if acc is None or acc.is_zero():
-                    continue
-                ck = -acc
-                cpoly[k] = ck
-                rf = over_a0pow(ck, k + 1)
-                if not rf.is_zero():
-                    out[-m2 + k] = rf
-            return HalfSeries(self.table, t2, out, _clean=True)
-        inv_lead = lead.inverse()
+        inv_lead = self.terms[m2].inverse()
         out = {-m2: inv_lead}
         shifted_b: dict[int, RatFunc] = {0: inv_lead}
         for k in range(1, kmax + 1):
@@ -304,18 +247,7 @@ class HalfSeries:
 
     def eq_upto(self, other: "HalfSeries", upto2: int | None = None) -> bool:
         """Exact equality of all coefficients up to the common truncation."""
-        self._check(other)
-        t2 = min(self.trunc2, other.trunc2)
-        if upto2 is not None:
-            t2 = min(t2, upto2)
-        for e in set(self.terms) | set(other.terms):
-            if e > t2:
-                continue
-            if self.terms.get(e) != other.terms.get(e):
-                a, b = self.terms.get(e), other.terms.get(e)
-                if (a or RatFunc.zero(self.table)) != (b or RatFunc.zero(self.table)):
-                    return False
-        return True
+        return self.first_mismatch(other, upto2) is None
 
     def first_mismatch(self, other: "HalfSeries",
                        upto2: int | None = None) -> tuple[int, RatFunc, RatFunc] | None:

@@ -32,12 +32,7 @@ from .correlation import (
     vacuum_one_point_series,
 )
 from .qdim import QDimForm, q_minus, q_plus, qdim_irreducible
-from .fock import (
-    FockSpace,
-    extract_module_function,
-    irreducible_from_extracted,
-    oracle_trace,
-)
+from .fock import FockSpace, extract_module_function, oracle_trace
 
 
 @dataclass
@@ -67,6 +62,7 @@ def first_failure(checks: Iterable[Check]) -> Check | None:
 
 
 def _mismatch_detail(a: HalfSeries, b: HalfSeries) -> str:
+    """The first coefficient where a and b differ, "" when they agree."""
     mm = a.first_mismatch(b)
     if mm is None:
         return ""
@@ -74,12 +70,20 @@ def _mismatch_detail(a: HalfSeries, b: HalfSeries) -> str:
     return f"q^{format_exponent(e2)}: {ca} vs {cb}"
 
 
-def _cmp(name: str, a: HalfSeries, b: HalfSeries,
-         informational: bool = False) -> Check:
-    mm = a.first_mismatch(b)
-    if mm is None:
-        return Check(name, True, informational=informational)
-    return Check(name, False, _mismatch_detail(a, b), informational)
+def _cmp(name: str, a: HalfSeries, b: HalfSeries) -> Check:
+    detail = _mismatch_detail(a, b)
+    return Check(name, not detail, detail)
+
+
+def _reading(subject: str, a: HalfSeries, b: HalfSeries,
+             agrees: str = "agrees") -> Check:
+    """An informational finding on a reading: it agrees, or it is rejected
+    with its first failing coefficient."""
+    detail = _mismatch_detail(a, b)
+    if not detail:
+        return Check(f"{subject} {agrees}", True, informational=True)
+    return Check(f"{subject} rejected", True, f"first fails at {detail}",
+                 informational=True)
 
 
 def random_point(t_indices: Sequence[int], seed: int, attempt: int = 0):
@@ -187,17 +191,11 @@ def suite_onepoint(trunc2: int = 6) -> list[Check]:
     matching = []
     for reading in ONE_POINT_READINGS:
         s = vacuum_one_point_series(trunc2, reading, table, 0)
-        mm = s.first_mismatch(oracle)
-        if mm is None:
+        check = _reading(f"classical one-point reading {reading!r}", s,
+                         oracle, agrees="matches oracle")
+        if not check.detail:
             matching.append(reading)
-            checks.append(Check(f"classical one-point reading {reading!r} matches oracle",
-                                True, informational=True))
-        else:
-            e2, ca, cb = mm
-            checks.append(Check(
-                f"classical one-point reading {reading!r} rejected",
-                True, f"first fails at q^{format_exponent(e2)}: {ca} vs {cb}",
-                informational=True))
+        checks.append(check)
     checks.append(Check(
         f"exactly one classical one-point reading matches (selected: {matching})",
         len(matching) == 1))
@@ -268,23 +266,12 @@ def suite_main_theorem(trunc2: int = 6, mode: str = "symbolic",
         checks.append(_cmp(f"plain function == oracle extraction {tag}", fu, ext_u))
         checks.append(_cmp(f"signed function == oracle extraction {tag}", ft, ext_t))
         for det in (False, True):
-            ext_i = irreducible_from_extracted(ext_u, ext_t, det)
             checks.append(_cmp(
                 f"irreducible (det={det}) == projector extraction {tag}",
-                _det_sector(fu, ft, det), ext_i))
+                _det_sector(fu, ft, det), _det_sector(ext_u, ext_t, det)))
         if l == 1 and n == 1 and lam == () and not printed_reported and not asn:
             fp = d_sum_function(lam, l, n, trunc2, "printed", ftab, ti)
-            mm = fp.first_mismatch(ext_u)
-            if mm is None:
-                checks.append(Check("printed compact structure agrees", True,
-                                    informational=True))
-            else:
-                e2, ca, cb = mm
-                checks.append(Check(
-                    "printed compact structure rejected",
-                    True,
-                    f"first fails at q^{format_exponent(e2)}: {ca} vs {cb}",
-                    informational=True))
+            checks.append(_reading("printed compact structure", fp, ext_u))
             printed_reported = True
     return checks
 
@@ -340,18 +327,8 @@ def suite_qdim(trunc2: int = 12, l_max: int = 2, max_part: int = 2) -> list[Chec
                                         ("plus", q_plus, ext_p)):
                     printed = fn(lam, l, trunc2,
                                  QDimForm("weyl-sum", "as-printed"), table)
-                    mm = printed.first_mismatch(ext)
-                    if mm is None:
-                        checks.append(Check(
-                            f"as-printed {sector}-sector reading agrees",
-                            True, informational=True))
-                    else:
-                        e2, ca, cb = mm
-                        checks.append(Check(
-                            f"as-printed {sector}-sector reading rejected",
-                            True,
-                            f"first fails at q^{format_exponent(e2)}: {ca} vs {cb}",
-                            informational=True))
+                    checks.append(_reading(
+                        f"as-printed {sector}-sector reading", printed, ext))
                 printed_reported = True
             halves = {}
             ok = True

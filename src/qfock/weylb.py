@@ -13,6 +13,7 @@ permutation sign and equals the determinant with + entries.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product as iproduct
@@ -20,6 +21,7 @@ from typing import Iterator, Sequence
 
 from .laurent import LaurentPoly, UsageError, VarTable, Z_KIND, poly_divexact
 from .ratfunc import RatFunc
+from .special import _det
 
 Weight = tuple[Fraction, ...]
 
@@ -212,20 +214,16 @@ def weyl_denominator_det(l: int, table: VarTable,
 
 def _alternant_det(table: VarTable, zi: Sequence[int], exps: Weight,
                    variant: str) -> LaurentPoly:
-    l = len(exps)
+    """det(z_j^(e_i) -/+ z_j^(-e_i)) over the exponents e of exps."""
     sign = -1 if variant == "minus" else 1
-    out = LaurentPoly.zero(table)
-    for perm in permutations(range(l)):
-        psign = SignedPerm(tuple(perm), (1,) * l).perm_sign()
-        term = LaurentPoly.const(table, psign)
-        for j in range(l):
-            i = perm[j]  # row index assigned to column j
-            e2 = int(2 * exps[i])
-            entry = (LaurentPoly.monomial(table, {zi[j]: e2})
-                     + sign * LaurentPoly.monomial(table, {zi[j]: -e2}))
-            term = term * entry
-        out = out + term
-    return out
+    entries = []
+    for e in exps:
+        e2 = int(2 * e)
+        entries.append([LaurentPoly.monomial(table, {z: e2})
+                        + LaurentPoly.monomial(table, {z: -e2}, sign)
+                        for z in zi])
+    return _det(entries, LaurentPoly.one(table), operator.mul, operator.add,
+                operator.neg) or LaurentPoly.zero(table)
 
 
 def char_numerator_B(lam: Sequence[int], l: int, table: VarTable,

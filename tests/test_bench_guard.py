@@ -1,11 +1,13 @@
-"""The names the benchmark depends on.
+"""The names the benchmark depends on, and the outputs it checks.
 
 bench/child.py refuses to time a pass unless the six module caches it
 counts exist and are empty at import, and its --trace wrappers rebind
 entry points such as correlation.pair_block, cli.series_to_json and
 qdim.qdim_irreducible by name.  Each workload builds its items from its
-own qfock entry points.  A rename in qfock would otherwise surface only
-when the benchmark runs.
+own qfock entry points, and a full pass checks every item's output bytes
+against the SHA-256 digests in bench/golden.json.  A rename in qfock, or a
+change in any output byte, would otherwise surface only when the benchmark
+runs.
 """
 
 import json
@@ -21,10 +23,23 @@ WORKLOADS = [w["name"] for w in
              json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
+def _child(*args):
+    return subprocess.run(
+        [sys.executable, "bench/child.py", *args],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_bench_child_sets_up_with_tracing(workload):
-    proc = subprocess.run(
-        [sys.executable, "bench/child.py", "--workload", workload,
-         "--seed", "1", "--trace", "--setup-only"],
-        cwd=ROOT, capture_output=True, text=True, timeout=60)
+    proc = _child("--workload", workload, "--seed", "1", "--trace",
+                  "--setup-only")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_cold_pass_matches_the_golden_digests(workload):
+    proc = _child("--workload", workload, "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["attempted"] > 0
+    assert result["failed"] == 0, proc.stderr

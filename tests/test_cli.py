@@ -13,8 +13,10 @@ from qfock.ratfunc import RatFunc
 from qfock.series import HalfSeries
 from qfock import cli, verify
 from qfock.cli import main, series_from_json, series_to_json
-from qfock.correlation import d_sum_function
+from qfock.correlation import d_sum_function, fock_trace_closed
 from qfock.fock import FockSpace, oracle_trace
+from qfock.qdim import QDimForm, q_minus, q_plus, qdim_irreducible
+from qfock.weylb import BLabel
 
 
 def run_cli(*argv):
@@ -234,3 +236,112 @@ class TestOracleCommand:
         assert code == 0
         data = json.loads(out)
         assert data["terms"][0]["q_x2"] == 1
+
+
+def _two_series():
+    tab = VarTable.make(1)
+    t = LaurentPoly.monomial(tab, {0: 2})
+    a = HalfSeries(tab, 4, {0: 1, 1: RatFunc(t, t - LaurentPoly.one(tab))})
+    b = HalfSeries(tab, 4, {0: 1, 1: Fraction(-1, 2)})
+    return a, b
+
+
+class TestFailureReporting:
+    def test_failed_comparison_line(self):
+        a, b = _two_series()
+        assert verify._cmp("a == b", a, a).line() == "PASS  a == b"
+        assert verify._cmp("a == b", a, b).line() == \
+            "FAIL  a == b  [q^1/2: (t1)/(t1 - 1) vs -1/2]"
+
+    def test_reading_lines(self):
+        a, b = _two_series()
+        assert verify._reading("the reading", a, a).line() == \
+            "PASS  the reading agrees"
+        assert verify._reading("the reading", a, a,
+                               agrees="matches oracle").line() == \
+            "PASS  the reading matches oracle"
+        check = verify._reading("the reading", a, b)
+        assert check.informational
+        assert check.line() == "PASS  the reading rejected  " \
+            "[first fails at q^1/2: (t1)/(t1 - 1) vs -1/2]"
+
+    @pytest.mark.parametrize("suite", ["broken", "all"])
+    def test_failing_suite_exits_1(self, monkeypatch, suite):
+        a, b = _two_series()
+        checks = [verify.Check("fine", True), verify._cmp("a == b", a, b),
+                  verify._cmp("later", b, a)]
+        monkeypatch.setattr(verify, "SUITES", {"broken": lambda: checks})
+        code, out, err = run_cli("verify", "--suite", suite)
+        assert code == 1
+        assert out == "".join(c.line() + "\n" for c in checks)
+        assert err == \
+            "FIRST MISMATCH: a == b: q^1/2: (t1)/(t1 - 1) vs -1/2\n"
+
+
+def _json_line(s, point=None):
+    data = series_to_json(s)
+    if point:
+        data["evaluation"] = {f"t{i + 1}": str(v)
+                              for i, v in sorted(point.items())}
+    return json.dumps(data, sort_keys=True) + "\n"
+
+
+class TestCommandsAgainstTheLibrary:
+    def test_fock_trace(self):
+        code, out, _ = run_cli("compute", "--family", "fock-trace", "--n",
+                               "2", "--order", "3/2")
+        assert code == 0
+        want = fock_trace_closed(2, 3, VarTable.make(2, 1), (0, 1), 2)
+        assert out == _json_line(want)
+
+    def test_fock_trace_at_a_point(self):
+        code, out, _ = run_cli("compute", "--family", "fock-trace", "--n",
+                               "2", "--order", "3/2", "--mode", "eval",
+                               "--seed", "4")
+        assert code == 0
+        pt = verify.random_point((0, 1), 4)
+        want = fock_trace_closed(2, 3, VarTable.make(2, 1), (0, 1), 2,
+                                 assignment=pt)
+        assert out == _json_line(want, pt)
+
+    @pytest.mark.parametrize("family, fn", [("q-plus", q_plus),
+                                            ("q-minus", q_minus)])
+    def test_q_sectors(self, family, fn):
+        code, out, _ = run_cli("compute", "--family", family, "--l", "2",
+                               "--lambda", "1", "--order", "3", "--form",
+                               "product", "--reading", "as-printed")
+        assert code == 0
+        assert out == _json_line(
+            fn((1,), 2, 6, QDimForm("product", "as-printed")))
+
+    @pytest.mark.parametrize("flag, det", [("--det", True),
+                                           ("--irreducible", False)])
+    def test_qdim_irreducible(self, flag, det):
+        code, out, _ = run_cli("qdim", "--l", "2", "--lambda", "2,1",
+                               "--order", "3", flag)
+        assert code == 0
+        assert out == _json_line(qdim_irreducible(BLabel((2, 1), det), 2, 6))
+
+    @pytest.mark.parametrize("argv, suite, kwargs", [
+        (("--suite", "vacuum-recursion", "--n", "1", "--order", "1",
+          "--mode", "eval", "--seed", "4"), "vacuum-recursion",
+         {"n_max": 1, "trunc2": 2, "mode": "eval", "seed": 4}),
+        (("--suite", "twisted", "--order", "1", "--mode", "eval",
+          "--seed", "5"), "main-theorem",
+         {"trunc2": 2, "mode": "eval", "seed": 5}),
+        (("--suite", "needed", "--order", "3/2"), "needed", {"trunc2": 3}),
+        (("--suite", "qdim", "--order", "1/2"), "qdim", {"trunc2": 2}),
+    ], ids=["vacuum-recursion", "main-theorem", "needed", "qdim"])
+    def test_verify_arguments(self, monkeypatch, argv, suite, kwargs):
+        fn = verify.SUITES[suite]
+        calls = []
+
+        def recording(**kw):
+            calls.append(kw)
+            return fn(**kw)
+
+        monkeypatch.setitem(verify.SUITES, suite, recording)
+        code, out, _ = run_cli("verify", *argv)
+        assert code == 0
+        assert calls == [kwargs]
+        assert out == "".join(c.line() + "\n" for c in fn(**kwargs))

@@ -224,6 +224,26 @@ def test_series_inverse_over_a_split_lead(factors, shift, rest):
 
 
 @SETTINGS
+@given(operand_pairs(mixed=False), st.sampled_from(NON_BINOMIAL),
+       st.integers(-1, 1), st.integers(1, 2))
+def test_series_inverse_with_rational_coefficients(pair, extra, floor2, gap):
+    # binomial denominators, and at the top order one that also has a
+    # factor outside the basis: s * s^-1 is 1 through its truncation
+    (n0, d0), (n1, d1) = pair
+    top = RatFunc(LaurentPoly.one(TAB), d1 * LaurentPoly(TAB, extra))
+    s = HalfSeries(TAB, floor2 + 3, {floor2: RatFunc(n0, d0),
+                                     floor2 + gap: RatFunc(n1, d1),
+                                     floor2 + 3: top})
+    inv = s.inverse()
+    for c in inv.terms.values():
+        _check_record(c)
+    prod = s * inv
+    assert prod.trunc2 == 3
+    assert prod.coeff(0).is_one()
+    assert all(prod.coeff(e2).is_zero() for e2 in range(1, prod.trunc2 + 1))
+
+
+@SETTINGS
 @given(operand_pairs(mixed=True), st.permutations(range(WIDTH + 1)),
        st.lists(st.sampled_from((1, -1)), min_size=WIDTH, max_size=WIDTH),
        st.booleans())
