@@ -134,11 +134,18 @@ def _emit(args, series: HalfSeries, extra: dict | None = None) -> None:
         print(series_to_text(series))
 
 
-def _assignment(args, n: int):
+def _bind(args, table: VarTable) -> VarTable:
+    """The table, its t-variables bound to the seed's point in eval mode."""
     if args.mode != "eval":
+        return table
+    return table.bind(verify_mod.random_point(table.t_indices(), args.seed))
+
+
+def _evaluation(table: VarTable) -> dict | None:
+    """The bound point as the JSON "evaluation" field, None when unbound."""
+    if not table.values:
         return None
-    asn = verify_mod.random_point(tuple(range(n)), args.seed)
-    return asn
+    return {"evaluation": {table.names[i]: str(v) for i, v in table.values}}
 
 
 def _run_compute(args) -> int:
@@ -147,40 +154,35 @@ def _run_compute(args) -> int:
     n = args.n
     table = VarTable.make(n, 1 if args.family == "fock-trace" else 0)
     ti = tuple(range(n))
-    asn = _assignment(args, n)
+    # the q-dimensions have no variables to bind
+    at = table if args.family in ("q-plus", "q-minus") else _bind(args, table)
     if args.family == "gl":
-        s = gl_function(lam, args.l, n, trunc2, VarTable.make(n), ti)
+        s = gl_function(lam, args.l, n, trunc2, table, ti)
     elif args.family == "d-sum":
-        s = d_sum_function(lam, args.l, n, trunc2, args.structure,
-                           VarTable.make(n), ti, assignment=asn)
+        s = d_sum_function(lam, args.l, n, trunc2, args.structure, at, ti)
     elif args.family == "d-twisted":
-        s = d_twisted_function(lam, args.l, n, trunc2, args.structure,
-                               VarTable.make(n), ti, assignment=asn)
+        s = d_twisted_function(lam, args.l, n, trunc2, args.structure, at, ti)
     elif args.family == "d-irreducible":
         s = irreducible_function(BLabel(lam, args.det), args.l, n, trunc2,
-                                 args.structure, VarTable.make(n), ti,
-                                 assignment=asn)
+                                 args.structure, at, ti)
     elif args.family == "fbo":
-        s = f_bo(n, trunc2, VarTable.make(n), ti)
+        s = f_bo(n, trunc2, table, ti)
     elif args.family == "theta":
         if n != 1:
             raise UsageError("theta takes one variable (set --n 1)")
-        s = theta(VarTable.make(1), trunc2, ((0, 1),))
+        s = theta(table, trunc2, ((0, 1),))
     elif args.family == "fock-trace":
-        s = fock_trace_closed(n, trunc2, table, ti, n, assignment=asn)
+        s = fock_trace_closed(n, trunc2, at, ti, n)
     elif args.family == "q-plus":
         s = q_plus(lam, args.l, trunc2, QDimForm(args.form, args.reading))
     elif args.family == "q-minus":
         s = q_minus(lam, args.l, trunc2, QDimForm(args.form, args.reading))
     else:
         raise UsageError(f"unknown family {args.family!r}")
-    if asn and args.family in ("gl", "fbo", "theta"):
+    if at.values and args.family in ("gl", "fbo", "theta"):
         # these closed forms are computed symbolically, then evaluated
-        s = s.evaluate(asn)
-    extra = {}
-    if asn:
-        extra["evaluation"] = {f"t{i + 1}": str(v) for i, v in sorted(asn.items())}
-    _emit(args, s, extra or None)
+        s = s.evaluate(dict(at.values))
+    _emit(args, s, _evaluation(at))
     return 0
 
 
@@ -204,18 +206,13 @@ def _run_oracle(args) -> int:
     l = args.l
     space = FockSpace(l, neutral=not args.pairs_only)
     nz = l if args.z_grading else 0
-    table = VarTable.make(n, nz)
+    table = _bind(args, VarTable.make(n, nz))
     ti = tuple(range(n))
     zi = tuple(range(n, n + nz)) if nz else None
-    asn = _assignment(args, n)
     s = oracle_trace(space, trunc2, table, ti, z_indices=zi,
                      parity_sign=args.parity_sign,
-                     parity_projector=args.projector,
-                     assignment=asn)
-    extra = {}
-    if asn:
-        extra["evaluation"] = {f"t{i + 1}": str(v) for i, v in sorted(asn.items())}
-    _emit(args, s, extra or None)
+                     parity_projector=args.projector)
+    _emit(args, s, _evaluation(table))
     return 0
 
 
@@ -252,6 +249,18 @@ def _run_verify(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """A nonnegative integer option (--n, --l); argparse exits 2 otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") \
+            from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qfock",
@@ -273,11 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--family", required=True,
                    choices=("gl", "d-sum", "d-twisted", "d-irreducible",
                             "fbo", "theta", "fock-trace", "q-plus", "q-minus"))
-    c.add_argument("--l", type=int, default=0)
+    c.add_argument("--l", type=_count, default=0)
     c.add_argument("--lambda", dest="lam", default="",
                    help="comma-separated parts, e.g. '2,1'")
     c.add_argument("--det", action="store_true")
-    c.add_argument("--n", type=int, default=1, help="number of points")
+    c.add_argument("--n", type=_count, default=1, help="number of points")
     c.add_argument("--structure", choices=("convolved", "printed"),
                    default="convolved")
     c.add_argument("--form", choices=("weyl-sum", "product"),
@@ -288,8 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=_run_compute)
 
     o = sub.add_parser("oracle", help="brute-force Fock-space trace")
-    o.add_argument("--l", type=int, default=0, help="number of fermion pairs")
-    o.add_argument("--n", type=int, default=0, help="number of insertions")
+    o.add_argument("--l", type=_count, default=0,
+                   help="number of fermion pairs")
+    o.add_argument("--n", type=_count, default=0, help="number of insertions")
     o.add_argument("--pairs-only", action="store_true",
                    help="omit the neutral fermion")
     o.add_argument("--z-grading", action="store_true")
@@ -299,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.set_defaults(fn=_run_oracle)
 
     q = sub.add_parser("qdim", help="graded dimensions")
-    q.add_argument("--l", type=int, default=0)
+    q.add_argument("--l", type=_count, default=0)
     q.add_argument("--lambda", dest="lam", default="")
     q.add_argument("--det", action="store_true",
                    help="irreducible det-sector dimension")
@@ -315,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run identity suites")
     v.add_argument("--suite", default="all")
-    v.add_argument("--n", type=int, default=2)
+    v.add_argument("--n", type=_count, default=2)
     common(v)
     v.set_defaults(fn=_run_verify)
 

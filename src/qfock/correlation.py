@@ -30,6 +30,10 @@ c(eps) = eps for the full character and 1 for the permutation sign.  In the
 convolved reading the entries are set functions of the points, multiplied by
 subset convolution, and the function is (vacuum * det)([n]); in the printed
 one they are the full-point blocks and the function is vacuum([n]) * det.
+
+Eval mode is the same call over a bound table (VarTable.bind): pair_block,
+the vacuum recursion, the one-pair traces and the d functions then compute
+at the table's point and return series over table.free().
 """
 
 from __future__ import annotations
@@ -59,8 +63,8 @@ from .weylb import (
 _fbo_generic_cache: dict[tuple[int, int], HalfSeries] = {}
 # pair_block's kernel at the signed points, one entry per sign vector:
 # (table, t_indices, eps, trunc2) -> the generic kernel renamed onto the
-# signed t-variables; (point, trunc2, out_table) -> its values at the signed
-# square-root values
+# signed t-variables; (values, trunc2, free table) -> its values at the
+# signed square-root values of a bound table
 _fbo_eval_cache: dict = {}
 _pair_block_cache: dict = {}
 _vacuum_cache: dict = {}
@@ -89,16 +93,15 @@ def _f_bo_generic(m: int, trunc2: int) -> HalfSeries:
 
 
 def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
-               trunc2: int,
-               assignment=None) -> HalfSeries:
+               trunc2: int) -> HalfSeries:
     """q^(k^2/2) times the signed sum over componentwise inversions:
 
         sum_{eps in {+1,-1}^S} [eps] (prod_S t^eps)^k F_bo(q; t_S^eps)
 
     This is the z^k coefficient of the charge-graded one-pair trace.  Each
     term substitutes the one cached symbolic kernel F_bo(q; t_1..t_m) at the
-    signed points: it is renamed onto the signed t-variables, or, with an
-    assignment, evaluated at the signed square-root values.  The kernel at
+    signed points: it is renamed onto the signed t-variables, or, over a
+    bound table, evaluated at the signed square-root values.  The kernel at
     the signed points does not depend on k, so it is made once per sign
     vector and held in _fbo_eval_cache.  An evaluation fails only at a pole
     of the reduced kernel, whose denominators are products of
@@ -107,18 +110,17 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
     t_indices = tuple(t_indices)
     m = len(t_indices)
     qexp2 = k * k  # doubled exponent of q^(k^2/2)
-    out_table = table.without(assignment or ())
-    key = (table, t_indices, k, trunc2,
-           tuple(sorted(assignment.items())) if assignment else None)
+    key = (table, t_indices, k, trunc2)
     if key in _pair_block_cache:
         return _pair_block_cache[key]
+    out_table = table.free()
+    values = dict(table.values)
     out = HalfSeries.zero(out_table, trunc2)
     if qexp2 <= trunc2:
         generic = _f_bo_generic(m, trunc2)
         for eps, peps in sign_vectors(m):
-            if assignment:
-                point = tuple(Fraction(assignment[i]) ** e
-                              for i, e in zip(t_indices, eps))
+            if values:
+                point = tuple(values[i] ** e for i, e in zip(t_indices, eps))
                 ekey = (point, trunc2, out_table)
                 if ekey not in _fbo_eval_cache:
                     at = generic.evaluate(dict(enumerate(point)))
@@ -142,8 +144,7 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
 
 def d_half_vacuum(n: int, trunc2: int, twisted: bool,
                   table: VarTable | None = None,
-                  t_indices: Sequence[int] | None = None,
-                  assignment=None) -> HalfSeries:
+                  t_indices: Sequence[int] | None = None) -> HalfSeries:
     """The level-1/2 vacuum n-point function by the subset recursion.
 
     Base case n=0: (q^(1/2);q)_inf twisted, (-q^(1/2);q)_inf untwisted.  For
@@ -151,16 +152,15 @@ def d_half_vacuum(n: int, trunc2: int, twisted: bool,
     and is plain in the untwisted one; proper subsets recurse.
     """
     table, t_indices = _points_of(n, table, t_indices)
-    return _vacuum_on(table, t_indices, trunc2, twisted, assignment)
+    return _vacuum_on(table, t_indices, trunc2, twisted)
 
 
 def _vacuum_on(table: VarTable, t_indices: tuple[int, ...], trunc2: int,
-               twisted: bool, assignment=None) -> HalfSeries:
-    key = (table, frozenset(t_indices), trunc2, twisted,
-           tuple(sorted(assignment.items())) if assignment else None)
+               twisted: bool) -> HalfSeries:
+    key = (table, frozenset(t_indices), trunc2, twisted)
     if key in _vacuum_cache:
         return _vacuum_cache[key]
-    out_table = table.without(assignment or ())
+    out_table = table.free()
     n = len(t_indices)
     # (q^(1/2);q)_inf for the twisted trace, (-q^(1/2);q)_inf untwisted
     base = pochhammer_inf(out_table, trunc2, 1, coeff=1 if twisted else -1)
@@ -168,15 +168,15 @@ def _vacuum_on(table: VarTable, t_indices: tuple[int, ...], trunc2: int,
         _vacuum_cache[key] = base
         return base
     ksum = fock_trace_at_sign(n, trunc2, -1 if twisted else 1, table,
-                              t_indices, assignment)
+                              t_indices)
     # half the sum over ordered splits: the splits whose left part holds the
     # first point (odd masks)
     sub = HalfSeries.zero(out_table, trunc2)
     for m in range(1, (1 << n) - 1, 2):
         left = tuple(t_indices[i] for i in range(n) if m >> i & 1)
         right = tuple(t_indices[i] for i in range(n) if not m >> i & 1)
-        sub = sub + _vacuum_on(table, left, trunc2, twisted, assignment) * \
-            _vacuum_on(table, right, trunc2, twisted, assignment)
+        sub = sub + _vacuum_on(table, left, trunc2, twisted) * \
+            _vacuum_on(table, right, trunc2, twisted)
     out = (ksum * Fraction(1, 2) - sub) * base.inverse()
     _vacuum_cache[key] = out
     return out
@@ -220,33 +220,30 @@ def gl_function(lam: Sequence[int], l: int, n: int, trunc2: int,
 
 def fock_trace_closed(n: int, trunc2: int, table: VarTable | None = None,
                       t_indices: Sequence[int] | None = None,
-                      z_index: int | None = None,
-                      assignment=None) -> HalfSeries:
+                      z_index: int | None = None) -> HalfSeries:
     """Charge-graded one-pair trace: sum_k z^k q^(k^2/2) (inversion blocks)."""
     table, t_indices = _points_of(n, table, t_indices, z=1)
     if z_index is None:
         z_index = table.z_indices()[0]
-    out_table = table.without(assignment or ())
+    out_table = table.free()
     zi = out_table.index(table.names[z_index])
     acc = HalfSeries.zero(out_table, trunc2)
     for k in range(-isqrt(trunc2), isqrt(trunc2) + 1):
-        blk = pair_block(table, t_indices, k, trunc2, assignment)
+        blk = pair_block(table, t_indices, k, trunc2)
         acc = acc + blk.scale(LaurentPoly.monomial(out_table, {zi: 2 * k}))
     return acc
 
 
 def fock_trace_at_sign(n: int, trunc2: int, sign: int,
                        table: VarTable | None = None,
-                       t_indices: Sequence[int] | None = None,
-                       assignment=None) -> HalfSeries:
+                       t_indices: Sequence[int] | None = None) -> HalfSeries:
     """The charge-graded one-pair trace specialized at z = +1 or z = -1."""
     if sign not in (1, -1):
         raise UsageError("sign must be +1 or -1")
     table, t_indices = _points_of(n, table, t_indices)
-    out_table = table.without(assignment or ())
-    acc = HalfSeries.zero(out_table, trunc2)
+    acc = HalfSeries.zero(table.free(), trunc2)
     for k in range(-isqrt(trunc2), isqrt(trunc2) + 1):
-        blk = pair_block(table, t_indices, k, trunc2, assignment)
+        blk = pair_block(table, t_indices, k, trunc2)
         acc = acc - blk if sign < 0 and k % 2 else acc + blk
     return acc
 
@@ -254,13 +251,12 @@ def fock_trace_at_sign(n: int, trunc2: int, sign: int,
 def _d_function(lam: Sequence[int], l: int, n: int, trunc2: int,
                 twisted: bool, structure: str,
                 table: VarTable | None,
-                t_indices: Sequence[int] | None,
-                assignment=None) -> HalfSeries:
+                t_indices: Sequence[int] | None) -> HalfSeries:
     lam = check_partition(lam, l)
     table, t_indices = _points_of(n, table, t_indices)
     if structure not in ("convolved", "printed"):
         raise UsageError(f"unknown structure {structure!r}")
-    out_table = table.without(assignment or ())
+    out_table = table.free()
     rho = rho_B(l)
     lamrho = tuple(a + b for a, b in zip(pad_weight(lam, l), rho))
     printed = structure == "printed"
@@ -302,7 +298,7 @@ def _d_function(lam: Sequence[int], l: int, n: int, trunc2: int,
                 k = int(lamrho[a] - eps * rho[b])
                 if k * k > trunc2:  # the block starts at q^(k^2/2)
                     continue
-                blk = pair_block(table, points[m], k, trunc2, assignment)
+                blk = pair_block(table, points[m], k, trunc2)
                 put(f, m, -blk if eps < 0 and (printed or not twisted)
                     else blk)
         return f or None
@@ -313,7 +309,7 @@ def _d_function(lam: Sequence[int], l: int, n: int, trunc2: int,
     acc = HalfSeries.zero(out_table, trunc2)
     for m, x in det.items():
         vac = _vacuum_on(table, points[full if printed else full & ~m],
-                         trunc2, twisted, assignment)
+                         trunc2, twisted)
         acc = acc + mul(vac, x)
     return acc
 
@@ -321,38 +317,31 @@ def _d_function(lam: Sequence[int], l: int, n: int, trunc2: int,
 def d_sum_function(lam: Sequence[int], l: int, n: int, trunc2: int,
                    structure: str = "convolved",
                    table: VarTable | None = None,
-                   t_indices: Sequence[int] | None = None,
-                   assignment=None) -> HalfSeries:
+                   t_indices: Sequence[int] | None = None) -> HalfSeries:
     """Trace over the direct sum of the two det-sectors (no parity sign)."""
-    return _d_function(lam, l, n, trunc2, False, structure, table, t_indices,
-                       assignment)
+    return _d_function(lam, l, n, trunc2, False, structure, table, t_indices)
 
 
 def d_twisted_function(lam: Sequence[int], l: int, n: int, trunc2: int,
                        structure: str = "convolved",
                        table: VarTable | None = None,
-                       t_indices: Sequence[int] | None = None,
-                       assignment=None) -> HalfSeries:
+                       t_indices: Sequence[int] | None = None) -> HalfSeries:
     """Parity-signed trace over the direct sum of the two det-sectors."""
-    return _d_function(lam, l, n, trunc2, True, structure, table, t_indices,
-                       assignment)
+    return _d_function(lam, l, n, trunc2, True, structure, table, t_indices)
 
 
 def irreducible_function(label: BLabel, l: int, n: int, trunc2: int,
                          structure: str = "convolved",
                          table: VarTable | None = None,
-                         t_indices: Sequence[int] | None = None,
-                         assignment=None) -> HalfSeries:
+                         t_indices: Sequence[int] | None = None) -> HalfSeries:
     """Per-irreducible n-point function: half sum (det flag off) or half
     difference (det flag on) of the plain and parity-signed functions.
 
     Both determinants are computed here; verify.suite_main_theorem, which
     holds them already, derives both det flags from them directly."""
     lam = check_partition(label.partition, l)
-    plain = d_sum_function(lam, l, n, trunc2, structure, table, t_indices,
-                           assignment)
-    signed = d_twisted_function(lam, l, n, trunc2, structure, table, t_indices,
-                                assignment)
+    plain = d_sum_function(lam, l, n, trunc2, structure, table, t_indices)
+    signed = d_twisted_function(lam, l, n, trunc2, structure, table, t_indices)
     return _det_sector(plain, signed, label.det)
 
 

@@ -14,15 +14,16 @@ The diagonal operator inserted in traces acts on a state as
       + (2*pairs + neutral) / (t^(1/2) - t^(-1/2)),
 
 assembled here term by term from the elementary mode operators so the
-anticommutation bookkeeping is exercised, not assumed.  At an evaluation
-point the same operators run with Fraction coefficients in place of RatFuncs.
+anticommutation bookkeeping is exercised, not assumed.  Over a bound table
+(VarTable.bind) the same operators run with Fraction coefficients in place of
+RatFuncs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .laurent import (
     EvaluationPointError,
@@ -30,7 +31,6 @@ from .laurent import (
     LaurentPoly,
     UsageError,
     VarTable,
-    _fr,
     _whole,
 )
 from .ratfunc import RatFunc
@@ -174,8 +174,7 @@ StateVector = dict  # FockState -> RatFunc, or Fraction at a point
 
 
 def apply_D(state: FockState, space: FockSpace, table: VarTable,
-            t_index: int, *, point: Mapping[int, Fraction] | None = None
-            ) -> StateVector:
+            t_index: int) -> StateVector:
     """Apply the diagonal trace insertion for the variable t_index.
 
     Normal-ordered bilinears are applied term by term through the elementary
@@ -183,12 +182,11 @@ def apply_D(state: FockState, space: FockSpace, table: VarTable,
     central scalar (2*pairs + neutral)/(t^(1/2) - t^(-1/2)) adds the input
     state back.
 
-    With a point (variable index -> square-root value v, as for
-    LaurentPoly.evaluate) the coefficients are the Fractions the symbolic
-    ones take there: s*t^(k/2) becomes s*v^k and the central scalar
-    (2*pairs + neutral) * v/(v^2 - 1).
+    Over a bound table, whose square-root value for t_index is v, the
+    coefficients are the Fractions the symbolic ones take there: s*t^(k/2)
+    becomes s*v^k and the central scalar (2*pairs + neutral) * v/(v^2 - 1).
     """
-    if point is None:
+    if not table.values:
         def term(k2: int, sign: int) -> RatFunc:
             return RatFunc.from_poly(
                 LaurentPoly.monomial(table, {t_index: k2}, sign))
@@ -196,11 +194,9 @@ def apply_D(state: FockState, space: FockSpace, table: VarTable,
                           LaurentPoly.monomial(table, {t_index: 2})
                           - LaurentPoly.one(table)) * space.central_doubled
     else:
-        if t_index not in point:
+        v = dict(table.values).get(t_index)
+        if v is None:
             raise UsageError(f"no value for insertion variable {t_index}")
-        v = _fr(point[t_index])
-        if v == 0:
-            raise EvaluationPointError("square-root values must be nonzero")
         central = 0
         if space.central_doubled:
             if v * v == 1:
@@ -292,17 +288,15 @@ def enumerate_states(space: FockSpace, max2: int) -> dict[int, list[FockState]]:
 
 
 def _diagonal_weight(state: FockState, space: FockSpace, table: VarTable,
-                     t_indices: Sequence[int], *,
-                     point: Mapping[int, Fraction] | None = None):
+                     t_indices: Sequence[int]):
     """<state| product of insertions |state> via repeated apply_D: a RatFunc,
-    or a Fraction at a point (the int 1 without insertions, 0 when the
-    insertions do not return to the state)."""
+    or a Fraction over a bound table (the int 1 without insertions, 0 when
+    the insertions do not return to the state)."""
     vec: StateVector = {state: 1}
     for t_index in reversed(tuple(t_indices)):
         nxt: StateVector = {}
         for st, coeff in vec.items():
-            for st2, c2 in apply_D(st, space, table, t_index,
-                                   point=point).items():
+            for st2, c2 in apply_D(st, space, table, t_index).items():
                 if st2.energy2() != st.energy2():
                     raise InternalInvariantError("insertion changed the energy")
                 cur = nxt.get(st2)
@@ -320,8 +314,7 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
                  z_indices: Sequence[int] | None = None,
                  parity_sign: bool = False,
                  parity_projector: str | None = None,
-                 parity_source: str = "auto",
-                 assignment: Mapping[int, Fraction] | None = None) -> HalfSeries:
+                 parity_source: str = "auto") -> HalfSeries:
     """Exact graded trace over the states of energy <= trunc2/2.
 
     Insertions: one diagonal operator per entry of t_indices, optional charge
@@ -331,10 +324,9 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
     otherwise.  Each q^(m) coefficient is exact: the insertions preserve
     energy, so no truncation leaks between levels.
 
-    With an assignment, which must give every insertion variable a value,
-    the t-variables are evaluated at the given square-root values (z-variables
-    survive); the result lives over the reduced table.  Each insertion is
-    applied at the point, so every weight is a Fraction.
+    Over a bound table, which must bind every insertion variable, each
+    insertion is applied at the table's point, so every weight is a Fraction;
+    the result lives over table.free() (z-variables survive).
 
     Either way the weights are summed per q-level and charge vector, and each
     q-level is built once as the sum of weight * z^charges.
@@ -347,8 +339,7 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
         raise UsageError("neutral parity needs a neutral fermion")
     if z_indices is not None and len(z_indices) != space.pairs:
         raise UsageError("need one z-variable per pair")
-    point = assignment or None
-    out_table = table.without(point or ())
+    out_table = table.free()
     zi = tuple(out_table.index(table.names[i]) for i in z_indices or ())
     # q-level -> z-exponents over out_table -> summed weight
     sums: dict[int, dict[tuple[int, ...], object]] = {}
@@ -362,8 +353,7 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
                 continue
             if parity_projector == "odd" and not par:
                 continue
-            weight = _diagonal_weight(state, space, table, t_indices,
-                                      point=point)
+            weight = _diagonal_weight(state, space, table, t_indices)
             if not weight:
                 continue
             if parity_sign and par:

@@ -60,10 +60,16 @@ class VarTable:
     (exponents in (1/2)Z, stored via their square roots) and "z" for charge
     variables (same storage convention).  q is not a table entry; it is the
     series grading variable of HalfSeries.
+
+    In eval mode a table binds some t-variables to square-root values
+    (values: (index, value) pairs, empty for an ordinary table).  A function
+    given a bound table computes at that point, and its result lives over
+    free(), the table with the bound variables removed.
     """
 
     names: tuple[str, ...]
     kinds: tuple[str, ...]
+    values: tuple[tuple[int, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.names) != len(self.kinds):
@@ -98,13 +104,31 @@ class VarTable:
         return tuple(i for i, k in enumerate(self.kinds) if k == Z_KIND)
 
     def without(self, indices: Container[int]) -> "VarTable":
-        """The table with the variables at the given indices removed (the
-        same table when none of them is here)."""
+        """The unbound table with the variables at the given indices removed
+        (the same table when none of them is here)."""
         keep = [i for i in range(len(self)) if i not in indices]
-        if len(keep) == len(self):
+        if len(keep) == len(self) and not self.values:
             return self
         return VarTable(tuple(self.names[i] for i in keep),
                         tuple(self.kinds[i] for i in keep))
+
+    def bind(self, point: Mapping[int, Fraction]) -> "VarTable":
+        """The table with the t-variables at point's indices bound to
+        point's square-root values (the same table for an empty point)."""
+        if not point:
+            return self
+        for i, v in point.items():
+            if not (0 <= i < len(self) and self.kinds[i] == T_KIND):
+                raise UsageError(f"no t-variable at index {i}")
+            if v == 0:
+                raise EvaluationPointError("square-root values must be nonzero")
+        return VarTable(self.names, self.kinds,
+                        tuple(sorted((i, _fr(v)) for i, v in point.items())))
+
+    def free(self) -> "VarTable":
+        """The table a result over this one lives on: the bound variables
+        removed."""
+        return self.without(dict(self.values))
 
 
 Coeff = int | Fraction

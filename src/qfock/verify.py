@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .laurent import EvaluationPointError, VarTable, format_exponent
+from .laurent import VarTable, format_exponent
 from .series import HalfSeries
 from .weylb import (
     BLabel,
@@ -86,15 +86,16 @@ def _reading(subject: str, a: HalfSeries, b: HalfSeries,
                  informational=True)
 
 
-def random_point(t_indices: Sequence[int], seed: int, attempt: int = 0):
+def random_point(t_indices: Sequence[int], seed: int):
     """Small random rational square-root values, avoiding the unit circle.
 
-    That suffices for the closed forms and the oracle: the closed forms are
-    built from the kernel F_bo at the values and their inverses, whose
-    reduced denominators are products of u_j - 1 and u_j + 1, and the
-    oracle's central scalar has v^2 - 1.  A product of several values may
-    still be 1; Theta vanishes there, but the reduced kernel has no pole."""
-    rng = random.Random(1000003 * seed + attempt)
+    No such point is a pole, so no suite ever needs a second point: the
+    closed forms are built from the kernel F_bo at the values and their
+    inverses, whose reduced denominators are products of u_j - 1 and
+    u_j + 1, and the oracle's central scalar has v^2 - 1.  A product of
+    several values may still be 1; Theta vanishes there, but the reduced
+    kernel has no pole."""
+    rng = random.Random(1000003 * seed)
     asn = {}
     for i in t_indices:
         while True:
@@ -105,18 +106,6 @@ def random_point(t_indices: Sequence[int], seed: int, attempt: int = 0):
                 break
         asn[i] = v
     return asn
-
-
-def with_retries(fn, t_indices: Sequence[int], seed: int, tries: int = 12):
-    """Run fn(assignment), retrying with fresh points on denominator hits."""
-    last = None
-    for attempt in range(tries):
-        asn = random_point(t_indices, seed, attempt)
-        try:
-            return fn(asn), asn
-        except EvaluationPointError as exc:
-            last = exc
-    raise last
 
 
 # ---------------------------------------------------------------------------
@@ -132,39 +121,22 @@ def suite_vacuum_recursion(n_max: int = 3, trunc2: int = 6,
         use_eval = mode == "eval" or (mode == "auto" and n >= 3)
         table = VarTable.make(n)
         ti = tuple(range(n))
-        asn = None
-        if use_eval and n:
-            asn = random_point(ti, seed)
+        at = table.bind(random_point(ti, seed)) if use_eval else table
         sp_pair = FockSpace(1, neutral=False)
         sp_neutral = FockSpace(0, neutral=True)
         for twisted in (False, True):
             lab = "twisted" if twisted else "untwisted"
             sign = -1 if twisted else 1
-
-            def both_sides(a):
-                rhs = None
-                for r in range(n + 1):
-                    for I in combinations(range(n), r):
-                        Ic = tuple(i for i in ti if i not in I)
-                        term = d_half_vacuum(len(I), trunc2, twisted, table,
-                                             I, assignment=a) * \
-                            d_half_vacuum(len(Ic), trunc2, twisted, table, Ic,
-                                          assignment=a)
-                        rhs = term if rhs is None else rhs + term
-                closed = fock_trace_at_sign(n, trunc2, sign, table, ti,
-                                            assignment=a)
-                return rhs, closed
-
-            if asn is not None:
-                (rhs, closed), used = with_retries(both_sides, ti, seed)
-                oracle = oracle_trace(sp_pair, trunc2, table, ti,
-                                      parity_sign=twisted,
-                                      parity_source="total", assignment=used)
-            else:
-                rhs, closed = both_sides(None)
-                oracle = oracle_trace(sp_pair, trunc2, table, ti,
-                                      parity_sign=twisted,
-                                      parity_source="total")
+            rhs = None
+            for r in range(n + 1):
+                for I in combinations(range(n), r):
+                    Ic = tuple(i for i in ti if i not in I)
+                    term = d_half_vacuum(len(I), trunc2, twisted, at, I) * \
+                        d_half_vacuum(len(Ic), trunc2, twisted, at, Ic)
+                    rhs = term if rhs is None else rhs + term
+            closed = fock_trace_at_sign(n, trunc2, sign, at, ti)
+            oracle = oracle_trace(sp_pair, trunc2, at, ti, parity_sign=twisted,
+                                  parity_source="total")
             checks.append(_cmp(f"subset identity n={n} {lab}: closed z-sum == pair oracle",
                                closed, oracle))
             checks.append(_cmp(f"subset identity n={n} {lab}: pair oracle == vacuum convolution",
@@ -227,40 +199,27 @@ def suite_main_theorem(trunc2: int = 6, mode: str = "symbolic",
     difference, as irreducible_function defines them."""
     checks: list[Check] = []
     printed_reported = False
-    # The traces do not depend on lam: (l, n, point) -> (plain, signed).
-    # The parity projectors partition the states, so each state's weight is
+    # The traces do not depend on lam: (l, n) -> (plain, signed).  The
+    # parity projectors partition the states, so each state's weight is
     # computed once, and plain = even + odd, signed = even - odd.
-    traces: dict[tuple, tuple[HalfSeries, HalfSeries]] = {}
+    traces: dict[tuple[int, int], tuple[HalfSeries, HalfSeries]] = {}
     for l, lam, n in _main_grid(l_values, n_values):
-        table = VarTable.make(n, l)
         ti = tuple(range(n))
         zi = tuple(range(n, n + l))
-        ftab = VarTable.make(n)
-        asn = None
-        if mode == "eval":
-            asn = random_point(ti, seed)
-        space = FockSpace(l, neutral=True)
-
-        def all_parts(a):
-            key = (l, n, tuple(sorted(a.items())) if a else None)
-            if key not in traces:
-                even = oracle_trace(space, trunc2, table, ti, z_indices=zi,
-                                    parity_projector="even", assignment=a)
-                odd = oracle_trace(space, trunc2, table, ti, z_indices=zi,
-                                   parity_projector="odd", assignment=a)
-                traces[key] = (even + odd, even - odd)
-            tru, trt = traces[key]
-            fu = d_sum_function(lam, l, n, trunc2, "convolved", ftab, ti,
-                                assignment=a)
-            ft = d_twisted_function(lam, l, n, trunc2, "convolved", ftab, ti,
-                                    assignment=a)
-            return tru, trt, fu, ft
-
-        if asn is not None:
-            (tru, trt, fu, ft), asn = with_retries(all_parts, ti, seed)
-        else:
-            tru, trt, fu, ft = all_parts(None)
-        tag = f"l={l} lam={lam} n={n}" + (" [eval]" if asn else "")
+        point = random_point(ti, seed) if mode == "eval" else {}
+        table = VarTable.make(n, l).bind(point)
+        ftab = VarTable.make(n).bind(point)
+        if (l, n) not in traces:
+            space = FockSpace(l, neutral=True)
+            even = oracle_trace(space, trunc2, table, ti, z_indices=zi,
+                                parity_projector="even")
+            odd = oracle_trace(space, trunc2, table, ti, z_indices=zi,
+                               parity_projector="odd")
+            traces[l, n] = (even + odd, even - odd)
+        tru, trt = traces[l, n]
+        fu = d_sum_function(lam, l, n, trunc2, "convolved", ftab, ti)
+        ft = d_twisted_function(lam, l, n, trunc2, "convolved", ftab, ti)
+        tag = f"l={l} lam={lam} n={n}" + (" [eval]" if point else "")
         ext_u = extract_module_function(tru, lam, l, None, "minus")
         ext_t = extract_module_function(trt, lam, l, None, "plus")
         checks.append(_cmp(f"plain function == oracle extraction {tag}", fu, ext_u))
@@ -269,7 +228,7 @@ def suite_main_theorem(trunc2: int = 6, mode: str = "symbolic",
             checks.append(_cmp(
                 f"irreducible (det={det}) == projector extraction {tag}",
                 _det_sector(fu, ft, det), _det_sector(ext_u, ext_t, det)))
-        if l == 1 and n == 1 and lam == () and not printed_reported and not asn:
+        if l == 1 and n == 1 and lam == () and not printed_reported and not point:
             fp = d_sum_function(lam, l, n, trunc2, "printed", ftab, ti)
             checks.append(_reading("printed compact structure", fp, ext_u))
             printed_reported = True

@@ -148,6 +148,20 @@ class TestExitCodes:
                                "--order", "abc")
         assert code == 2 and "order" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("oracle", "--n", "-2"),
+        ("oracle", "--l", "-1"),
+        ("verify", "--suite", "vacuum-recursion", "--n", "-1"),
+        ("compute", "--family", "d-sum", "--n", "-1"),
+        ("compute", "--family", "d-sum", "--l", "-1"),
+        ("qdim", "--l", "-1"),
+    ], ids=["oracle-n", "oracle-l", "verify-n", "compute-n", "compute-l",
+            "qdim-l"])
+    def test_negative_counts_are_bad_input(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and not out
+        assert "must be nonnegative" in err
+
     def test_malformed_lambda_text(self):
         code, _, err = run_cli("compute", "--family", "d-sum", "--l", "2",
                                "--lambda", "2,a", "--n", "1", "--order", "1")
@@ -300,9 +314,18 @@ class TestCommandsAgainstTheLibrary:
                                "--seed", "4")
         assert code == 0
         pt = verify.random_point((0, 1), 4)
-        want = fock_trace_closed(2, 3, VarTable.make(2, 1), (0, 1), 2,
-                                 assignment=pt)
+        want = fock_trace_closed(2, 3, VarTable.make(2, 1).bind(pt), (0, 1),
+                                 2)
         assert out == _json_line(want, pt)
+
+    @pytest.mark.parametrize("family, fn", [("q-plus", q_plus),
+                                            ("q-minus", q_minus)])
+    def test_q_sectors_carry_no_evaluation(self, family, fn):
+        # the q-dimensions have no variables, so eval mode binds no point
+        code, out, _ = run_cli("compute", "--family", family, "--l", "1",
+                               "--mode", "eval")
+        assert code == 0
+        assert out == _json_line(fn((), 1, 6, QDimForm()))
 
     @pytest.mark.parametrize("family, fn", [("q-plus", q_plus),
                                             ("q-minus", q_minus)])

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from qfock import correlation, laurent, ratfunc, special
+from conftest import CACHES, clear_caches
+from qfock import correlation, laurent, ratfunc
 from qfock.cli import series_to_json
 from qfock.laurent import LaurentPoly, UsageError, VarTable
 from qfock.ratfunc import RatFunc
@@ -31,13 +32,6 @@ N2 = 6
 def x_inv(table, i=0):
     return RatFunc(LaurentPoly.monomial(table, {i: 1}),
                    LaurentPoly.monomial(table, {i: 2}) - LaurentPoly.one(table))
-
-
-def _clear_caches():
-    for c in (correlation._fbo_generic_cache, correlation._fbo_eval_cache,
-              correlation._pair_block_cache, correlation._vacuum_cache,
-              correlation._one_point_cache, special._theta_deriv_cache):
-        c.clear()
 
 
 class TestGlFunction:
@@ -224,20 +218,18 @@ class TestDFunctions:
         space = FockSpace(2, neutral=True)
         for n, asn in ((1, {0: Fraction(7, 4)}),
                        (2, {0: Fraction(7, 4), 1: Fraction(-3, 2)})):
-            tabz = VarTable.make(n, 2)
-            ftab = VarTable.make(n)
+            tabz = VarTable.make(n, 2).bind(asn)
+            ftab = VarTable.make(n).bind(asn)
             ti = tuple(range(n))
             zi = (n, n + 1)
-            tru = oracle_trace(space, 4, tabz, ti, z_indices=zi, assignment=asn)
+            tru = oracle_trace(space, 4, tabz, ti, z_indices=zi)
             trt = oracle_trace(space, 4, tabz, ti, z_indices=zi,
-                               parity_sign=True, assignment=asn)
+                               parity_sign=True)
             for lam in ((), (1, 1), (2, 1)):
-                f_u = d_sum_function(lam, 2, n, 4, "convolved", ftab, ti,
-                                     assignment=asn)
+                f_u = d_sum_function(lam, 2, n, 4, "convolved", ftab, ti)
                 ext_u = extract_module_function(tru, lam, 2, None, "minus")
                 assert f_u.eq_upto(ext_u), (n, lam, f_u.first_mismatch(ext_u))
-                f_t = d_twisted_function(lam, 2, n, 4, "convolved", ftab, ti,
-                                         assignment=asn)
+                f_t = d_twisted_function(lam, 2, n, 4, "convolved", ftab, ti)
                 ext_t = extract_module_function(trt, lam, 2, None, "plus")
                 assert f_t.eq_upto(ext_t), (n, lam, f_t.first_mismatch(ext_t))
 
@@ -260,17 +252,17 @@ class TestEvalAtRemovableSingularities:
     def test_d_functions_equal_evaluated_symbolic(self, fn, lam, l, n, seed):
         pt = random_point(tuple(range(n)), seed)
         want = fn(lam, l, n, 4).evaluate(pt)
-        assert _json_bytes(fn(lam, l, n, 4, assignment=pt)) == \
-            _json_bytes(want)
+        got = fn(lam, l, n, 4, table=VarTable.make(n).bind(pt))
+        assert _json_bytes(got) == _json_bytes(want)
 
     @pytest.mark.parametrize("seed", EVAL_SEEDS)
     def test_fock_trace_equals_evaluated_symbolic(self, seed):
         pt = random_point((0, 1), seed)
         want = fock_trace_closed(2, 4).evaluate(pt)
-        assert _json_bytes(fock_trace_closed(2, 4, assignment=pt)) == \
-            _json_bytes(want)
+        got = fock_trace_closed(2, 4, VarTable.make(2, 1).bind(pt))
+        assert _json_bytes(got) == _json_bytes(want)
 
-    @pytest.mark.parametrize("m, trunc2", [(1, 8), (2, 8), (3, 6)])
+    @pytest.mark.parametrize("m, trunc2", [(1, 8), (2, 8), (3, 6), (4, 6)])
     def test_kernel_denominators_are_u_plus_minus_one(self, m, trunc2):
         # every denominator of F_bo splits into factors u_j - 1 and u_j + 1,
         # which no random_point (|u_j| != 1, |1/u_j| != 1) can zero
@@ -282,23 +274,18 @@ class TestEvalAtRemovableSingularities:
 
 class TestCacheState:
     def test_cold_warm_and_foreign_caches_agree(self):
-        caches = (correlation._fbo_generic_cache, correlation._fbo_eval_cache,
-                  correlation._pair_block_cache, correlation._vacuum_cache,
-                  correlation._one_point_cache, special._theta_deriv_cache)
-
         def compute():
             return irreducible_function(BLabel((1,)), 1, 2, 4)
 
-        for c in caches:
-            c.clear()
+        clear_caches()
         cold = compute()
         warm = compute()
         # unrelated work that adds entries under other keys
         d_twisted_function((), 2, 1, 4)
-        d_sum_function((), 0, 2, 4,
-                       assignment={0: Fraction(2), 1: Fraction(3)})
+        d_sum_function((), 0, 2, 4, table=VarTable.make(2).bind(
+            {0: Fraction(2), 1: Fraction(3)}))
         vacuum_one_point_series(4)
-        assert all(caches)
+        assert all(CACHES)
         foreign = compute()
         assert cold == warm == foreign
 
@@ -323,7 +310,7 @@ class TestGcdOffTheHotPath:
                             counting(ratfunc._d_gcd, "gcd"))
         monkeypatch.setattr(laurent, "_ig_gcd_core",
                             counting(laurent._ig_gcd_core, "prs"))
-        _clear_caches()  # cached blocks would hide the work
+        clear_caches()  # cached blocks would hide the work
         d_sum_function((1,), 1, 2, 4)
         assert calls["prs"] == 0
         assert calls["gcd"] <= 96
@@ -363,6 +350,6 @@ class TestWorkDoneOnce:
             return inner(self, *args, **kwargs)
 
         monkeypatch.setattr(HalfSeries, "rename_signed", counting)
-        _clear_caches()
+        clear_caches()
         d_sum_function((1,), 1, 3, 6)
         assert 0 < len(calls) <= 27

@@ -81,14 +81,13 @@ def perm_sum_f_bo(n, trunc2, table, t_indices, assignment=None):
     return total * ev(qq_inf(table, trunc2)).inverse()
 
 
-def weyl_sum_d_function(lam, l, n, trunc2, twisted, structure, table,
-                        assignment=None):
+def weyl_sum_d_function(lam, l, n, trunc2, twisted, structure, table):
     """The level-(l+1/2) function as the sum over the signed permutations of
     B_l; convolved, each term also runs over the (l+1)^n assignments of the
     points to the l pair slots and the neutral slot."""
     lam = check_partition(lam, l)
     t_indices = table.t_indices()[:n]
-    out_table = table.without(assignment or ())
+    out_table = table.free()
     acc = HalfSeries.zero(out_table, trunc2)
     if structure == "printed":
         for full_char, _perm_char, mu, nrm2 in weyl_charges(lam, l):
@@ -96,10 +95,9 @@ def weyl_sum_d_function(lam, l, n, trunc2, twisted, structure, table,
                 continue
             term = HalfSeries.one(out_table, trunc2)
             for ka in mu:
-                term = term * pair_block(table, t_indices, ka, trunc2,
-                                         assignment)
+                term = term * pair_block(table, t_indices, ka, trunc2)
             acc = acc + (term if full_char > 0 else -term)
-        return _vacuum_on(table, t_indices, trunc2, twisted, assignment) * acc
+        return _vacuum_on(table, t_indices, trunc2, twisted) * acc
     for full_char, perm_char, mu, nrm2 in weyl_charges(lam, l):
         if nrm2 > trunc2:
             continue
@@ -108,11 +106,9 @@ def weyl_sum_d_function(lam, l, n, trunc2, twisted, structure, table,
             term = HalfSeries.one(out_table, trunc2)
             for a in range(1, l + 1):
                 block = tuple(t_indices[j] for j in range(n) if assign[j] == a)
-                term = term * pair_block(table, block, mu[a - 1], trunc2,
-                                         assignment)
+                term = term * pair_block(table, block, mu[a - 1], trunc2)
             neutral = tuple(t_indices[j] for j in range(n) if assign[j] == 0)
-            term = term * _vacuum_on(table, neutral, trunc2, twisted,
-                                     assignment)
+            term = term * _vacuum_on(table, neutral, trunc2, twisted)
             acc = acc + (term if char > 0 else -term)
     return acc
 
@@ -163,12 +159,11 @@ class TestDFunctionDeterminant:
 
     @pytest.mark.parametrize("lam, l", CELLS)
     def test_eval_three_points_matches_weyl_sum(self, lam, l):
-        tab = VarTable.make(3)
-        pt = {i: POINT[i] for i in range(3)}
+        tab = VarTable.make(3).bind({i: POINT[i] for i in range(3)})
         for twisted in (False, True):
             for structure in ("convolved", "printed"):
                 want = weyl_sum_d_function(lam, l, 3, D_TRUNC2, twisted,
-                                           structure, tab, pt)
+                                           structure, tab)
                 got = _d_function(lam, l, 3, D_TRUNC2, twisted, structure,
-                                  tab, None, pt)
+                                  tab, None)
                 assert _bytes(got) == _bytes(want), (twisted, structure)

@@ -207,7 +207,7 @@ class TestApplyD:
                 st = rand_state(rng, space)
                 for t_index in (0, 1):
                     sym = apply_D(st, space, tab, t_index)
-                    ev = apply_D(st, space, tab, t_index, point=pt)
+                    ev = apply_D(st, space, tab.bind(pt), t_index)
                     assert ev == {k: c.evaluate(pt).constant_value()
                                   for k, c in sym.items()}
                     assert all(type(c) is Fraction for c in ev.values())
@@ -218,17 +218,16 @@ class TestEvaluationPointErrors:
     def test_bad_point_raises_evaluation_error(self, v):
         tab = VarTable.make(1)
         with pytest.raises(EvaluationPointError):
-            apply_D(FockState.vacuum(SP1), SP1, tab, 0, point={0: v})
+            apply_D(FockState.vacuum(SP1), SP1, tab.bind({0: v}), 0)
         with pytest.raises(EvaluationPointError):
-            oracle_trace(SP1, 4, tab, (0,), assignment={0: v})
+            oracle_trace(SP1, 4, tab.bind({0: v}), (0,))
 
     def test_missing_insertion_value_is_a_usage_error(self):
-        tab = VarTable.make(2)
+        tab = VarTable.make(2).bind({0: Fraction(3)})
         with pytest.raises(UsageError):
-            oracle_trace(SP1, 4, tab, (0, 1), assignment={0: Fraction(3)})
+            oracle_trace(SP1, 4, tab, (0, 1))
         with pytest.raises(UsageError):
-            apply_D(FockState.vacuum(SP1), SP1, tab, 1,
-                    point={0: Fraction(3)})
+            apply_D(FockState.vacuum(SP1), SP1, tab, 1)
 
 
 class TestTraces:
@@ -281,8 +280,8 @@ class TestTraces:
             sym = oracle_trace(space, 5, tab, ti, z_indices=zi, **kwargs)
             for seed in (1, 2, 3):
                 pt = random_point(ti, seed)
-                ev = oracle_trace(space, 5, tab, ti, z_indices=zi,
-                                  assignment=pt, **kwargs)
+                ev = oracle_trace(space, 5, tab.bind(pt), ti, z_indices=zi,
+                                  **kwargs)
                 want = sym.evaluate(pt)
                 assert ev.table == want.table and ev.trunc2 == want.trunc2
                 assert ev.terms == want.terms, (kwargs, seed)
@@ -291,7 +290,7 @@ class TestTraces:
         tab = VarTable.make(1, 1)
         pt = {0: Fraction(7, 3)}
         sym = oracle_trace(SP1, 4, tab, (0,), z_indices=(1,)).evaluate(pt)
-        ev = oracle_trace(SP1, 4, tab, (0,), z_indices=(1,), assignment=pt)
+        ev = oracle_trace(SP1, 4, tab.bind(pt), (0,), z_indices=(1,))
         assert sym.eq_upto(ev)
 
     def test_pair_space_isomorphism_identity(self):
@@ -401,10 +400,10 @@ def _suite_traces():
             table = VarTable.make(n, l)
             ti = tuple(range(n))
             zi = tuple(range(n, n + l))
-            for asn in [None] + ([random_point(ti, 11)] if n else []):
-                even, odd = (oracle_trace(FockSpace(l, True), 6, table, ti,
-                                          z_indices=zi, parity_projector=p,
-                                          assignment=asn)
+            for asn in [{}] + ([random_point(ti, 11)] if n else []):
+                even, odd = (oracle_trace(FockSpace(l, True), 6,
+                                          table.bind(asn), ti,
+                                          z_indices=zi, parity_projector=p)
                              for p in ("even", "odd"))
                 for trace in (even + odd, even - odd):
                     yield l, lams, trace

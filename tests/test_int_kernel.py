@@ -15,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from qfock import correlation, special  # noqa: E402
+from conftest import clear_caches  # noqa: E402
 from qfock.correlation import d_sum_function  # noqa: E402
 from qfock.fock import FockSpace, FockState, apply_D, oracle_trace  # noqa: E402
 from qfock.laurent import (  # noqa: E402
@@ -93,13 +93,6 @@ def test_int_kernel_agrees_with_fraction_inputs(a, b, s, shift, point):
         _check_coefficients(got)
 
 
-def _cold_caches():
-    for c in (correlation._fbo_generic_cache, correlation._fbo_eval_cache,
-              correlation._pair_block_cache, correlation._vacuum_cache,
-              correlation._one_point_cache, special._theta_deriv_cache):
-        c.clear()
-
-
 @pytest.mark.parametrize("run", [
     lambda: d_sum_function((1,), 1, 2, 4),
     lambda: suite_main_theorem(trunc2=6, mode="eval", seed=11,
@@ -114,7 +107,7 @@ def test_every_ratfunc_coefficient_is_int_or_proper_fraction(run, monkeypatch):
         seen.append(self)
 
     monkeypatch.setattr(RatFunc, "__init__", recording)
-    _cold_caches()
+    clear_caches()
     result = run()
     if isinstance(result, list):
         assert all(c.passed or c.informational for c in result)
@@ -149,15 +142,16 @@ def test_apply_D_at_an_integral_point_gives_fraction_weights():
     tab = VarTable.make(1)
     st_ = FockState(((1,), (), ()))
     for state in (FockState.vacuum(space), st_):
-        out = apply_D(state, space, tab, 0, point={0: 2})
+        out = apply_D(state, space, tab.bind({0: 2}), 0)
         assert out
         assert all(type(c) is Fraction for c in out.values())
 
 
 def test_oracle_levels_at_an_integral_point_are_normalized():
     # at v = 2 most weights are whole Fractions (2^k, the central 3*2/3)
-    trace = oracle_trace(FockSpace(1, True), 4, VarTable.make(1, 1), (0,),
-                         z_indices=(1,), assignment={0: 2})
+    trace = oracle_trace(FockSpace(1, True), 4,
+                         VarTable.make(1, 1).bind({0: 2}), (0,),
+                         z_indices=(1,))
     kinds = set()
     for c in trace.terms.values():
         _check_coefficients(c.num)

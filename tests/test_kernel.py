@@ -53,6 +53,22 @@ class TestVarTable:
         assert t.t_indices() == (0, 1)
         assert t.z_indices() == (2,)
 
+    def test_bind_and_free(self):
+        t = VarTable.make(2, 1)
+        bound = t.bind({1: 3})
+        assert bound != t and bound.bind({}) is bound and t.bind({}) is t
+        assert bound.values == ((1, Fraction(3)),)
+        assert bound.free() == VarTable(("t1", "z1"), ("t", "z"))
+        assert t.free() is t
+        # the same point binds to equal tables: one cache key per point
+        assert bound == t.bind({1: Fraction(3)})
+        assert hash(bound) == hash(t.bind({1: Fraction(3)}))
+        for point in ({2: 3}, {5: 3}):  # a z-variable, no variable
+            with pytest.raises(UsageError):
+                t.bind(point)
+        with pytest.raises(laurent.EvaluationPointError):
+            t.bind({0: 0})
+
 
 class TestLaurentPoly:
     def test_difference_of_squares(self):

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from qfock import correlation, special
+from conftest import clear_caches
 from qfock.cli import series_to_json
 from qfock.correlation import d_sum_function
 from qfock.laurent import LaurentPoly, _d_strip_monomial, poly_gcd
@@ -99,13 +99,6 @@ def polynomial_numerator_inverse(self: HalfSeries) -> HalfSeries:
     return HalfSeries(self.table, t2, out, _clean=True)
 
 
-def _clear_caches():
-    for c in (correlation._fbo_generic_cache, correlation._fbo_eval_cache,
-              correlation._pair_block_cache, correlation._vacuum_cache,
-              correlation._one_point_cache, special._theta_deriv_cache):
-        c.clear()
-
-
 @pytest.fixture
 def inverted(monkeypatch):
     """Every (series, inverse) pair HalfSeries.inverse produces, from cold
@@ -118,10 +111,10 @@ def inverted(monkeypatch):
         seen.append((self, out))
         return out
 
-    _clear_caches()
+    clear_caches()
     monkeypatch.setattr(HalfSeries, "inverse", recording)
     yield seen
-    _clear_caches()
+    clear_caches()
 
 
 def _bytes(s: HalfSeries) -> str:
