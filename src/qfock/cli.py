@@ -157,7 +157,7 @@ def _run_compute(args) -> int:
     # the q-dimensions have no variables to bind
     at = table if args.family in ("q-plus", "q-minus") else _bind(args, table)
     if args.family == "gl":
-        s = gl_function(lam, args.l, n, trunc2, table, ti)
+        s = gl_function(lam, args.l, n, trunc2, at, ti)
     elif args.family == "d-sum":
         s = d_sum_function(lam, args.l, n, trunc2, args.structure, at, ti)
     elif args.family == "d-twisted":
@@ -166,11 +166,11 @@ def _run_compute(args) -> int:
         s = irreducible_function(BLabel(lam, args.det), args.l, n, trunc2,
                                  args.structure, at, ti)
     elif args.family == "fbo":
-        s = f_bo(n, trunc2, table, ti)
+        s = f_bo(n, trunc2, at, ti)
     elif args.family == "theta":
         if n != 1:
             raise UsageError("theta takes one variable (set --n 1)")
-        s = theta(table, trunc2, ((0, 1),))
+        s = theta(at, trunc2, ((0, 1),))
     elif args.family == "fock-trace":
         s = fock_trace_closed(n, trunc2, at, ti, n)
     elif args.family == "q-plus":
@@ -179,9 +179,6 @@ def _run_compute(args) -> int:
         s = q_minus(lam, args.l, trunc2, QDimForm(args.form, args.reading))
     else:
         raise UsageError(f"unknown family {args.family!r}")
-    if at.values and args.family in ("gl", "fbo", "theta"):
-        # these closed forms are computed symbolically, then evaluated
-        s = s.evaluate(dict(at.values))
     _emit(args, s, _evaluation(at))
     return 0
 

@@ -31,9 +31,11 @@ convolved reading the entries are set functions of the points, multiplied by
 subset convolution, and the function is (vacuum * det)([n]); in the printed
 one they are the full-point blocks and the function is vacuum([n]) * det.
 
-Eval mode is the same call over a bound table (VarTable.bind): pair_block,
-the vacuum recursion, the one-pair traces and the d functions then compute
-at the table's point and return series over table.free().
+Eval mode is the same call over a bound table (VarTable.bind): every
+function here then returns a series over table.free().  pair_block, the
+vacuum recursion, the one-pair traces and the d functions compute at the
+table's point; gl_function and vacuum_one_point_series compute symbolically
+and evaluate there.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
                 ekey = (table, t_indices, eps, trunc2)
                 if ekey not in _fbo_eval_cache:
                     _fbo_eval_cache[ekey] = generic.rename_signed(
-                        table, list(zip(t_indices, eps)))
+                        table, [((i, e),) for i, e in zip(t_indices, eps)])
                 factor = LaurentPoly.monomial(
                     table, {i: 2 * k * e for i, e in zip(t_indices, eps)},
                     peps)
@@ -193,11 +195,18 @@ def gl_function(lam: Sequence[int], l: int, n: int, trunc2: int,
 
         q^(|lam|^2/2) (t_1...t_n)^(lam_1+...+lam_l)
         prod_{i<j} (1 - q^(lam_i - lam_j + j - i)) * F_bo(q;t)^l
+
+    Over a bound table it is computed symbolically and evaluated at the
+    table's point.
     """
     lam = check_partition(lam, None, allow_negative=True)
     if len(lam) != l:
         raise UsageError(f"weight {lam} must have exactly {l} parts")
     table, t_indices = _points_of(n, table, t_indices)
+    if table.values:
+        return gl_function(lam, l, n, trunc2,
+                           VarTable(table.names, table.kinds),
+                           t_indices).evaluate(dict(table.values))
     nrm2 = sum(x * x for x in lam)  # doubled exponent of q^(|lam|^2/2)
     size = sum(lam)
     out = HalfSeries.q_power(table, trunc2, nrm2) if nrm2 <= trunc2 else \
@@ -212,7 +221,7 @@ def gl_function(lam: Sequence[int], l: int, n: int, trunc2: int,
                                    else {0: 1})
     if l:
         fb = _f_bo_generic(n, trunc2).rename_signed(
-            table, [(i, 1) for i in t_indices])
+            table, [((i, 1),) for i in t_indices])
         for _ in range(l):
             out = out * fb
     return out
@@ -363,12 +372,17 @@ def vacuum_one_point_series(trunc2: int, reading: str = "q-step",
     where the prefactor P is (q^(1/2);q)_inf under the "q-step" reading and
     (q^(1/2);q^(1/2))_inf under "half-step".  The q-step reading matches the
     twisted vacuum recursion; the other is kept so the verification suite can
-    report where it fails.
+    report where it fails.  Over a bound table it is computed symbolically
+    and evaluated at the table's point.
     """
     if reading not in ONE_POINT_READINGS:
         raise UsageError(f"unknown reading {reading!r}")
     if table is None:
         table = VarTable.make(1)
+    if table.values:
+        return vacuum_one_point_series(
+            trunc2, reading, VarTable(table.names, table.kinds),
+            t_index).evaluate(dict(table.values))
     key = (table, t_index, trunc2, reading)
     if key in _one_point_cache:
         return _one_point_cache[key]

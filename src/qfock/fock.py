@@ -59,11 +59,6 @@ class FockSpace:
     def families(self) -> int:
         return 2 * self.pairs + (1 if self.neutral else 0)
 
-    @property
-    def central_doubled(self) -> int:
-        """2C: the central element acts as (2*pairs + neutral)/2."""
-        return 2 * self.pairs + (1 if self.neutral else 0)
-
     def neutral_family(self) -> int:
         if not self.neutral:
             raise UsageError("space has no neutral fermion")
@@ -180,7 +175,7 @@ def apply_D(state: FockState, space: FockSpace, table: VarTable,
     Normal-ordered bilinears are applied term by term through the elementary
     operators (only modes up to the state's energy can contribute), then the
     central scalar (2*pairs + neutral)/(t^(1/2) - t^(-1/2)) adds the input
-    state back.
+    state back; 2*pairs + neutral is the number of fermion families.
 
     Over a bound table, whose square-root value for t_index is v, the
     coefficients are the Fractions the symbolic ones take there: s*t^(k/2)
@@ -192,17 +187,17 @@ def apply_D(state: FockState, space: FockSpace, table: VarTable,
                 LaurentPoly.monomial(table, {t_index: k2}, sign))
         central = RatFunc(LaurentPoly.monomial(table, {t_index: 1}),
                           LaurentPoly.monomial(table, {t_index: 2})
-                          - LaurentPoly.one(table)) * space.central_doubled
+                          - LaurentPoly.one(table)) * space.families
     else:
         v = dict(table.values).get(t_index)
         if v is None:
             raise UsageError(f"no value for insertion variable {t_index}")
         central = 0
-        if space.central_doubled:
+        if space.families:
             if v * v == 1:
                 raise EvaluationPointError(
                     "the insertion has a pole at t = 1")
-            central = space.central_doubled * v / (v * v - 1)
+            central = space.families * v / (v * v - 1)
 
         def term(k2: int, sign: int) -> Fraction:
             return sign * v ** k2
@@ -313,16 +308,15 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
                  t_indices: Sequence[int] = (),
                  z_indices: Sequence[int] | None = None,
                  parity_sign: bool = False,
-                 parity_projector: str | None = None,
-                 parity_source: str = "auto") -> HalfSeries:
+                 parity_projector: str | None = None) -> HalfSeries:
     """Exact graded trace over the states of energy <= trunc2/2.
 
     Insertions: one diagonal operator per entry of t_indices, optional charge
     grading in z_indices (one per pair), optional parity sign (-1)^parity and
-    parity projector ("even"/"odd").  parity_source "auto" counts neutral
-    excitations when the space has a neutral fermion and all excitations
-    otherwise.  Each q^(m) coefficient is exact: the insertions preserve
-    energy, so no truncation leaks between levels.
+    parity projector ("even"/"odd").  The parity counts neutral excitations
+    when the space has a neutral fermion and all excitations otherwise.
+    Each q^(m) coefficient is exact: the insertions preserve energy, so no
+    truncation leaks between levels.
 
     Over a bound table, which must bind every insertion variable, each
     insertion is applied at the table's point, so every weight is a Fraction;
@@ -333,10 +327,6 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
     """
     if parity_projector not in (None, "even", "odd"):
         raise UsageError(f"unknown projector {parity_projector!r}")
-    if parity_source == "auto":
-        parity_source = "neutral" if space.neutral else "total"
-    if parity_source == "neutral" and not space.neutral:
-        raise UsageError("neutral parity needs a neutral fermion")
     if z_indices is not None and len(z_indices) != space.pairs:
         raise UsageError("need one z-variable per pair")
     out_table = table.free()
@@ -345,10 +335,8 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
     sums: dict[int, dict[tuple[int, ...], object]] = {}
     for e2, states in enumerate_states(space, trunc2).items():
         for state in states:
-            if parity_source == "neutral":
-                par = state.alpha_parity(space)
-            else:
-                par = state.total_parity()
+            par = (state.alpha_parity(space) if space.neutral
+                   else state.total_parity())
             if parity_projector == "even" and par:
                 continue
             if parity_projector == "odd" and not par:

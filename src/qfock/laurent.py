@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations, product
 from math import gcd, isqrt
-from operator import mul, sub
+from operator import add, mul, sub
 from fractions import Fraction
 from typing import Container, Mapping, Sequence
 
@@ -81,10 +81,9 @@ class VarTable:
                 raise UsageError(f"unknown variable kind {k!r}")
 
     @classmethod
-    def make(cls, n_t: int, n_z: int = 0, t_prefix: str = "t",
-             z_prefix: str = "z") -> "VarTable":
-        names = tuple(f"{t_prefix}{i + 1}" for i in range(n_t)) + tuple(
-            f"{z_prefix}{i + 1}" for i in range(n_z))
+    def make(cls, n_t: int, n_z: int = 0) -> "VarTable":
+        names = tuple(f"t{i + 1}" for i in range(n_t)) + tuple(
+            f"z{i + 1}" for i in range(n_z))
         kinds = (T_KIND,) * n_t + (Z_KIND,) * n_z
         return cls(names, kinds)
 
@@ -275,9 +274,7 @@ class LaurentPoly:
         """Multiply by the monomial with the given (doubled) exponents."""
         if not any(exps):
             return self
-        return LaurentPoly(self.table,
-                           {tuple(a + b for a, b in zip(e, exps)): c
-                            for e, c in self.terms.items()}, _clean=True)
+        return LaurentPoly(self.table, _d_shift(self.terms, exps), _clean=True)
 
     # -- the t d/dt operator ------------------------------------------------
 
@@ -296,34 +293,7 @@ class LaurentPoly:
                 out[e] = c * Fraction(k, 2) if k & 1 else c * (k >> 1)
         return LaurentPoly(self.table, _whole(out), _clean=True)
 
-    # -- substitution and evaluation ----------------------------------------
-
-    def subst(self, var: int, target: Sequence[tuple[int, int]]) -> "LaurentPoly":
-        """Replace var by a monomial in other variables.
-
-        target is a sequence of (variable index, +1/-1) pairs; the empty
-        sequence substitutes the constant 1.  An occurrence with stored
-        exponent e contributes e*sign to each target variable.
-        """
-        for j, s in target:
-            if j == var:
-                raise UsageError("substitution target may not involve the variable itself")
-            if s not in (1, -1):
-                raise UsageError("target exponents must be +1 or -1")
-        out: dict[Exps, Fraction] = {}
-        for e, c in self.terms.items():
-            ne = list(e)
-            ev = ne[var]
-            ne[var] = 0
-            for j, s in target:
-                ne[j] += ev * s
-            ne = tuple(ne)
-            s2 = out.get(ne, 0) + c
-            if s2:
-                out[ne] = s2
-            else:
-                out.pop(ne, None)
-        return LaurentPoly(self.table, _whole(out), _clean=True)
+    # -- evaluation and monomial maps -----------------------------------------
 
     def evaluate(self, assignment: Mapping[int, Fraction],
                  new_table: VarTable | None = None) -> "LaurentPoly":
@@ -355,18 +325,22 @@ class LaurentPoly:
         return LaurentPoly(new_table, _whole(out), _clean=True)
 
     def rename_signed(self, new_table: VarTable,
-                      mapping: Sequence[tuple[int, int]]) -> "LaurentPoly":
-        """Send variable j to new_table variable mapping[j][0], raised to the
-        sign mapping[j][1] (so exponents flip for -1 targets)."""
+                      mapping: Sequence[Sequence[tuple[int, int]]]
+                      ) -> "LaurentPoly":
+        """Send variable j to the monomial of new_table variables given by
+        mapping[j]: a sequence of (target, +1/-1) pairs, each target raised
+        to its sign (the constant 1 for an empty sequence).  A stored
+        exponent e of variable j adds e*sign to each target's exponent."""
         if len(mapping) != len(self.table):
             raise UsageError("mapping must cover every source variable")
         w = len(new_table)
         out: dict[Exps, Coeff] = {}
         for e, c in self.terms.items():
             ne = [0] * w
-            for j, (tgt, sgn) in enumerate(mapping):
+            for j, image in enumerate(mapping):
                 if e[j]:
-                    ne[tgt] += e[j] * sgn
+                    for tgt, sgn in image:
+                        ne[tgt] += e[j] * sgn
             ne = tuple(ne)
             s = out.get(ne, 0) + c
             if s:
@@ -632,13 +606,9 @@ def _d_lc(a: _Dict, v: int) -> _Dict:
     return _d_coeff_of(a, v, _d_deg(a, v))
 
 
-def _d_mul_var_pow(a: _Dict, v: int, k: int) -> _Dict:
-    out: _Dict = {}
-    for e, c in a.items():
-        ne = list(e)
-        ne[v] += k
-        out[tuple(ne)] = c
-    return out
+def _d_shift(a: _Dict, shift: Exps) -> _Dict:
+    """a times the monomial with the given exponents."""
+    return {tuple(map(add, e, shift)): c for e, c in a.items()}
 
 
 def _d_prem(f: _Dict, g: _Dict, v: int) -> _Dict:
@@ -647,13 +617,14 @@ def _d_prem(f: _Dict, g: _Dict, v: int) -> _Dict:
     lg = _d_lc(g, v)
     r = dict(f)
     e = _d_deg(f, v) - dg + 1
+    shift = [0] * len(next(iter(g)))
     while r:
         dr = _d_deg(r, v)
         if dr < dg:
             break
-        lr = _d_lc(r, v)
-        r = _d_add(_d_mul(lg, r),
-                   _d_neg(_d_mul(_d_mul_var_pow(lr, v, dr - dg), g)))
+        shift[v] = dr - dg
+        lr = _d_shift(_d_lc(r, v), tuple(shift))
+        r = _d_add(_d_mul(lg, r), _d_neg(_d_mul(lr, g)))
         e -= 1
     if e > 0 and r:
         width = len(next(iter(r)))
@@ -668,8 +639,7 @@ def _d_strip_monomial(a: _Dict) -> tuple[_Dict, Exps]:
     mins = tuple(map(min, zip(*a)))
     if not any(mins):
         return a, mins
-    return ({tuple(x - m for x, m in zip(e, mins)): c for e, c in a.items()},
-            mins)
+    return _d_shift(a, tuple(-m for m in mins)), mins
 
 
 def _integerize(a: _Dict) -> _Dict:
@@ -716,10 +686,6 @@ def _ig_content(a: _Dict, v: int) -> _Dict:
         if len(cont) == 1 and unit_exps in cont and cont[unit_exps] == 1:
             break
     return cont
-
-
-def _d_mul_var_pow_multi(a: _Dict, shift: Exps) -> _Dict:
-    return {tuple(x + s for x, s in zip(e, shift)): c for e, c in a.items()}
 
 
 def _d_gcd(a: _Dict, b: _Dict) -> _Dict:
@@ -824,7 +790,7 @@ def _ig_gcd(a: _Dict, b: _Dict) -> _Dict:
     common = tuple(min(x, y) for x, y in zip(sa, sb)) if sa else (0,) * w
     g = _ig_gcd_core(_ig_primitive(a), _ig_primitive(b))
     if any(common):
-        g = _d_mul_var_pow_multi(g, common)
+        g = _d_shift(g, common)
     return g
 
 

@@ -29,11 +29,11 @@ multivariate GCD (laurent's heuristic GCD) reduces the cross products.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
 from typing import Mapping
 
 from .laurent import (
     Binomial,
+    EvaluationPointError,
     LaurentPoly,
     UsageError,
     VarTable,
@@ -43,6 +43,7 @@ from .laurent import (
     _d_gcd,
     _d_mul,
     _d_strip_monomial,
+    _ig_primitive,
     _integerize,
     poly_divexact,
 )
@@ -204,29 +205,27 @@ class RatFunc:
             return RatFunc.from_poly(other)
         raise UsageError(f"cannot combine RatFunc with {type(other).__name__}")
 
-    # -- substitution / evaluation ----------------------------------------------
-
-    def subst(self, var: int, target) -> "RatFunc":
-        num = self.num.subst(var, target)
-        den = self.den.subst(var, target)
-        if den.is_zero():
-            raise ZeroDivisionError("substitution annihilated the denominator")
-        return RatFunc(num, den)
+    # -- evaluation and monomial maps ---------------------------------------------
 
     def evaluate(self, assignment, new_table: VarTable | None = None) -> "RatFunc":
         den = self.den.evaluate(assignment, new_table)
         if den.is_zero():
-            raise _eval_error()
+            raise EvaluationPointError(
+                "denominator vanished at the evaluation point")
         num = self.num.evaluate(assignment, den.table)
         return RatFunc(num, den)
 
     def rename_signed(self, new_table: VarTable, mapping) -> "RatFunc":
+        """The monomial map of LaurentPoly.rename_signed on num and den;
+        ZeroDivisionError when it sends den to 0."""
         num = self.num.rename_signed(new_table, mapping)
         den = self.den.rename_signed(new_table, mapping)
-        if len({t for t, _ in mapping}) < len(mapping):
+        if (any(len(image) != 1 for image in mapping)
+                or len({image[0][0] for image in mapping}) < len(mapping)):
             return RatFunc(num, den)
-        # an injective renaming is a ring isomorphism onto its image, so num
-        # and den stay coprime and each binomial factor maps to one binomial
+        # a renaming (each variable to its own signed variable) is a ring
+        # isomorphism onto its image, so num and den stay coprime and each
+        # binomial factor maps to one binomial
         dfac = self.dfac and _rename_factors(self.dfac, len(new_table),
                                              mapping)
         return RatFunc(*_finalize(num, den), _canonical=True, dfac=dfac)
@@ -268,11 +267,6 @@ class RatFunc:
         return f"({self.num})/({self.den})"
 
 
-def _eval_error():
-    from .laurent import EvaluationPointError
-    return EvaluationPointError("denominator vanished at the evaluation point")
-
-
 def _finalize(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Normalize a pair already in lowest terms: fold the denominator's
     monomial content into the numerator and scale the denominator to coprime
@@ -281,11 +275,11 @@ def _finalize(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentP
     if num.is_zero():
         return LaurentPoly.zero(table), LaurentPoly.one(table)
     dd, sd = _d_strip_monomial(den.terms)
-    den_p = LaurentPoly(table, dd, _clean=True)
-    scale = _normalizing_scale(den_p)
-    if scale != 1:
-        num, den_p = num * scale, den_p * scale
-    return num.shift(tuple(-s for s in sd)), den_p
+    den_p = _ig_primitive(_integerize(dd))
+    e = next(iter(dd))
+    num = num * Fraction(den_p[e], dd[e])
+    return (num.shift(tuple(-s for s in sd)),
+            LaurentPoly(table, den_p, _clean=True))
 
 
 def _reduce(num: LaurentPoly, den: LaurentPoly, split=_UNSPLIT
@@ -393,8 +387,8 @@ def _merge(*records: Factors) -> Factors:
 
 
 def _rename_factors(dfac: Factors, width: int, mapping) -> Factors:
-    """The factor record of a denominator after an injective renaming that
-    sends variable j to mapping[j][0] raised to mapping[j][1].
+    """The factor record of a denominator after a renaming that sends
+    variable j to its own variable t raised to s, mapping[j] = ((t, s),).
 
     x^p - c*x^q becomes y^a - c*y^b up to a monomial, where a collects the
     images of p's variables kept in sign and of q's flipped, and b the
@@ -403,7 +397,7 @@ def _rename_factors(dfac: Factors, width: int, mapping) -> Factors:
     out = []
     for (p, q, c), m in dfac:
         a, b = [0] * width, [0] * width
-        for j, (t, s) in enumerate(mapping):
+        for j, ((t, s),) in enumerate(mapping):
             if p[j]:
                 (a if s > 0 else b)[t] = 1
             elif q[j]:
@@ -411,23 +405,6 @@ def _rename_factors(dfac: Factors, width: int, mapping) -> Factors:
         a, b = tuple(a), tuple(b)
         out.append(((a, b, c) if a > b else (b, a, c), m))
     return tuple(sorted(out))
-
-
-def _normalizing_scale(p: LaurentPoly) -> Fraction:
-    """The rational c > 0 (up to sign) making p's coefficients integer and
-    coprime with positive lex-leading coefficient."""
-    coeffs = list(p.terms.values())
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-    num_gcd = 0
-    for c in coeffs:
-        num_gcd = int_gcd(num_gcd, c.numerator * (den_lcm // c.denominator))
-    scale = Fraction(den_lcm, num_gcd)
-    _, lead = p.lead()
-    if lead * scale < 0:
-        scale = -scale
-    return scale
 
 
 def rf_reduce(num: LaurentPoly, den: LaurentPoly) -> RatFunc:

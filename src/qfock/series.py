@@ -67,9 +67,9 @@ class HalfSeries:
         return cls(table, trunc2, {0: RatFunc.one(table)}, _clean=True)
 
     @classmethod
-    def q_power(cls, table: VarTable, trunc2: int, e2: int, c=1) -> "HalfSeries":
-        """c * q^(e2/2)."""
-        return cls(table, trunc2, {e2: c})
+    def q_power(cls, table: VarTable, trunc2: int, e2: int) -> "HalfSeries":
+        """q^(e2/2)."""
+        return cls(table, trunc2, {e2: 1})
 
     # -- inspection ----------------------------------------------------------------
 
@@ -214,21 +214,14 @@ class HalfSeries:
     # -- coefficient-wise structure maps ----------------------------------------------
 
     def map_coeffs(self, fn: Callable[[RatFunc], RatFunc],
-                   table: VarTable | None = None,
-                   trunc2: int | None = None) -> "HalfSeries":
+                   table: VarTable | None = None) -> "HalfSeries":
         table = table if table is not None else self.table
-        trunc2 = trunc2 if trunc2 is not None else self.trunc2
         out: dict[int, RatFunc] = {}
         for e, c in self.terms.items():
             nc = fn(c)
             if not nc.is_zero():
                 out[e] = nc
-        return HalfSeries(table, trunc2, out, _clean=True)
-
-    def subst_monomial(self, var: int, target) -> "HalfSeries":
-        """Replace a variable by a +/-1-exponent monomial in other variables
-        (empty target substitutes 1) in every coefficient."""
-        return self.map_coeffs(lambda c: c.subst(var, target))
+        return HalfSeries(table, self.trunc2, out, _clean=True)
 
     def tddt(self, var: int) -> "HalfSeries":
         return self.map_coeffs(lambda c: c.tddt(var))
@@ -240,6 +233,8 @@ class HalfSeries:
                                table=new_table)
 
     def rename_signed(self, new_table: VarTable, mapping) -> "HalfSeries":
+        """The monomial map of LaurentPoly.rename_signed on every
+        coefficient."""
         return self.map_coeffs(lambda c: c.rename_signed(new_table, mapping),
                                table=new_table)
 

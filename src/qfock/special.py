@@ -62,7 +62,11 @@ def _validate_arg(table: VarTable, arg: ThetaArg) -> None:
 
 
 def theta(table: VarTable, trunc2: int, arg: ThetaArg) -> HalfSeries:
-    """Theta evaluated at the monomial arg (empty arg gives the zero series)."""
+    """Theta evaluated at the monomial arg (empty arg gives the zero
+    series); over a bound table, then at the table's point."""
+    if table.values:
+        return theta(VarTable(table.names, table.kinds), trunc2,
+                     arg).evaluate(dict(table.values))
     _validate_arg(table, arg)
     if not arg:
         return HalfSeries.zero(table, trunc2)
@@ -95,38 +99,12 @@ def _theta_deriv_scratch(k: int, trunc2: int) -> HalfSeries:
     return _theta_deriv_cache[key]
 
 
-def _scratch_subst(series: HalfSeries, table: VarTable, arg: ThetaArg) -> HalfSeries:
-    """Substitute the scratch variable by the monomial arg (empty arg -> 1)."""
-    out: dict[int, RatFunc] = {}
-    for e2, c in series.terms.items():
-        num = _distribute(c.num, table, arg)
-        den = _distribute(c.den, table, arg)
-        if den.is_zero():
-            raise ZeroDivisionError("theta substitution annihilated a denominator")
-        nc = RatFunc(num, den)
-        if not nc.is_zero():
-            out[e2] = nc
-    return HalfSeries(table, series.trunc2, out, _clean=True)
-
-
-def _distribute(p: LaurentPoly, table: VarTable, arg: ThetaArg) -> LaurentPoly:
-    terms: dict[tuple[int, ...], int | Fraction] = {}
-    w = len(table)
-    for e, c in p.terms.items():
-        ne = [0] * w
-        for i, s in arg:
-            ne[i] = e[0] * s
-        ne = tuple(ne)
-        terms[ne] = terms.get(ne, 0) + c
-    return LaurentPoly(table, terms)  # drops zeros, normalizes
-
-
 def theta_deriv(table: VarTable, trunc2: int, k: int, arg: ThetaArg) -> HalfSeries:
     """(t d/dt)^k Theta, differentiated first and then evaluated at arg."""
     if k < 0:
         raise UsageError("derivative order must be nonnegative")
     _validate_arg(table, arg)
-    return _scratch_subst(_theta_deriv_scratch(k, trunc2), table, arg)
+    return _theta_deriv_scratch(k, trunc2).rename_signed(table, [tuple(arg)])
 
 
 def _det(entries: list[list], one, mul, add, neg):
@@ -170,10 +148,11 @@ def f_bo(n: int, trunc2: int, table: VarTable | None = None,
     Theta'(1)/Theta(t), the closed form since Theta'(1) = 1); "closed" forces
     the n=1 closed form (only valid for n <= 1).
 
-    The result is symbolic: each Theta(S) it divides by starts at q^0 with
-    the nonzero coefficient u_S - 1/u_S (u_S the square root of the product
-    over S), so every inverse exists.  The kernel at a point is this result
-    evaluated there, which fails only at a pole of a reduced coefficient.
+    Each Theta(S) it divides by starts at q^0 with the nonzero coefficient
+    u_S - 1/u_S (u_S the square root of the product over S), so every
+    inverse exists.  Over a bound table the kernel is computed symbolically
+    and evaluated at the table's point, which fails only at a pole of a
+    reduced coefficient.
     """
     if n < 0:
         raise UsageError("point count must be nonnegative")
@@ -181,6 +160,9 @@ def f_bo(n: int, trunc2: int, table: VarTable | None = None,
         raise UsageError(f"unknown f_bo path {path!r}")
     if table is None:
         table = VarTable.make(n)
+    if table.values:
+        return f_bo(n, trunc2, VarTable(table.names, table.kinds), t_indices,
+                    path).evaluate(dict(table.values))
     if t_indices is None:
         t_indices = table.t_indices()[:n]
     if len(t_indices) != n:

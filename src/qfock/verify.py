@@ -135,8 +135,7 @@ def suite_vacuum_recursion(n_max: int = 3, trunc2: int = 6,
                         d_half_vacuum(len(Ic), trunc2, twisted, at, Ic)
                     rhs = term if rhs is None else rhs + term
             closed = fock_trace_at_sign(n, trunc2, sign, at, ti)
-            oracle = oracle_trace(sp_pair, trunc2, at, ti, parity_sign=twisted,
-                                  parity_source="total")
+            oracle = oracle_trace(sp_pair, trunc2, at, ti, parity_sign=twisted)
             checks.append(_cmp(f"subset identity n={n} {lab}: closed z-sum == pair oracle",
                                closed, oracle))
             checks.append(_cmp(f"subset identity n={n} {lab}: pair oracle == vacuum convolution",
@@ -177,12 +176,10 @@ def suite_onepoint(trunc2: int = 6) -> list[Check]:
     return checks
 
 
-def _main_grid(l_values=(0, 1), n_values=(1, 2), lam_parts=(0, 1, 2)):
+def _main_grid(l_values=(0, 1), n_values=(1, 2)):
     for l in l_values:
         lams = [()] if l == 0 else [(), (1,), (2,)]
         for lam in lams:
-            if lam and max(lam) not in lam_parts:
-                continue
             for n in n_values:
                 yield l, lam, n
 

@@ -127,7 +127,7 @@ def test_criterion_2_special_series():
     det = f_bo(1, 10, table, (0,), path="det")
     ok.append(closed.eq_upto(det))
     fb2 = f_bo(2, 8, table, (0, 1))
-    ok.append(fb2.eq_upto(fb2.rename_signed(table, [(1, 1), (0, 1)])))
+    ok.append(fb2.eq_upto(fb2.rename_signed(table, [((1, 1),), ((0, 1),)])))
     elapsed = time.time() - t0
     status = "PASS" if all(ok) else "FAIL"
     print(f"\nacceptance special-series: {status}  "

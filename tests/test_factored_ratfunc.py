@@ -8,6 +8,7 @@ find them reduced and equal to the unreduced quotient, and every factor
 record must multiply out to its denominator."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,6 +16,9 @@ hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from conftest import distribute, subst  # noqa: E402
+from qfock import special  # noqa: E402
 
 from qfock.laurent import (  # noqa: E402
     LaurentPoly,
@@ -28,7 +32,6 @@ from qfock.laurent import (  # noqa: E402
 from qfock.ratfunc import (  # noqa: E402
     RatFunc,
     _expand,
-    _normalizing_scale,
     _split,
 )
 from qfock.series import HalfSeries  # noqa: E402
@@ -93,6 +96,23 @@ def operand_pairs(draw, mixed):
     extra = NON_BINOMIAL if mixed else ()
     return tuple((draw(numerators(pool)), draw(polys(pool, extra)))
                  for _ in range(2))
+
+
+def _normalizing_scale(p: LaurentPoly) -> Fraction:
+    """The rational c > 0 (up to sign) making p's coefficients integer and
+    coprime with positive lex-leading coefficient."""
+    coeffs = list(p.terms.values())
+    den_lcm = 1
+    for c in coeffs:
+        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+    num_gcd = 0
+    for c in coeffs:
+        num_gcd = gcd(num_gcd, c.numerator * (den_lcm // c.denominator))
+    scale = Fraction(den_lcm, num_gcd)
+    _, lead = p.lead()
+    if lead * scale < 0:
+        scale = -scale
+    return scale
 
 
 def _prs_canonical(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
@@ -255,10 +275,85 @@ def test_rename_signed_against_full_reduction(pair, perm, signs, collide):
     targets = list(perm[:WIDTH])
     if collide:
         targets[1] = targets[0]
-    mapping = list(zip(targets, signs))
+    mapping = [((t, s),) for t, s in zip(targets, signs)]
     num, den = (p.rename_signed(wide, mapping) for p in (a.num, a.den))
     hypothesis.assume(not den.is_zero())  # u0/u1 - 1 can collapse to 0
     r = a.rename_signed(wide, mapping)
     want = RatFunc(num, den)
     assert (r.num, r.den) == (want.num, want.den)
     _check_record(r)
+
+
+WIDE = VarTable.make(WIDTH + 1)
+# the source and target variables side by side, where subst can map them
+BOTH = VarTable(TAB.names + tuple("y" + nm for nm in WIDE.names),
+                TAB.kinds + WIDE.kinds)
+SIGNED = st.tuples(st.integers(0, WIDTH), st.sampled_from((1, -1)))
+
+
+@st.composite
+def monomial_maps(draw):
+    """Images in WIDE of the TAB variables, each a product of signed
+    variables: a renaming (each variable to its own signed variable), a
+    renaming with a second factor on some images, or up to two factors each
+    (so also empty images)."""
+    kind = draw(st.sampled_from(("renaming", "products", "any")))
+    if kind == "any":
+        return [tuple(draw(st.lists(SIGNED, max_size=2,
+                                    unique_by=lambda x: x[0])))
+                for _ in range(WIDTH)]
+    targets = draw(st.permutations(range(WIDTH + 1)))[:WIDTH]
+    images = [((t, draw(st.sampled_from((1, -1)))),) for t in targets]
+    if kind == "products":
+        for j in draw(st.sets(st.integers(0, WIDTH - 1), min_size=1)):
+            extra = draw(SIGNED.filter(lambda x: x[0] != targets[j]))
+            images[j] += (extra,)
+    return images
+
+
+def _mapped(p: LaurentPoly, mapping) -> LaurentPoly:
+    """p under the monomial map, by one subst per source variable."""
+    q = LaurentPoly(BOTH, {e + (0,) * len(WIDE): c
+                           for e, c in p.terms.items()})
+    for j, image in enumerate(mapping):
+        q = subst(q, j, [(WIDTH + t, s) for t, s in image])
+    return LaurentPoly(WIDE, {e[WIDTH:]: c for e, c in q.terms.items()})
+
+
+@SETTINGS
+@given(operand_pairs(mixed=True), monomial_maps())
+def test_rename_signed_against_subst(pair, mapping):
+    # every level against subst: polynomials exactly, a rational function
+    # as the reduced quotient of the mapped num and den (ZeroDivisionError
+    # when den maps to 0), a series coefficient by coefficient
+    a = _reduced(pair[0])
+    s = HalfSeries(TAB, 3, {1: a, 3: a * a})
+    num, den = _mapped(a.num, mapping), _mapped(a.den, mapping)
+    assert a.num.rename_signed(WIDE, mapping) == num
+    assert a.den.rename_signed(WIDE, mapping) == den
+    if den.is_zero():
+        for x in (a, s):
+            with pytest.raises(ZeroDivisionError):
+                x.rename_signed(WIDE, mapping)
+        return
+    r = a.rename_signed(WIDE, mapping)
+    want = RatFunc(num, den)
+    assert (r.num, r.den) == (want.num, want.den)
+    _check_record(r)
+    want_terms = {}
+    for e2, c in s.terms.items():
+        c = RatFunc(_mapped(c.num, mapping), _mapped(c.den, mapping))
+        if c:
+            want_terms[e2] = c
+    got = s.rename_signed(WIDE, mapping)
+    assert (got.table, got.trunc2, got.terms) == (WIDE, 3, want_terms)
+
+
+@SETTINGS
+@given(st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=4),
+       st.lists(SIGNED, max_size=WIDTH, unique_by=lambda x: x[0]))
+def test_rename_signed_of_one_variable_against_distribute(terms, arg):
+    # the scratch variable of theta_deriv to a monomial: empty, single
+    # (either sign) and product images
+    p = LaurentPoly(special._SCRATCH, {(e,): c for e, c in terms.items()})
+    assert p.rename_signed(WIDE, [tuple(arg)]) == distribute(p, WIDE, arg)

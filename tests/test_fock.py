@@ -296,8 +296,7 @@ class TestTraces:
     def test_pair_space_isomorphism_identity(self):
         # one complex pair vs two neutral copies: subset convolution
         tab = VarTable.make(1)
-        tw = oracle_trace(PAIR, 6, tab, (0,), parity_sign=True,
-                          parity_source="total")
+        tw = oracle_trace(PAIR, 6, tab, (0,), parity_sign=True)
         conv = d_half_vacuum(1, 6, True, tab, (0,)) * \
             d_half_vacuum(0, 6, True, tab, ()) * 2
         assert tw.eq_upto(conv)

@@ -27,7 +27,7 @@ from qfock.laurent import (  # noqa: E402
     _d_divexact,
     _d_gcd,
     _d_mul,
-    _d_mul_var_pow_multi,
+    _d_shift,
     _d_strip_monomial,
     _ig_primitive,
     _ig_prs_fallback,
@@ -88,7 +88,7 @@ def _prs_gcd(a, b):
     without monomial content, times the common monomial."""
     (a, sa), (b, sb) = (_d_strip_monomial(_integerize(x)) for x in (a, b))
     g = _ig_prs_fallback(_ig_primitive(a), _ig_primitive(b))
-    return _d_mul_var_pow_multi(g, tuple(map(min, sa, sb)))
+    return _d_shift(g, tuple(map(min, sa, sb)))
 
 
 def _assert_matches_sympy(g, a, b):

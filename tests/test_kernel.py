@@ -109,15 +109,17 @@ class TestLaurentPoly:
         assert lp_tddt(t + tinv, 0) == t - tinv
 
     def test_subst_examples(self):
+        # t1 -> t2 t3, t1 -> 1 and t1 -> 1/t2, the other variables fixed
         tab = VarTable.make(3)
         u = LaurentPoly.monomial(tab, {0: 1})
         ui = LaurentPoly.monomial(tab, {0: -1})
-        s = (u - ui).subst(0, [(1, 1), (2, 1)])
+        rest = [((1, 1),), ((2, 1),)]
+        s = (u - ui).rename_signed(tab, [((1, 1), (2, 1)), *rest])
         want = LaurentPoly.monomial(tab, {1: 1, 2: 1}) - \
             LaurentPoly.monomial(tab, {1: -1, 2: -1})
         assert s == want
-        assert (u - ui).subst(0, []).is_zero()
-        assert (u - ui).subst(0, [(1, -1)]) == \
+        assert (u - ui).rename_signed(tab, [(), *rest]).is_zero()
+        assert (u - ui).rename_signed(tab, [((1, -1),), *rest]) == \
             LaurentPoly.monomial(tab, {1: -1}) - LaurentPoly.monomial(tab, {1: 1})
 
     def test_evaluate(self):
@@ -338,12 +340,13 @@ class TestHalfSeries:
         u0 = LaurentPoly.monomial(tab3, {0: 1})
         u0i = LaurentPoly.monomial(tab3, {0: -1})
         s = HalfSeries(tab3, 4, {0: RatFunc.from_poly(u0 - u0i)})
-        prod = s.subst_monomial(0, [(1, 1), (2, 1)])
+        rest = [((1, 1),), ((2, 1),)]
+        prod = s.rename_signed(tab3, [((1, 1), (2, 1)), *rest])
         want = LaurentPoly.monomial(tab3, {1: 1, 2: 1}) - \
             LaurentPoly.monomial(tab3, {1: -1, 2: -1})
         assert prod.coeff(0) == RatFunc.from_poly(want)
-        assert s.subst_monomial(0, []).is_zero()
-        inv = s.subst_monomial(0, [(1, -1)])
+        assert s.rename_signed(tab3, [(), *rest]).is_zero()
+        inv = s.rename_signed(tab3, [((1, -1),), *rest])
         assert inv.coeff(0) == RatFunc.from_poly(
             LaurentPoly.monomial(tab3, {1: -1}) - LaurentPoly.monomial(tab3, {1: 1}))
 

@@ -1,10 +1,14 @@
 """Special-series tests: Pochhammer products, theta and its derivatives, and
 the n-point kernel."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from conftest import scratch_subst
+from qfock import special
+from qfock.cli import series_to_json
 from qfock.laurent import LaurentPoly, UsageError, VarTable
 from qfock.ratfunc import RatFunc
 from qfock.series import HalfSeries
@@ -97,6 +101,20 @@ class TestTheta:
             assert theta_deriv(TAB, 8, k, ()).is_zero()
         assert not theta_deriv(TAB, 8, 1, ()).is_zero()
 
+    def test_compound_arguments_match_the_scratch_substitution(self):
+        # theta_deriv's monomial map gives the JSON of the substitution it
+        # replaced, for products, sign flips and the empty argument
+        tab = VarTable.make(3)
+        args = (((0, 1), (1, 1)), ((0, -1), (2, 1)), ((1, -1),),
+                ((0, 1), (1, -1), (2, 1)), ())
+        for k in range(4):
+            for arg in args:
+                got = theta_deriv(tab, 6, k, arg)
+                want = scratch_subst(special._theta_deriv_scratch(k, 6),
+                                     tab, arg)
+                assert json.dumps(series_to_json(got)) == \
+                    json.dumps(series_to_json(want))
+
     def test_compound_argument(self):
         # substitute t -> t1 t2 in the leading coefficient
         th = theta(TAB, 4, ((0, 1), (1, 1)))
@@ -126,7 +144,7 @@ class TestFbo:
 
     def test_two_point_symmetry_order_four(self):
         fb = f_bo(2, 8, TAB, (0, 1))
-        swapped = fb.rename_signed(TAB, [(1, 1), (0, 1)])
+        swapped = fb.rename_signed(TAB, [((1, 1),), ((0, 1),)])
         assert fb.eq_upto(swapped)
 
     def test_three_point_symmetry(self):
@@ -134,8 +152,8 @@ class TestFbo:
         # entries in the determinant
         tab = VarTable.make(3)
         fb = f_bo(3, 4, tab, (0, 1, 2))
-        cyc = fb.rename_signed(tab, [(1, 1), (2, 1), (0, 1)])
-        swap = fb.rename_signed(tab, [(1, 1), (0, 1), (2, 1)])
+        cyc = fb.rename_signed(tab, [((1, 1),), ((2, 1),), ((0, 1),)])
+        swap = fb.rename_signed(tab, [((1, 1),), ((0, 1),), ((2, 1),)])
         assert fb.eq_upto(cyc)
         assert fb.eq_upto(swap)
 

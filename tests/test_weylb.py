@@ -117,9 +117,9 @@ class TestDenominator:
         l = 3
         t = VarTable.make(0, l)
         d = weyl_denominator_B(l, t)
-        swapped = d.rename_signed(t, [(1, 1), (0, 1), (2, 1)])
+        swapped = d.rename_signed(t, [((1, 1),), ((0, 1),), ((2, 1),)])
         assert swapped == -d
-        flipped = d.rename_signed(t, [(0, 1), (1, 1), (2, -1)])
+        flipped = d.rename_signed(t, [((0, 1),), ((1, 1),), ((2, -1),)])
         assert flipped == -d
 
 
