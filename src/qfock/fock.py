@@ -4,9 +4,16 @@ actions, graded traces, and dominant-monomial extraction.
 A space has l complex-fermion pairs and optionally one neutral fermion.
 States are canonical products of creation operators: families ordered
 (plus_1, minus_1, ..., plus_l, minus_l, neutral), modes strictly decreasing
-within a family; modes are positive half-odd integers stored doubled.  Every
-operator application reorders into this canonical form, tracking the
-fermionic sign.
+within a family; modes are positive half-odd integers stored doubled.
+
+A state keeps one int bitmask per family, bit (m2 - 1)/2 standing for the
+doubled mode m2, and its doubled energy next to the masks.  A mode operator
+tests and flips one bit.  Its sign is (-1)^(number of creation operators
+standing before the slot in the canonical product): the popcount of every
+earlier family's mask plus that of the higher modes in the slot's own
+family.  Only the public FockState(modes) validates; vacuum,
+enumerate_states and the operators build states through the trusted
+FockState._trusted.
 
 The diagonal operator inserted in traces acts on a state as
 
@@ -22,7 +29,6 @@ RatFuncs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .laurent import (
@@ -65,37 +71,63 @@ class FockSpace:
         return 2 * self.pairs
 
 
-@dataclass(frozen=True)
 class FockState:
-    """Occupied modes per family; doubled half-odd values, strictly decreasing."""
+    """Occupied modes per family, one bitmask each (bit (m2 - 1)/2 for the
+    doubled mode m2), and the doubled energy e2.  FockState(modes) takes
+    strictly decreasing doubled half-odd modes per family and validates
+    them; .modes gives them back."""
 
-    modes: tuple[tuple[int, ...], ...]
+    __slots__ = ("masks", "e2")
 
-    def __post_init__(self):
-        for fam in self.modes:
+    def __init__(self, modes: Sequence[Sequence[int]]):
+        for fam in modes:
             for m in fam:
                 if m <= 0 or m % 2 == 0:
                     raise UsageError(f"modes must be positive half-odd: {m}/2")
             if any(a <= b for a, b in zip(fam, fam[1:])):
                 raise UsageError(f"modes must strictly decrease: {fam}")
+        self.masks = tuple(sum(1 << (m >> 1) for m in fam) for fam in modes)
+        self.e2 = sum(map(sum, modes))
+
+    @classmethod
+    def _trusted(cls, masks: tuple[int, ...], e2: int) -> "FockState":
+        state = object.__new__(cls)
+        state.masks, state.e2 = masks, e2
+        return state
 
     @classmethod
     def vacuum(cls, space: FockSpace) -> "FockState":
-        return cls(((),) * space.families)
+        return cls._trusted((0,) * space.families, 0)
+
+    @property
+    def modes(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(2 * b + 1
+                           for b in reversed(range(mask.bit_length()))
+                           if mask >> b & 1) for mask in self.masks)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FockState) and self.masks == other.masks
+
+    def __hash__(self) -> int:
+        return hash(self.masks)
+
+    def __repr__(self) -> str:
+        return f"FockState(modes={self.modes!r})"
 
     def energy2(self) -> int:
-        return sum(sum(fam) for fam in self.modes)
+        return self.e2
 
     def charges(self, space: FockSpace) -> tuple[int, ...]:
-        return tuple(len(self.modes[2 * p]) - len(self.modes[2 * p + 1])
+        m = self.masks
+        return tuple(m[2 * p].bit_count() - m[2 * p + 1].bit_count()
                      for p in range(space.pairs))
 
     def alpha_parity(self, space: FockSpace) -> int:
         """Neutral-excitation count mod 2."""
-        return len(self.modes[space.neutral_family()]) % 2
+        return self.masks[space.neutral_family()].bit_count() % 2
 
     def total_parity(self) -> int:
-        return sum(len(fam) for fam in self.modes) % 2
+        return sum(map(int.bit_count, self.masks)) % 2
 
 
 @dataclass(frozen=True)
@@ -114,31 +146,39 @@ class Gradings:
 # elementary operators
 # ---------------------------------------------------------------------------
 
-def _position(state: FockState, fam: int, m2: int) -> int:
-    """Number of creation operators standing before slot (fam, m2)."""
-    count = sum(len(state.modes[f]) for f in range(fam))
-    count += sum(1 for m in state.modes[fam] if m > m2)
-    return count
+def _flip(state: FockState, fam: int, m2: int,
+          occupied: bool) -> tuple[int, FockState] | None:
+    """Flip slot (fam, m2) if its occupation is `occupied`, else None.  The
+    sign counts the creation operators standing before the slot: every mode
+    of the earlier families and the higher modes of this one."""
+    masks = state.masks
+    b = m2 >> 1
+    mask = masks[fam]
+    if (mask >> b & 1) != occupied:
+        return None
+    ahead = sum(map(int.bit_count, masks[:fam])) + (mask >> b + 1).bit_count()
+    flipped = masks[:fam] + (mask ^ 1 << b,) + masks[fam + 1:]
+    e2 = state.e2 - m2 if occupied else state.e2 + m2
+    return -1 if ahead & 1 else 1, FockState._trusted(flipped, e2)
+
+
+def _check_slot(state: FockState, fam: int, m2: int) -> None:
+    if m2 <= 0 or m2 % 2 == 0:
+        raise UsageError(f"modes must be positive half-odd: {m2}/2")
+    if not 0 <= fam < len(state.masks):
+        raise UsageError(f"no family {fam} in a state of {len(state.masks)}")
 
 
 def create(state: FockState, fam: int, m2: int) -> tuple[int, FockState] | None:
     """Apply the creation operator for (fam, m2); None if excluded."""
-    if m2 in state.modes[fam]:
-        return None
-    pos = _position(state, fam, m2)
-    fam_modes = tuple(sorted(state.modes[fam] + (m2,), reverse=True))
-    modes = state.modes[:fam] + (fam_modes,) + state.modes[fam + 1:]
-    return (-1) ** pos, FockState(modes)
+    _check_slot(state, fam, m2)
+    return _flip(state, fam, m2, False)
 
 
 def annihilate(state: FockState, fam: int, m2: int) -> tuple[int, FockState] | None:
     """Apply the annihilation operator for (fam, m2); None if unoccupied."""
-    if m2 not in state.modes[fam]:
-        return None
-    pos = _position(state, fam, m2)
-    fam_modes = tuple(m for m in state.modes[fam] if m != m2)
-    modes = state.modes[:fam] + (fam_modes,) + state.modes[fam + 1:]
-    return (-1) ** pos, FockState(modes)
+    _check_slot(state, fam, m2)
+    return _flip(state, fam, m2, True)
 
 
 def apply_field(state: FockState, space: FockSpace, field: str, index: int,
@@ -153,90 +193,97 @@ def apply_field(state: FockState, space: FockSpace, field: str, index: int,
         raise UsageError("mode indices are half-odd integers")
     if field == "phi":
         fam = space.neutral_family()
-        return create(state, fam, -r2) if r2 < 0 else annihilate(state, fam, r2)
-    if field == "psi+":
-        if r2 < 0:
-            return create(state, 2 * index, -r2)
-        return annihilate(state, 2 * index + 1, r2)
-    if field == "psi-":
-        if r2 < 0:
-            return create(state, 2 * index + 1, -r2)
-        return annihilate(state, 2 * index, r2)
-    raise UsageError(f"unknown field {field!r}")
+    elif field in ("psi+", "psi-"):
+        if not 0 <= index < space.pairs:
+            raise UsageError(f"no pair {index} in a space of {space.pairs}")
+        # psi+ creates in the plus family and annihilates in the minus one
+        fam = 2 * index + ((field == "psi+") == (r2 > 0))
+    else:
+        raise UsageError(f"unknown field {field!r}")
+    return _flip(state, fam, abs(r2), r2 > 0)
 
 
 StateVector = dict  # FockState -> RatFunc, or Fraction at a point
 
 
+def _add_to(vec: StateVector, st: FockState, coeff) -> None:
+    """vec[st] += coeff, dropping a zero entry."""
+    cur = vec.get(st)
+    cur = coeff if cur is None else cur + coeff
+    if cur:
+        vec[st] = cur
+    else:
+        vec.pop(st, None)
+
+
+class _Insertion(dict):
+    """The coefficients of the insertion for t_index: .central, the scalar
+    (2*pairs + neutral)/(t^(1/2) - t^(-1/2)), and at key (k2, s) a term's
+    s*t^(k2/2), built on first use.  Over a bound table, whose square-root
+    value for t_index is v, they are the Fractions (2*pairs + neutral) *
+    v/(v^2 - 1) and s*v^k2."""
+
+    def __init__(self, space: FockSpace, table: VarTable, t_index: int):
+        super().__init__()
+        self.table, self.t_index = table, t_index
+        v = self.v = dict(table.values).get(t_index)
+        if not table.values:
+            self.central = RatFunc(
+                LaurentPoly.monomial(table, {t_index: 1}),
+                LaurentPoly.monomial(table, {t_index: 2})
+                - LaurentPoly.one(table)) * space.families
+        elif v is None:
+            raise UsageError(f"no value for insertion variable {t_index}")
+        elif space.families and v * v == 1:
+            raise EvaluationPointError("the insertion has a pole at t = 1")
+        else:
+            self.central = space.families and space.families * v / (v * v - 1)
+
+    def __missing__(self, key: tuple[int, int]):
+        k2, sign = key
+        if self.v is None:
+            c = RatFunc.from_poly(LaurentPoly.monomial(
+                self.table, {self.t_index: k2}, sign))
+        else:
+            c = sign * self.v ** k2
+        self[key] = c
+        return c
+
+
 def apply_D(state: FockState, space: FockSpace, table: VarTable,
-            t_index: int) -> StateVector:
+            t_index: int, insertion: _Insertion | None = None) -> StateVector:
     """Apply the diagonal trace insertion for the variable t_index.
 
-    Normal-ordered bilinears are applied term by term through the elementary
-    operators (only modes up to the state's energy can contribute), then the
-    central scalar (2*pairs + neutral)/(t^(1/2) - t^(-1/2)) adds the input
-    state back; 2*pairs + neutral is the number of fermion families.
-
-    Over a bound table, whose square-root value for t_index is v, the
-    coefficients are the Fractions the symbolic ones take there: s*t^(k/2)
-    becomes s*v^k and the central scalar (2*pairs + neutral) * v/(v^2 - 1).
+    For each occupied slot (fam, m2), the two normal-ordered bilinears whose
+    annihilator acts there are applied through the elementary operators:
+    the positive-index term t^(m2/2) and the negative-index one -t^(-m2/2).
+    Every other bilinear annihilates the state.  The central scalar then
+    adds the input state back; 2*pairs + neutral is the number of fermion
+    families.  insertion holds the coefficients (built here unless given).
     """
-    if not table.values:
-        def term(k2: int, sign: int) -> RatFunc:
-            return RatFunc.from_poly(
-                LaurentPoly.monomial(table, {t_index: k2}, sign))
-        central = RatFunc(LaurentPoly.monomial(table, {t_index: 1}),
-                          LaurentPoly.monomial(table, {t_index: 2})
-                          - LaurentPoly.one(table)) * space.families
-    else:
-        v = dict(table.values).get(t_index)
-        if v is None:
-            raise UsageError(f"no value for insertion variable {t_index}")
-        central = 0
-        if space.families:
-            if v * v == 1:
-                raise EvaluationPointError(
-                    "the insertion has a pole at t = 1")
-            central = space.families * v / (v * v - 1)
-
-        def term(k2: int, sign: int) -> Fraction:
-            return sign * v ** k2
+    if insertion is None:
+        insertion = _Insertion(space, table, t_index)
     out: StateVector = {}
-
-    def add(st: FockState, coeff) -> None:
-        cur = out.get(st)
-        cur = coeff if cur is None else cur + coeff
-        if not cur:
-            out.pop(st, None)
+    for fam, mask in enumerate(state.masks):
+        # psi-_k annihilates in a plus family and psi+_{-k} creates there;
+        # the roles swap in a minus family; phi_k, phi_{-k} act on the neutral
+        if fam == 2 * space.pairs:
+            ann, cre = "phi", "phi"
         else:
-            out[st] = cur
-
-    e2 = state.energy2()
-    ops: list[tuple[str, int, str, int]] = []
-    for p in range(space.pairs):
-        ops.append(("psi-", p, "psi+", p))   # psi+_{-k} psi-_{k}: psi- first
-        ops.append(("psi+", p, "psi-", p))   # psi-_{-k} psi+_{k}: psi+ first
-    if space.neutral:
-        ops.append(("phi", 0, "phi", 0))
-    for k2 in range(1, e2 + 1, 2):
-        for first, i1, second, i2 in ops:
-            # positive index term: t^(k2/2) (create at -k2 after annihilating at k2)
-            r = apply_field(state, space, first, i1, k2)
-            if r is not None:
-                s1, st1 = r
-                r2_ = apply_field(st1, space, second, i2, -k2)
-                if r2_ is not None:
-                    s2, st2 = r2_
-                    add(st2, term(k2, s1 * s2))
-            # negative index term, normal ordered: -t^(-k2/2) (swap the roles)
-            r = apply_field(state, space, second, i2, k2)
-            if r is not None:
-                s1, st1 = r
-                r2_ = apply_field(st1, space, first, i1, -k2)
-                if r2_ is not None:
-                    s2, st2 = r2_
-                    add(st2, term(-k2, -s1 * s2))
-    add(state, central)
+            ann, cre = ("psi+", "psi-") if fam % 2 else ("psi-", "psi+")
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            m2 = 2 * low.bit_length() - 1
+            for k2, sign in ((m2, 1), (-m2, -1)):
+                r = apply_field(state, space, ann, fam // 2, m2)
+                if r is not None:
+                    s1, st1 = r
+                    r = apply_field(st1, space, cre, fam // 2, -m2)
+                    if r is not None:
+                        s2, st2 = r
+                        _add_to(out, st2, insertion[k2, sign * s1 * s2])
+    _add_to(out, state, insertion.central)
     return out
 
 
@@ -244,20 +291,17 @@ def apply_D(state: FockState, space: FockSpace, table: VarTable,
 # enumeration and traces
 # ---------------------------------------------------------------------------
 
-def _distinct_mode_sets(max2: int) -> list[tuple[tuple[int, ...], int]]:
-    """All strictly decreasing tuples of half-odd doubled modes with sum <= max2."""
-    modes = list(range(1, max2 + 1, 2))
-    out: list[tuple[tuple[int, ...], int]] = []
+def _distinct_mode_sets(max2: int) -> list[tuple[int, int]]:
+    """(mask, doubled energy) of every set of half-odd doubled modes with
+    sum <= max2."""
+    out: list[tuple[int, int]] = []
 
-    def rec(i: int, cur: list[int], tot: int) -> None:
-        out.append((tuple(sorted(cur, reverse=True)), tot))
-        for j in range(i, len(modes)):
-            if tot + modes[j] <= max2:
-                cur.append(modes[j])
-                rec(j + 1, cur, tot + modes[j])
-                cur.pop()
+    def rec(m2: int, mask: int, tot: int) -> None:
+        out.append((mask, tot))
+        for m in range(m2, max2 - tot + 1, 2):
+            rec(m + 2, mask | 1 << (m >> 1), tot + m)
 
-    rec(0, [], 0)
+    rec(1, 0, 0)
     return out
 
 
@@ -268,13 +312,13 @@ def enumerate_states(space: FockSpace, max2: int) -> dict[int, list[FockState]]:
     per_family = _distinct_mode_sets(max2)
     levels: dict[int, list[FockState]] = {e2: [] for e2 in range(max2 + 1)}
 
-    def rec(fam: int, acc: list[tuple[int, ...]], tot: int) -> None:
+    def rec(fam: int, acc: list[int], tot: int) -> None:
         if fam == space.families:
-            levels[tot].append(FockState(tuple(acc)))
+            levels[tot].append(FockState._trusted(tuple(acc), tot))
             return
-        for ms, s in per_family:
+        for mask, s in per_family:
             if tot + s <= max2:
-                acc.append(ms)
+                acc.append(mask)
                 rec(fam + 1, acc, tot + s)
                 acc.pop()
 
@@ -283,23 +327,20 @@ def enumerate_states(space: FockSpace, max2: int) -> dict[int, list[FockState]]:
 
 
 def _diagonal_weight(state: FockState, space: FockSpace, table: VarTable,
-                     t_indices: Sequence[int]):
+                     t_indices: Sequence[int], insertions=None):
     """<state| product of insertions |state> via repeated apply_D: a RatFunc,
     or a Fraction over a bound table (the int 1 without insertions, 0 when
-    the insertions do not return to the state)."""
+    the insertions do not return to the state).  insertions maps each
+    insertion variable to its _Insertion, built once per trace."""
     vec: StateVector = {state: 1}
     for t_index in reversed(tuple(t_indices)):
+        ins = insertions[t_index] if insertions else None
         nxt: StateVector = {}
         for st, coeff in vec.items():
-            for st2, c2 in apply_D(st, space, table, t_index).items():
-                if st2.energy2() != st.energy2():
+            for st2, c2 in apply_D(st, space, table, t_index, ins).items():
+                if st2.e2 != st.e2:
                     raise InternalInvariantError("insertion changed the energy")
-                cur = nxt.get(st2)
-                cur = coeff * c2 if cur is None else cur + coeff * c2
-                if not cur:
-                    nxt.pop(st2, None)
-                else:
-                    nxt[st2] = cur
+                _add_to(nxt, st2, coeff * c2)
         vec = nxt
     return vec.get(state, 0)
 
@@ -320,7 +361,9 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
 
     Over a bound table, which must bind every insertion variable, each
     insertion is applied at the table's point, so every weight is a Fraction;
-    the result lives over table.free() (z-variables survive).
+    the result lives over table.free() (z-variables survive).  The
+    coefficients of each insertion are built once, before any state is
+    visited.
 
     Either way the weights are summed per q-level and charge vector, and each
     q-level is built once as the sum of weight * z^charges.
@@ -331,6 +374,7 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
         raise UsageError("need one z-variable per pair")
     out_table = table.free()
     zi = tuple(out_table.index(table.names[i]) for i in z_indices or ())
+    insertions = {i: _Insertion(space, table, i) for i in t_indices}
     # q-level -> z-exponents over out_table -> summed weight
     sums: dict[int, dict[tuple[int, ...], object]] = {}
     for e2, states in enumerate_states(space, trunc2).items():
@@ -341,7 +385,8 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
                 continue
             if parity_projector == "odd" and not par:
                 continue
-            weight = _diagonal_weight(state, space, table, t_indices)
+            weight = _diagonal_weight(state, space, table, t_indices,
+                                      insertions=insertions)
             if not weight:
                 continue
             if parity_sign and par:

@@ -4,7 +4,18 @@ from fractions import Fraction
 from typing import Sequence
 
 from qfock import correlation, special
-from qfock.laurent import Exps, LaurentPoly, UsageError, VarTable, _whole
+from qfock.laurent import (
+    Exps,
+    LaurentPoly,
+    UsageError,
+    VarTable,
+    _d_shift,
+    _d_strip_monomial,
+    _ig_primitive,
+    _ig_prs_fallback,
+    _integerize,
+    _whole,
+)
 from qfock.ratfunc import RatFunc
 from qfock.series import HalfSeries
 
@@ -18,6 +29,15 @@ def clear_caches():
     """Empty every closed-form cache, so the next computation runs cold."""
     for c in CACHES:
         c.clear()
+
+
+def prs_gcd(a, b):
+    """The reference GCD of two nonzero polynomial dicts: the PRS fallback
+    alone on the primitive integer parts without monomial content, times
+    the common monomial.  No heuristic GCD runs."""
+    (a, sa), (b, sb) = (_d_strip_monomial(_integerize(x)) for x in (a, b))
+    g = _ig_prs_fallback(_ig_primitive(a), _ig_primitive(b))
+    return _d_shift(g, tuple(map(min, sa, sb)))
 
 
 # ---------------------------------------------------------------------------

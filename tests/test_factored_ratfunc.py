@@ -17,7 +17,7 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import distribute, subst  # noqa: E402
+from conftest import distribute, prs_gcd, subst  # noqa: E402
 from qfock import special  # noqa: E402
 
 from qfock.laurent import (  # noqa: E402
@@ -26,8 +26,6 @@ from qfock.laurent import (  # noqa: E402
     _d_divexact,
     _d_mul,
     _d_strip_monomial,
-    _ig_gcd,
-    _integerize,
 )
 from qfock.ratfunc import (  # noqa: E402
     RatFunc,
@@ -121,7 +119,7 @@ def _prs_canonical(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
         return RatFunc.zero(TAB)
     dn, sn = _d_strip_monomial(num.terms)
     dd, sd = _d_strip_monomial(den.terms)
-    g = _ig_gcd(_integerize(dn), _integerize(dd))
+    g = prs_gcd(dn, dd)
     den_p = LaurentPoly(TAB, _d_divexact(dd, g))
     scale = _normalizing_scale(den_p)
     shift = tuple(a - b for a, b in zip(sn, sd))

@@ -104,6 +104,22 @@ class TestOperatorAlgebra:
                 s2, st3 = annihilate(st2, fam, m2)
                 assert st3 == st and s * s2 == 1
 
+    def test_bad_slot_is_a_usage_error(self):
+        """An even or nonpositive doubled mode, a family outside the state or
+        a pair outside the space is refused rather than read as another slot
+        (create(st, 0, 2) would otherwise set the bit of mode 3/2)."""
+        st = FockState(((3,), (), (1,)))
+        for op in (create, annihilate):
+            for m2 in (2, 0, -1, -3):
+                with pytest.raises(UsageError):
+                    op(st, 0, m2)
+            for fam in (-1, 3):
+                with pytest.raises(UsageError):
+                    op(st, fam, 1)
+        for index in (-1, 1):  # pair 1 would address the neutral family
+            with pytest.raises(UsageError):
+                apply_field(st, SP1, "psi+", index, -1)
+
     def test_anticommutators(self):
         """Mode operators obey the canonical anticommutation relations:
         {a_x, a*_y} = delta_xy and {a_x, a_y} = {a*_x, a*_y} = 0, exercised

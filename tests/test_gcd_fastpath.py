@@ -18,6 +18,7 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from conftest import prs_gcd  # noqa: E402
 from qfock import laurent  # noqa: E402
 from qfock.laurent import (  # noqa: E402
     InternalInvariantError,
@@ -27,10 +28,7 @@ from qfock.laurent import (  # noqa: E402
     _d_divexact,
     _d_gcd,
     _d_mul,
-    _d_shift,
     _d_strip_monomial,
-    _ig_primitive,
-    _ig_prs_fallback,
     _integerize,
     poly_gcd,
 )
@@ -83,14 +81,6 @@ def _to_sympy(d):
                                  for e, c in d.items()}, *GENS, domain="QQ")
 
 
-def _prs_gcd(a, b):
-    """The reference: the PRS fallback alone on the primitive integer parts
-    without monomial content, times the common monomial."""
-    (a, sa), (b, sb) = (_d_strip_monomial(_integerize(x)) for x in (a, b))
-    g = _ig_prs_fallback(_ig_primitive(a), _ig_primitive(b))
-    return _d_shift(g, tuple(map(min, sa, sb)))
-
-
 def _assert_matches_sympy(g, a, b):
     want = sympy.gcd(_to_sympy(a), _to_sympy(b))
     assert _to_sympy(g).monic() == want.monic()
@@ -103,7 +93,7 @@ def test_fast_path_equals_prs_and_sympy(split, other, cof):
     a, _ = split
     b = _d_mul(other[0], cof)
     g = _d_gcd(a, b)
-    assert g == _prs_gcd(a, b)
+    assert g == prs_gcd(a, b)
     _assert_matches_sympy(g, a, b)
 
 
@@ -116,7 +106,7 @@ def test_shared_factors_with_multiplicity(split, cof_a, cof_b):
     a = _d_mul(den, cof_a)
     b = _d_mul(_fold(factors), cof_b)
     g = _d_gcd(a, b)
-    assert g == _prs_gcd(a, b)
+    assert g == prs_gcd(a, b)
     _assert_matches_sympy(g, a, b)
     stripped, _ = _d_strip_monomial(_integerize(den))
     assert _binomial_split(stripped) is not None
@@ -139,7 +129,7 @@ def test_non_binomial_factor_falls_back(split_a, split_b, extra_a, extra_b):
     ia, _ = _d_strip_monomial(_integerize(a))
     assert _binomial_split(ia) is None
     g = _d_gcd(a, b)
-    assert g == _prs_gcd(a, b)
+    assert g == prs_gcd(a, b)
     _assert_matches_sympy(g, a, b)
 
 
@@ -246,7 +236,7 @@ def test_gcd_outside_the_binomial_basis(shared, cof_a, cof_b, extra_a,
     a, b = _outside_pair(shared, cof_a, cof_b, extra_a, extra_b)
     g = poly_gcd(a, b)
     da, db = (_d_strip_monomial(p.terms)[0] for p in (a, b))
-    assert g.terms == _d_gcd(da, db) == _prs_gcd(da, db)
+    assert g.terms == _d_gcd(da, db) == prs_gcd(da, db)
     _assert_matches_sympy(g.terms, da, db)
     assert poly_gcd(a.shift(shift), b) == poly_gcd(a, b.shift(shift)) == g
 
@@ -270,10 +260,10 @@ def _random_outside_pairs(n):
 def test_prs_answers_when_the_heuristic_gives_up(monkeypatch):
     pairs = list(_random_outside_pairs(12))
     want = [_d_gcd(a, b) for a, b in pairs]
-    prs, prs_gcd = [], laurent._ig_prs_gcd
+    prs, prs_core = [], laurent._ig_prs_gcd
     monkeypatch.setattr(laurent, "_heu_gcd", lambda a, b: None)
     monkeypatch.setattr(laurent, "_ig_prs_gcd",
-                        lambda *args: prs.append(args) or prs_gcd(*args))
+                        lambda *args: prs.append(args) or prs_core(*args))
     for (a, b), g in zip(pairs, want):
         assert _d_gcd(a, b) == g
         _assert_matches_sympy(g, a, b)
