@@ -15,11 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from .laurent import (
     EvaluationPointError,
-    InternalInvariantError,
     LaurentPoly,
     T_KIND,
     UsageError,
@@ -58,15 +58,15 @@ def poly_from_json(table: VarTable, data: list[dict]) -> LaurentPoly:
 
 
 def series_to_json(s: HalfSeries) -> dict:
-    return {
-        "variables": list(s.table.names),
-        "order_x2": s.trunc2,
-        "terms": [
-            {"q_x2": e2,
-             "coeff": {"num": poly_to_json(c.num), "den": poly_to_json(c.den)}}
-            for e2, c in s.items()
-        ],
-    }
+    """Every coefficient as num/den polynomials, a number as itself over 1."""
+    terms = []
+    for e2, c in s.items():
+        if not isinstance(c, RatFunc):
+            c = RatFunc.const(s.table, c)
+        terms.append({"q_x2": e2, "coeff": {"num": poly_to_json(c.num),
+                                            "den": poly_to_json(c.den)}})
+    return {"variables": list(s.table.names), "order_x2": s.trunc2,
+            "terms": terms}
 
 
 def series_from_json(data: dict) -> HalfSeries:
@@ -78,7 +78,7 @@ def series_from_json(data: dict) -> HalfSeries:
         num = poly_from_json(table, t["coeff"]["num"])
         den = poly_from_json(table, t["coeff"]["den"])
         terms[t["q_x2"]] = RatFunc(num, den, _canonical=True)
-    return HalfSeries(table, data["order_x2"], terms, _clean=True)
+    return HalfSeries(table, data["order_x2"], terms)
 
 
 def series_to_text(s: HalfSeries) -> str:
@@ -344,11 +344,9 @@ def main(argv=None) -> int:
     except EvaluationPointError as exc:
         print(f"error: {exc}; try another --seed", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
-    except InternalInvariantError as exc:
-        print(f"internal invariant failure: {exc}", file=sys.stderr)
+    except Exception as exc:  # a fault, never bad input or a failed check
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -125,10 +125,10 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
                 point = tuple(values[i] ** e for i, e in zip(t_indices, eps))
                 ekey = (point, trunc2, out_table)
                 if ekey not in _fbo_eval_cache:
-                    at = generic.evaluate(dict(enumerate(point)))
+                    # numbers, RatFunc constants over a table with z's
                     _fbo_eval_cache[ekey] = HalfSeries(
                         out_table, trunc2,
-                        {e2: c.constant_value() for e2, c in at.terms.items()})
+                        generic.evaluate(dict(enumerate(point))).terms)
                 factor = prod((v ** (2 * k) for v in point), start=peps)
             else:
                 ekey = (table, t_indices, eps, trunc2)

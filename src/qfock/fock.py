@@ -365,8 +365,10 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
     coefficients of each insertion are built once, before any state is
     visited.
 
-    Either way the weights are summed per q-level and charge vector, and each
-    q-level is built once as the sum of weight * z^charges.
+    Either way the weights are summed per q-level and charge vector.  Each
+    q-level is built once: the sum of weight * z^charges when the weights
+    are RatFuncs, else the polynomial (a number when no z survives) whose
+    coefficients are the summed weights.
     """
     if parity_projector not in (None, "even", "odd"):
         raise UsageError(f"unknown projector {parity_projector!r}")
@@ -395,14 +397,17 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
             key = tuple(z_exps.get(i, 0) for i in range(len(out_table)))
             level = sums.setdefault(e2, {})
             level[key] = level[key] + weight if key in level else weight
-    terms: dict[int, RatFunc] = {}
+    ratfuncs = bool(t_indices) and not table.values  # the weights' domain
+    terms: dict[int, object] = {}
     for e2, level in sums.items():
-        c = RatFunc.zero(out_table)
-        for key, weight in level.items():
-            c = c + weight * LaurentPoly(out_table, {key: 1}, _clean=True)
-        if c:
-            terms[e2] = c
-    return HalfSeries(out_table, trunc2, terms, _clean=True)
+        if ratfuncs:
+            c = RatFunc.zero(out_table)
+            for key, weight in level.items():
+                c = c + weight * LaurentPoly(out_table, {key: 1}, _clean=True)
+        else:
+            c = LaurentPoly(out_table, level)
+        terms[e2] = c
+    return HalfSeries(out_table, trunc2, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +427,8 @@ def extract_module_function(trace: HalfSeries, lam: Sequence[int], l: int,
     denominator has none, so c * den is c.num * den over c.den, already
     reduced.  The coefficient is read off the terms of c.num and den without
     forming the product; it keeps c.den and its factor record, as that
-    product would.
+    product would.  Over a table with no variables left the coefficients
+    are numbers.
     """
     lam = check_partition(lam, l)
     table = trace.table
@@ -434,6 +440,8 @@ def extract_module_function(trace: HalfSeries, lam: Sequence[int], l: int,
     keep = [i for i in range(len(table)) if i not in z_set]
     out_table = table.without(z_set)
     den = weyl_denominator_B(l, table, z_indices, variant=denominator)
+    if not len(table):
+        return trace.scale(den.constant_value())  # l = 0: numbers
     rho = rho_B(l)
     target = tuple(int(2 * (a + b)) for a, b in zip(pad_weight(lam, l), rho))
     # the z-exponents a term of c.num needs: den's coefficient at target - e_z
@@ -461,7 +469,7 @@ def extract_module_function(trace: HalfSeries, lam: Sequence[int], l: int,
             out[e2] = RatFunc(LaurentPoly(out_table, num_terms, _clean=True),
                               LaurentPoly(out_table, den_terms, _clean=True),
                               _canonical=True, dfac=dfac)
-    return HalfSeries(out_table, trace.trunc2, out, _clean=True)
+    return HalfSeries(out_table, trace.trunc2, out)
 
 
 def irreducible_from_traces(plain: HalfSeries, signed: HalfSeries,

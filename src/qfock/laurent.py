@@ -310,19 +310,27 @@ class LaurentPoly:
         keep = [i for i in range(len(self.table)) if i not in assignment]
         if new_table is None:
             new_table = self.table.without(assignment)
+        # each variable's powers, once per call: with v = a/b and lo, hi
+        # the least and greatest exponent of v in use, v^k is the integer
+        # a^(k-lo) * b^(hi-k) times a^lo / b^hi, so every term sums integer
+        # products and the common scale multiplies each result once
+        powers = []
+        scale = Fraction(1)
+        for i, v in point:
+            ks = {e[i] for e in self.terms}
+            if ks:
+                lo, hi = min(ks), max(ks)
+                a, b = v.numerator, v.denominator
+                powers.append(
+                    (i, {k: a ** (k - lo) * b ** (hi - k) for k in ks}))
+                scale *= Fraction(a) ** lo / Fraction(b) ** hi
         out: dict[Exps, Coeff] = {}
         for e, c in self.terms.items():
-            val = c
-            for i, v in point:
-                if e[i]:
-                    val *= v ** e[i]
+            for i, pw in powers:
+                c *= pw[e[i]]
             ne = tuple(e[i] for i in keep)
-            s = out.get(ne, 0) + val
-            if s:
-                out[ne] = s
-            else:
-                out.pop(ne, None)
-        return LaurentPoly(new_table, _whole(out), _clean=True)
+            out[ne] = out.get(ne, 0) + c
+        return LaurentPoly(new_table, {e: c * scale for e, c in out.items()})
 
     def rename_signed(self, new_table: VarTable,
                       mapping: Sequence[Sequence[tuple[int, int]]]

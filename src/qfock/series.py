@@ -1,9 +1,16 @@
 """Truncated formal series in q with exponents in (1/2)Z.
 
-A HalfSeries stores RatFunc coefficients keyed by doubled q-exponents and a
-doubled truncation order trunc2: the series is known exactly for every
-exponent e2 <= trunc2.  Exponents may be negative (the floor is tracked from
-the stored support).
+A HalfSeries stores coefficients keyed by doubled q-exponents and a doubled
+truncation order trunc2: the series is known exactly for every exponent
+e2 <= trunc2.  Exponents may be negative (the floor is tracked from the
+stored support).
+
+The table sets the coefficient domain.  Over a table with variables a
+coefficient is a RatFunc.  Over the table with no variables it is a
+rational number in the kernel's representation (laurent._coef): an int
+when integral, else a Fraction, several times cheaper to multiply, add and
+invert than a RatFunc constant.  Either way a coefficient is nonzero
+exactly when it is truthy, and the two render alike with str().
 
 Truncation propagates conservatively through multiplication: the product of
 series exact to Na and Nb with supports starting at ma and mb is exact to
@@ -15,46 +22,65 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
-from .laurent import LaurentPoly, UsageError, VarTable, format_exponent
+from .laurent import (
+    LaurentPoly,
+    UsageError,
+    VarTable,
+    _coef,
+    _whole,
+    format_exponent,
+)
 from .ratfunc import RatFunc
+
+Coeff = RatFunc | int | Fraction
 
 
 class HalfSeries:
-    """Truncated q-series with RatFunc coefficients over a shared VarTable."""
+    """Truncated q-series over a shared VarTable, with RatFunc coefficients
+    (numbers over the table with no variables)."""
 
     __slots__ = ("table", "trunc2", "terms")
 
     def __init__(self, table: VarTable, trunc2: int,
-                 terms: Mapping[int, RatFunc] | None = None,
+                 terms: Mapping[int, Coeff] | None = None,
                  *, _clean: bool = False):
         self.table = table
         self.trunc2 = trunc2
         if terms is None:
-            self.terms: dict[int, RatFunc] = {}
+            self.terms: dict[int, Coeff] = {}
         elif _clean:
             self.terms = dict(terms)
         else:
-            clean: dict[int, RatFunc] = {}
+            clean: dict[int, Coeff] = {}
             for e2, c in terms.items():
                 if e2 > trunc2:
                     raise UsageError(
                         f"stored exponent {format_exponent(e2)} exceeds the "
                         f"truncation order {format_exponent(trunc2)}")
                 c = self._coerce_coeff(c)
-                if not c.is_zero():
+                if c:
                     clean[e2] = c
             self.terms = clean
 
-    def _coerce_coeff(self, c) -> RatFunc:
+    def _coerce_coeff(self, c) -> Coeff:
+        """c in the table's coefficient domain."""
+        if isinstance(c, LaurentPoly):
+            c = RatFunc.from_poly(c)
         if isinstance(c, RatFunc):
             if c.table != self.table:
                 raise UsageError("coefficient uses a different variable table")
-            return c
-        if isinstance(c, LaurentPoly):
-            return RatFunc.from_poly(c)
+            return c if len(self.table) else _coef(c.constant_value())
         if isinstance(c, (int, Fraction)):
-            return RatFunc.const(self.table, c)
+            return RatFunc.const(self.table, c) if len(self.table) else _coef(c)
         raise UsageError(f"bad coefficient type {type(c).__name__}")
+
+    @classmethod
+    def _of(cls, table: VarTable, trunc2: int,
+            terms: dict[int, Coeff]) -> "HalfSeries":
+        """The series of nonzero terms in table's domain, except that number
+        terms may be whole Fractions (made ints here)."""
+        return cls(table, trunc2, terms if len(table) else _whole(terms),
+                   _clean=True)
 
     # -- constructors ------------------------------------------------------------
 
@@ -64,7 +90,7 @@ class HalfSeries:
 
     @classmethod
     def one(cls, table: VarTable, trunc2: int) -> "HalfSeries":
-        return cls(table, trunc2, {0: RatFunc.one(table)}, _clean=True)
+        return cls(table, trunc2, {0: 1})
 
     @classmethod
     def q_power(cls, table: VarTable, trunc2: int, e2: int) -> "HalfSeries":
@@ -80,13 +106,13 @@ class HalfSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, e2: int) -> RatFunc:
+    def coeff(self, e2: int) -> Coeff:
         if e2 > self.trunc2:
             raise UsageError(
                 f"coefficient q^{format_exponent(e2)} is beyond the truncation")
-        return self.terms.get(e2, RatFunc.zero(self.table))
+        return self.terms.get(e2) or self._coerce_coeff(0)
 
-    def items(self) -> Iterator[tuple[int, RatFunc]]:
+    def items(self) -> Iterator[tuple[int, Coeff]]:
         return iter(sorted(self.terms.items()))
 
     # -- arithmetic -------------------------------------------------------------------
@@ -105,8 +131,9 @@ class HalfSeries:
                           _clean=True)
 
     def __add__(self, other) -> "HalfSeries":
-        if isinstance(other, (int, Fraction, RatFunc, LaurentPoly)):
-            other = HalfSeries(self.table, self.trunc2, {0: other})
+        if not isinstance(other, HalfSeries):
+            # a constant lies beyond a series exact only below q^0
+            other = HalfSeries(self.table, max(self.trunc2, 0), {0: other})
         self._check(other)
         t2 = min(self.trunc2, other.trunc2)
         out = {e: c for e, c in self.terms.items() if e <= t2}
@@ -115,11 +142,11 @@ class HalfSeries:
                 continue
             s = out.get(e)
             s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
+            if s:
                 out[e] = s
-        return HalfSeries(self.table, t2, out, _clean=True)
+            else:
+                out.pop(e, None)
+        return HalfSeries._of(self.table, t2, out)
 
     __radd__ = __add__
 
@@ -128,8 +155,6 @@ class HalfSeries:
                           {e: -c for e, c in self.terms.items()}, _clean=True)
 
     def __sub__(self, other) -> "HalfSeries":
-        if isinstance(other, (int, Fraction, RatFunc, LaurentPoly)):
-            other = HalfSeries(self.table, self.trunc2, {0: other})
         return self + (-other)
 
     def __rsub__(self, other) -> "HalfSeries":
@@ -137,16 +162,25 @@ class HalfSeries:
 
     def scale(self, c) -> "HalfSeries":
         c = self._coerce_coeff(c)
-        if c.is_zero():
+        if not c:
             return HalfSeries.zero(self.table, self.trunc2)
-        return HalfSeries(self.table, self.trunc2,
-                          {e: v * c for e, v in self.terms.items()}, _clean=True)
+        return HalfSeries._of(self.table, self.trunc2,
+                              {e: v * c for e, v in self.terms.items()})
 
     def __mul__(self, other) -> "HalfSeries":
-        if isinstance(other, (int, Fraction, RatFunc, LaurentPoly)):
+        if not isinstance(other, HalfSeries):
             return self.scale(other)
         self._check(other)
         t2 = min(self.trunc2 + other.floor2(), other.trunc2 + self.floor2())
+        if not len(self.table):
+            sums: dict[int, Coeff] = {}
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    e = e1 + e2
+                    if e <= t2:
+                        sums[e] = sums.get(e, 0) + c1 * c2
+            return HalfSeries._of(self.table, t2,
+                                  {e: c for e, c in sums.items() if c})
         # accumulate numerators per (exponent, denominator): polynomial adds
         # are free, cross-denominator reductions happen once per bucket pair
         buckets: dict[int, dict[LaurentPoly, LaurentPoly]] = {}
@@ -169,7 +203,7 @@ class HalfSeries:
                 # den's factors are known: the reduction only trial-divides
                 rf = RatFunc(num, den, dfac=dfac)
                 acc = rf if acc is None else acc + rf
-            if acc is not None and not acc.is_zero():
+            if acc:
                 out[e] = acc
         return HalfSeries(self.table, t2, out, _clean=True)
 
@@ -195,33 +229,36 @@ class HalfSeries:
         t2 = self.trunc2 - 2 * m2
         kmax = t2 + m2  # shifted top index so that -m2 + k <= t2
         shifted_a = {e - m2: c for e, c in self.terms.items()}
-        inv_lead = self.terms[m2].inverse()
+        lead = self.terms[m2]
+        inv_lead = (lead.inverse() if isinstance(lead, RatFunc)
+                    else _coef(Fraction(1, lead)))
         out = {-m2: inv_lead}
-        shifted_b: dict[int, RatFunc] = {0: inv_lead}
+        shifted_b: dict[int, Coeff] = {0: inv_lead}
         for k in range(1, kmax + 1):
             acc = None
             for j, aj in shifted_a.items():
                 if 0 < j <= k and (k - j) in shifted_b:
                     p = aj * shifted_b[k - j]
                     acc = p if acc is None else acc + p
-            if acc is not None and not acc.is_zero():
+            if acc:
                 bk = -(acc * inv_lead)
-                if not bk.is_zero():
-                    shifted_b[k] = bk
-                    out[-m2 + k] = bk
-        return HalfSeries(self.table, t2, out, _clean=True)
+                shifted_b[k] = bk
+                out[-m2 + k] = bk
+        return HalfSeries._of(self.table, t2, out)
 
     # -- coefficient-wise structure maps ----------------------------------------------
 
     def map_coeffs(self, fn: Callable[[RatFunc], RatFunc],
                    table: VarTable | None = None) -> "HalfSeries":
+        """fn on every RatFunc coefficient, into table (default: this one);
+        onto the table with no variables the results become numbers.  The
+        numbers of a variable-free series are constants, which evaluation
+        and renaming leave as they are."""
         table = table if table is not None else self.table
-        out: dict[int, RatFunc] = {}
-        for e, c in self.terms.items():
-            nc = fn(c)
-            if not nc.is_zero():
-                out[e] = nc
-        return HalfSeries(table, self.trunc2, out, _clean=True)
+        if not len(self.table):
+            return HalfSeries(table, self.trunc2, self.terms)
+        return HalfSeries(table, self.trunc2,
+                          {e: fn(c) for e, c in self.terms.items()})
 
     def tddt(self, var: int) -> "HalfSeries":
         return self.map_coeffs(lambda c: c.tddt(var))
@@ -245,13 +282,13 @@ class HalfSeries:
         return self.first_mismatch(other, upto2) is None
 
     def first_mismatch(self, other: "HalfSeries",
-                       upto2: int | None = None) -> tuple[int, RatFunc, RatFunc] | None:
+                       upto2: int | None = None) -> tuple[int, Coeff, Coeff] | None:
         """Lowest q-order where the two series differ, with both coefficients."""
         self._check(other)
         t2 = min(self.trunc2, other.trunc2)
         if upto2 is not None:
             t2 = min(t2, upto2)
-        zero = RatFunc.zero(self.table)
+        zero = self._coerce_coeff(0)
         for e in sorted(set(self.terms) | set(other.terms)):
             if e > t2:
                 continue

@@ -18,7 +18,6 @@ from functools import cache
 from typing import Sequence
 
 from .laurent import LaurentPoly, T_KIND, UsageError, VarTable
-from .ratfunc import RatFunc
 from .series import HalfSeries
 
 ThetaArg = Sequence[tuple[int, int]]  # ((var index, +1/-1), ...); empty = 1
@@ -35,11 +34,11 @@ def pochhammer_inf(table: VarTable, trunc2: int, alpha2: int,
         raise UsageError("non-truncating Pochhammer argument (needs q-exponent > 0)")
     if mono is None:
         mono = LaurentPoly.one(table)
-    c = RatFunc.from_poly(mono * Fraction(coeff))
+    c = mono * Fraction(coeff)
     out = HalfSeries.one(table, trunc2)
     e2 = alpha2
     while e2 <= trunc2:
-        out = out * HalfSeries(table, trunc2, {0: RatFunc.one(table), e2: -c})
+        out = out * HalfSeries(table, trunc2, {0: 1, e2: -c})
         e2 += 2
     return out
 

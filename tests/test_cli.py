@@ -201,6 +201,18 @@ class TestExitCodes:
                                "--order", "1")
         assert code == 3 and "boom" in err
 
+    @pytest.mark.parametrize("exc", [KeyError("boom"), TypeError("boom")])
+    def test_any_internal_exception_exits_3(self, monkeypatch, exc):
+        # exit 1 is a failed verify; a fault of the program is exit 3
+        def broken(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, "d_sum_function", broken)
+        code, _, err = run_cli("compute", "--family", "d-sum", "--n", "1",
+                               "--order", "1")
+        assert code == 3
+        assert err.splitlines()[-1] == \
+            f"internal error: {type(exc).__name__}: {exc}"
+
     def test_verify_pass(self):
         code, out, _ = run_cli("verify", "--suite", "weyl-denominator")
         assert code == 0

@@ -250,10 +250,10 @@ class TestTraces:
     def test_neutral_bases(self):
         tab = VarTable.make(0)
         tw = oracle_trace(SP0, 6, tab, (), parity_sign=True)
-        got = {e2: c.constant_value() for e2, c in tw.items()}
+        got = {e2: c for e2, c in tw.items()}
         assert got == {0: 1, 1: -1, 3: -1, 4: 1, 5: -1, 6: 1}
         un = oracle_trace(SP0, 6, tab, ())
-        assert {e2: c.constant_value() for e2, c in un.items()} == \
+        assert {e2: c for e2, c in un.items()} == \
             {0: 1, 1: 1, 3: 1, 4: 1, 5: 1, 6: 1}
 
     def test_cyclic_invariance(self):
@@ -438,6 +438,10 @@ class TestExtractionWithoutTheProduct:
                     # marked canonical without a reduction: it must be one,
                     # with an int for every integral coefficient
                     for _, c in got.items():
+                        if not isinstance(c, RatFunc):
+                            # no variable left: a number, an int if integral
+                            assert type(c) is int or c.denominator != 1
+                            continue
                         r = RatFunc(c.num, c.den)
                         assert (r.num, r.den) == (c.num, c.den), (l, lam)
                         assert all(type(v) is int or v.denominator != 1
@@ -459,7 +463,7 @@ class TestExtractionWithoutTheProduct:
         num = LaurentPoly(tab, {(0,): Fraction(1, 2), (2,): Fraction(-1, 2)})
         trace = HalfSeries(tab, 2, {0: RatFunc.from_poly(num)})
         c = extract_module_function(trace, (), 1).coeff(0)
-        assert c.num.terms == {(): 1} and type(c.num.terms[()]) is int
+        assert c == 1 and type(c) is int
         assert c == _extract_by_product(trace, (), 1).coeff(0)
 
     def test_charge_variables_in_a_denominator_are_refused(self):

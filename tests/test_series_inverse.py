@@ -121,6 +121,16 @@ def _bytes(s: HalfSeries) -> str:
     return json.dumps(series_to_json(s), sort_keys=True)
 
 
+def as_ratfuncs(s: HalfSeries) -> HalfSeries:
+    """s with the numbers of a variable-free series carried as RatFunc
+    constants, the coefficients the reference was written for."""
+    if len(s.table):
+        return s
+    return HalfSeries(s.table, s.trunc2,
+                      {e: RatFunc.const(s.table, c) for e, c in s.items()},
+                      _clean=True)
+
+
 @pytest.mark.parametrize("compute", [
     lambda: d_sum_function((1,), 1, 3, 6),
     lambda: f_bo(4, 4),
@@ -130,7 +140,8 @@ def test_matches_the_polynomial_numerator_recursion(inverted, compute):
     compute()
     assert inverted
     for s, got in inverted:
-        assert _bytes(got) == _bytes(polynomial_numerator_inverse(s)), s
+        assert _bytes(got) == \
+            _bytes(polynomial_numerator_inverse(as_ratfuncs(s))), s
     # the reference's own path ran on polynomial series
-    assert any(all(c.is_poly() for c in s.terms.values())
+    assert any(all(c.is_poly() for c in as_ratfuncs(s).terms.values())
                for s, _ in inverted)
