@@ -20,6 +20,7 @@ min(Na + mb, Nb + ma), so no retained coefficient is ever approximate.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator, Mapping
 
 from .laurent import (
@@ -33,6 +34,13 @@ from .laurent import (
 from .ratfunc import RatFunc
 
 Coeff = RatFunc | int | Fraction
+
+
+def _over_lcm(terms: Mapping[int, int | Fraction]) -> tuple[dict[int, int], int]:
+    """Numbers as integer numerators over their least common denominator."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (d // c.denominator)
+            for e, c in terms.items()}, d
 
 
 class HalfSeries:
@@ -173,14 +181,18 @@ class HalfSeries:
         self._check(other)
         t2 = min(self.trunc2 + other.floor2(), other.trunc2 + self.floor2())
         if not len(self.table):
-            sums: dict[int, Coeff] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
+            # integer numerators over each factor's common denominator
+            (a, da), (b, db) = _over_lcm(self.terms), _over_lcm(other.terms)
+            sums: dict[int, int] = {}
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
                     e = e1 + e2
                     if e <= t2:
                         sums[e] = sums.get(e, 0) + c1 * c2
-            return HalfSeries._of(self.table, t2,
-                                  {e: c for e, c in sums.items() if c})
+            d = da * db
+            return HalfSeries._of(self.table, t2, {
+                e: Fraction(c, d) if d != 1 else c
+                for e, c in sums.items() if c})
         # accumulate numerators per (exponent, denominator): polynomial adds
         # are free, cross-denominator reductions happen once per bucket pair
         buckets: dict[int, dict[LaurentPoly, LaurentPoly]] = {}
