@@ -125,7 +125,7 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
                 point = tuple(values[i] ** e for i, e in zip(t_indices, eps))
                 ekey = (point, trunc2, out_table)
                 if ekey not in _fbo_eval_cache:
-                    # numbers, RatFunc constants over a table with z's
+                    # the values: numbers, or constants over z-variables
                     _fbo_eval_cache[ekey] = HalfSeries(
                         out_table, trunc2,
                         generic.evaluate(dict(enumerate(point))).terms)
