@@ -13,7 +13,6 @@ is computed as a recursion over the 2^n subsets of the points (see f_bo).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
@@ -34,7 +33,7 @@ def pochhammer_inf(table: VarTable, trunc2: int, alpha2: int,
         raise UsageError("non-truncating Pochhammer argument (needs q-exponent > 0)")
     if mono is None:
         mono = LaurentPoly.one(table)
-    c = mono * Fraction(coeff)
+    c = mono * coeff
     out = HalfSeries.one(table, trunc2)
     e2 = alpha2
     while e2 <= trunc2:
