@@ -50,7 +50,6 @@ from .fock import (
     enumerate_states,
     extract_module_function,
     irreducible_from_projected,
-    irreducible_from_traces,
     oracle_trace,
 )
 

@@ -206,9 +206,10 @@ def _run_oracle(args) -> int:
     table = _bind(args, VarTable.make(n, nz))
     ti = tuple(range(n))
     zi = tuple(range(n, n + nz)) if nz else None
-    s = oracle_trace(space, trunc2, table, ti, z_indices=zi,
-                     parity_sign=args.parity_sign,
-                     parity_projector=args.projector)
+    even, odd = oracle_trace(space, trunc2, table, ti, z_indices=zi)
+    if args.parity_sign:  # (-1)^parity negates the odd projection
+        odd = -odd
+    s = {"even": even, "odd": odd, None: even + odd}[args.projector]
     _emit(args, s, _evaluation(table))
     return 0
 
@@ -299,9 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--n", type=_count, default=0, help="number of insertions")
     o.add_argument("--pairs-only", action="store_true",
                    help="omit the neutral fermion")
-    o.add_argument("--z-grading", action="store_true")
-    o.add_argument("--parity-sign", action="store_true")
-    o.add_argument("--projector", choices=("even", "odd"), default=None)
+    o.add_argument("--z-grading", action="store_true",
+                   help="grade by the charge of each pair (one z-variable "
+                        "per pair)")
+    o.add_argument("--parity-sign", action="store_true",
+                   help="insert (-1)^parity, after any projector; the "
+                        "parity counts neutral excitations, or all "
+                        "excitations with --pairs-only")
+    o.add_argument("--projector", choices=("even", "odd"), default=None,
+                   help="keep only the states of this parity, before any "
+                        "--parity-sign")
     common(o)
     o.set_defaults(fn=_run_oracle)
 

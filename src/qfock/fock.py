@@ -35,6 +35,7 @@ from .laurent import (
     EvaluationPointError,
     InternalInvariantError,
     LaurentPoly,
+    T_KIND,
     UsageError,
     VarTable,
     _whole,
@@ -43,6 +44,7 @@ from .ratfunc import RatFunc
 from .series import HalfSeries
 from .weylb import (
     _det_sector,
+    _z_vars,
     check_partition,
     pad_weight,
     rho_B,
@@ -225,6 +227,8 @@ class _Insertion(dict):
 
     def __init__(self, space: FockSpace, table: VarTable, t_index: int):
         super().__init__()
+        if not (0 <= t_index < len(table) and table.kinds[t_index] == T_KIND):
+            raise UsageError(f"no t-variable at index {t_index}")
         self.table, self.t_index = table, t_index
         v = self.v = dict(table.values).get(t_index)
         if not table.values:
@@ -347,67 +351,59 @@ def _diagonal_weight(state: FockState, space: FockSpace, table: VarTable,
 
 def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
                  t_indices: Sequence[int] = (),
-                 z_indices: Sequence[int] | None = None,
-                 parity_sign: bool = False,
-                 parity_projector: str | None = None) -> HalfSeries:
-    """Exact graded trace over the states of energy <= trunc2/2.
+                 z_indices: Sequence[int] | None = None
+                 ) -> tuple[HalfSeries, HalfSeries]:
+    """The parity projections (even, odd) of the exact graded trace over the
+    states of energy <= trunc2/2, from one pass over the states: the plain
+    trace is even + odd, the one with (-1)^parity inserted even - odd.  The
+    parity counts neutral excitations when the space has a neutral fermion
+    and all excitations otherwise.
 
-    Insertions: one diagonal operator per entry of t_indices, optional charge
-    grading in z_indices (one per pair), optional parity sign (-1)^parity and
-    parity projector ("even"/"odd").  The parity counts neutral excitations
-    when the space has a neutral fermion and all excitations otherwise.
-    Each q^(m) coefficient is exact: the insertions preserve energy, so no
-    truncation leaks between levels.
+    Insertions: one diagonal operator per t-variable in t_indices, and
+    optional charge grading in z_indices (distinct z-variables, one per
+    pair).  Each q^(m) coefficient is exact: the insertions preserve energy,
+    so no truncation leaks between levels.
 
     Over a bound table, which must bind every insertion variable, each
     insertion is applied at the table's point, so every weight is a Fraction;
-    the result lives over table.free() (z-variables survive).  The
-    coefficients of each insertion are built once, before any state is
-    visited.
+    the result lives over table.free() (z-variables survive).  Each
+    insertion's coefficients are built once, before any state is visited.
 
-    Either way the weights are summed per q-level and charge vector.  Each
-    q-level is built once: the sum of weight * z^charges when the weights
-    are RatFuncs, else the polynomial (a number when no z survives) whose
-    coefficients are the summed weights.
+    Either way the weights are summed per parity, q-level and charge vector,
+    and each q-level is built once: the sum of weight * z^charges when the
+    weights are RatFuncs, else the polynomial (a number when no z survives)
+    whose coefficients are the summed weights.
     """
-    if parity_projector not in (None, "even", "odd"):
-        raise UsageError(f"unknown projector {parity_projector!r}")
-    if z_indices is not None and len(z_indices) != space.pairs:
-        raise UsageError("need one z-variable per pair")
     out_table = table.free()
-    zi = tuple(out_table.index(table.names[i]) for i in z_indices or ())
+    zi = () if z_indices is None else tuple(
+        out_table.index(table.names[i])
+        for i in _z_vars(table, space.pairs, z_indices))
     insertions = {i: _Insertion(space, table, i) for i in t_indices}
-    # q-level -> z-exponents over out_table -> summed weight
-    sums: dict[int, dict[tuple[int, ...], object]] = {}
+    # parity -> q-level -> z-exponents over out_table -> summed weight
+    sums: tuple[dict[int, dict[tuple[int, ...], object]], ...] = ({}, {})
     for e2, states in enumerate_states(space, trunc2).items():
         for state in states:
-            par = (state.alpha_parity(space) if space.neutral
-                   else state.total_parity())
-            if parity_projector == "even" and par:
-                continue
-            if parity_projector == "odd" and not par:
-                continue
             weight = _diagonal_weight(state, space, table, t_indices,
                                       insertions=insertions)
             if not weight:
                 continue
-            if parity_sign and par:
-                weight = -weight
+            par = (state.alpha_parity(space) if space.neutral
+                   else state.total_parity())
             z_exps = {i: 2 * c for i, c in zip(zi, state.charges(space))}
             key = tuple(z_exps.get(i, 0) for i in range(len(out_table)))
-            level = sums.setdefault(e2, {})
+            level = sums[par].setdefault(e2, {})
             level[key] = level[key] + weight if key in level else weight
     ratfuncs = bool(t_indices) and not table.values  # the weights' domain
-    terms: dict[int, object] = {}
-    for e2, level in sums.items():
-        if ratfuncs:
-            c = RatFunc.zero(out_table)
-            for key, weight in level.items():
-                c = c + weight * LaurentPoly(out_table, {key: 1}, _clean=True)
-        else:
-            c = LaurentPoly(out_table, level)
-        terms[e2] = c
-    return HalfSeries(out_table, trunc2, terms)
+
+    def coeff(level: dict[tuple[int, ...], object]):
+        if not ratfuncs:
+            return LaurentPoly(out_table, level)
+        return sum((w * LaurentPoly(out_table, {key: 1}, _clean=True)
+                    for key, w in level.items()), RatFunc.zero(out_table))
+
+    return tuple(HalfSeries(out_table, trunc2,
+                            {e2: coeff(level) for e2, level in levels.items()})
+                 for levels in sums)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +428,7 @@ def extract_module_function(trace: HalfSeries, lam: Sequence[int], l: int,
     """
     lam = check_partition(lam, l)
     table = trace.table
-    if z_indices is None:
-        z_indices = table.z_indices()
-    if len(z_indices) != l:
-        raise UsageError(f"need {l} z-variables, got {len(z_indices)}")
+    z_indices = _z_vars(table, l, z_indices)
     z_set = frozenset(z_indices)
     keep = [i for i in range(len(table)) if i not in z_set]
     out_table = table.without(z_set)
@@ -472,20 +465,13 @@ def extract_module_function(trace: HalfSeries, lam: Sequence[int], l: int,
     return HalfSeries(out_table, trace.trunc2, out)
 
 
-def irreducible_from_traces(plain: HalfSeries, signed: HalfSeries,
-                            lam: Sequence[int], l: int, det: bool,
-                            z_indices: Sequence[int] | None = None) -> HalfSeries:
-    """Per-irreducible extraction from the plain and parity-signed traces."""
-    a = extract_module_function(plain, lam, l, z_indices, denominator="minus")
-    b = extract_module_function(signed, lam, l, z_indices, denominator="plus")
-    return _det_sector(a, b, det)
-
-
 def irreducible_from_projected(even: HalfSeries, odd: HalfSeries,
                                lam: Sequence[int], l: int, det: bool,
                                z_indices: Sequence[int] | None = None) -> HalfSeries:
-    """Same, but from parity-projected traces: the projections recombine into
-    the plain (even+odd) and parity-signed (even-odd) traces, each of which
-    needs its own denominator variant."""
-    return irreducible_from_traces(even + odd, even - odd, lam, l, det,
-                                   z_indices)
+    """Per-irreducible extraction from the parity projections of a
+    charge-graded trace: they recombine into the plain (even + odd) and the
+    parity-signed (even - odd) traces, each extracted with its own
+    denominator variant."""
+    a = extract_module_function(even + odd, lam, l, z_indices, "minus")
+    b = extract_module_function(even - odd, lam, l, z_indices, "plus")
+    return _det_sector(a, b, det)

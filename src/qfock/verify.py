@@ -108,6 +108,14 @@ def random_point(t_indices: Sequence[int], seed: int):
     return asn
 
 
+def _traces(space: FockSpace, trunc2: int, table: VarTable,
+            t_indices: Sequence[int] = (),
+            z_indices: Sequence[int] | None = None) -> tuple[HalfSeries, HalfSeries]:
+    """The plain and the parity-signed oracle traces, from one pass."""
+    even, odd = oracle_trace(space, trunc2, table, t_indices, z_indices)
+    return even + odd, even - odd
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -122,8 +130,10 @@ def suite_vacuum_recursion(n_max: int = 3, trunc2: int = 6,
         table = VarTable.make(n)
         ti = tuple(range(n))
         at = table.bind(random_point(ti, seed)) if use_eval else table
-        sp_pair = FockSpace(1, neutral=False)
-        sp_neutral = FockSpace(0, neutral=True)
+        # indexed by twisted: the plain and the parity-signed traces
+        pair = _traces(FockSpace(1, neutral=False), trunc2, at, ti)
+        if n <= 2:
+            neutral = _traces(FockSpace(0, neutral=True), trunc2, table, ti)
         for twisted in (False, True):
             lab = "twisted" if twisted else "untwisted"
             sign = -1 if twisted else 1
@@ -135,7 +145,7 @@ def suite_vacuum_recursion(n_max: int = 3, trunc2: int = 6,
                         d_half_vacuum(len(Ic), trunc2, twisted, at, Ic)
                     rhs = term if rhs is None else rhs + term
             closed = fock_trace_at_sign(n, trunc2, sign, at, ti)
-            oracle = oracle_trace(sp_pair, trunc2, at, ti, parity_sign=twisted)
+            oracle = pair[twisted]
             checks.append(_cmp(f"subset identity n={n} {lab}: closed z-sum == pair oracle",
                                closed, oracle))
             checks.append(_cmp(f"subset identity n={n} {lab}: pair oracle == vacuum convolution",
@@ -143,10 +153,8 @@ def suite_vacuum_recursion(n_max: int = 3, trunc2: int = 6,
             # the vacuum functions themselves against the neutral oracle
             if n <= 2:
                 vac = d_half_vacuum(n, trunc2, twisted, table, ti)
-                ovac = oracle_trace(sp_neutral, trunc2, table, ti,
-                                    parity_sign=twisted)
                 checks.append(_cmp(f"vacuum recursion n={n} {lab} == neutral oracle",
-                                   vac, ovac))
+                                   vac, neutral[twisted]))
     return checks
 
 
@@ -154,8 +162,8 @@ def suite_onepoint(trunc2: int = 6) -> list[Check]:
     """Disambiguate the classical twisted-vacuum one-point prefactor."""
     checks: list[Check] = []
     table = VarTable.make(1)
-    oracle = oracle_trace(FockSpace(0, True), trunc2, table, (0,),
-                          parity_sign=True)
+    even, odd = oracle_trace(FockSpace(0, True), trunc2, table, (0,))
+    oracle = even - odd
     rec = d_half_vacuum(1, trunc2, True, table, (0,))
     checks.append(_cmp("twisted vacuum one-point recursion == neutral oracle",
                        rec, oracle))
@@ -196,9 +204,8 @@ def suite_main_theorem(trunc2: int = 6, mode: str = "symbolic",
     difference, as irreducible_function defines them."""
     checks: list[Check] = []
     printed_reported = False
-    # The traces do not depend on lam: (l, n) -> (plain, signed).  The
-    # parity projectors partition the states, so each state's weight is
-    # computed once, and plain = even + odd, signed = even - odd.
+    # The traces do not depend on lam: (l, n) -> (plain, signed), from one
+    # pass over the states of the cell's space.
     traces: dict[tuple[int, int], tuple[HalfSeries, HalfSeries]] = {}
     for l, lam, n in _main_grid(l_values, n_values):
         ti = tuple(range(n))
@@ -207,12 +214,8 @@ def suite_main_theorem(trunc2: int = 6, mode: str = "symbolic",
         table = VarTable.make(n, l).bind(point)
         ftab = VarTable.make(n).bind(point)
         if (l, n) not in traces:
-            space = FockSpace(l, neutral=True)
-            even = oracle_trace(space, trunc2, table, ti, z_indices=zi,
-                                parity_projector="even")
-            odd = oracle_trace(space, trunc2, table, ti, z_indices=zi,
-                               parity_projector="odd")
-            traces[l, n] = (even + odd, even - odd)
+            traces[l, n] = _traces(FockSpace(l, neutral=True), trunc2, table,
+                                   ti, zi)
         tru, trt = traces[l, n]
         fu = d_sum_function(lam, l, n, trunc2, "convolved", ftab, ti)
         ft = d_twisted_function(lam, l, n, trunc2, "convolved", ftab, ti)
@@ -240,8 +243,9 @@ def suite_needed(trunc2: int = 6, n_values=(1, 2)) -> list[Check]:
         ti = tuple(range(n))
         z = n
         closed = fock_trace_closed(n, trunc2, table, ti, z)
-        oracle = oracle_trace(FockSpace(1, neutral=False), trunc2, table, ti,
-                              z_indices=(z,))
+        even, odd = oracle_trace(FockSpace(1, neutral=False), trunc2, table,
+                                 ti, z_indices=(z,))
+        oracle = even + odd
         checks.append(_cmp(f"charge-graded pair trace n={n}: closed == oracle",
                            closed, oracle))
     return checks
@@ -262,10 +266,8 @@ def suite_qdim(trunc2: int = 12, l_max: int = 2, max_part: int = 2) -> list[Chec
             lams += [(a, b) for a in range(1, max_part + 1)
                      for b in range(1, a + 1)]
         ztab = VarTable.make(0, l)
-        space = FockSpace(l, neutral=True)
-        tru = oracle_trace(space, trunc2, ztab, (), z_indices=tuple(range(l)))
-        trt = oracle_trace(space, trunc2, ztab, (), z_indices=tuple(range(l)),
-                           parity_sign=True)
+        tru, trt = _traces(FockSpace(l, neutral=True), trunc2, ztab, (),
+                           tuple(range(l)))
         for lam in lams:
             tag = f"l={l} lam={lam}"
             qp_w = q_plus(lam, l, trunc2, QDimForm("weyl-sum", "corrected"), table)

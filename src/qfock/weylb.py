@@ -170,14 +170,16 @@ def weyl_charges(lam: Sequence[int], l: int):
 
 
 def _z_vars(table: VarTable, l: int, z_indices: Sequence[int] | None) -> tuple[int, ...]:
-    if z_indices is None:
-        z_indices = table.z_indices()
+    """The l distinct charge variables (default: every z-variable)."""
+    z_indices = table.z_indices() if z_indices is None else tuple(z_indices)
     if len(z_indices) != l:
         raise UsageError(f"need {l} z-variables, got {len(z_indices)}")
+    if len(set(z_indices)) != l:
+        raise UsageError(f"repeated z-variable in {z_indices}")
     for i in z_indices:
-        if table.kinds[i] != Z_KIND:
-            raise UsageError("Weyl denominators live in z-variables")
-    return tuple(z_indices)
+        if not (0 <= i < len(table) and table.kinds[i] == Z_KIND):
+            raise UsageError(f"no z-variable at index {i}")
+    return z_indices
 
 
 def weyl_denominator_B(l: int, table: VarTable,

@@ -4,6 +4,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from qfock import correlation, special
+from qfock.fock import oracle_trace
 from qfock.laurent import (
     Exps,
     LaurentPoly,
@@ -29,6 +30,18 @@ def clear_caches():
     """Empty every closed-form cache, so the next computation runs cold."""
     for c in CACHES:
         c.clear()
+
+
+def plain_trace(*args, **kwargs) -> HalfSeries:
+    """The oracle trace without a parity insertion: even + odd."""
+    even, odd = oracle_trace(*args, **kwargs)
+    return even + odd
+
+
+def signed_trace(*args, **kwargs) -> HalfSeries:
+    """The oracle trace with (-1)^parity inserted: even - odd."""
+    even, odd = oracle_trace(*args, **kwargs)
+    return even - odd
 
 
 def prs_gcd(a, b):

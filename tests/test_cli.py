@@ -243,8 +243,8 @@ class TestOracleCommand:
                                "--seed", "3")
         assert code == 0
         pt = verify.random_point((0, 1), 3)
-        sym = oracle_trace(FockSpace(1), 4, VarTable.make(2, 1), (0, 1),
-                           z_indices=(2,), parity_projector="odd")
+        _, sym = oracle_trace(FockSpace(1), 4, VarTable.make(2, 1), (0, 1),
+                              z_indices=(2,))
         want = series_to_json(sym.evaluate(pt))
         assert want["terms"]
         data = json.loads(out)

@@ -131,8 +131,8 @@ class TestVacuum:
         tab = VarTable.make(3)
         ti = (0, 1, 2)
         closed = fock_trace_at_sign(3, 4, -1, tab, ti)
-        oracle = oracle_trace(FockSpace(1, neutral=False), 4, tab, ti,
-                              parity_sign=True)
+        even, odd = oracle_trace(FockSpace(1, neutral=False), 4, tab, ti)
+        oracle = even - odd
         assert closed.eq_upto(oracle)
         rhs = HalfSeries.zero(tab, 4)
         for r in range(4):
@@ -222,9 +222,8 @@ class TestDFunctions:
             ftab = VarTable.make(n).bind(asn)
             ti = tuple(range(n))
             zi = (n, n + 1)
-            tru = oracle_trace(space, 4, tabz, ti, z_indices=zi)
-            trt = oracle_trace(space, 4, tabz, ti, z_indices=zi,
-                               parity_sign=True)
+            even, odd = oracle_trace(space, 4, tabz, ti, z_indices=zi)
+            tru, trt = even + odd, even - odd
             for lam in ((), (1, 1), (2, 1)):
                 f_u = d_sum_function(lam, 2, n, 4, "convolved", ftab, ti)
                 ext_u = extract_module_function(tru, lam, 2, None, "minus")

@@ -39,7 +39,10 @@ from qfock.fock import (
     irreducible_from_projected,
     oracle_trace,
 )
+from qfock import fock, verify
 from qfock.verify import random_point
+
+from conftest import plain_trace, signed_trace
 
 SP0 = FockSpace(0, True)
 SP1 = FockSpace(1, True)
@@ -249,35 +252,27 @@ class TestEvaluationPointErrors:
 class TestTraces:
     def test_neutral_bases(self):
         tab = VarTable.make(0)
-        tw = oracle_trace(SP0, 6, tab, (), parity_sign=True)
+        even, odd = oracle_trace(SP0, 6, tab, ())
+        tw = even - odd
         got = {e2: c for e2, c in tw.items()}
         assert got == {0: 1, 1: -1, 3: -1, 4: 1, 5: -1, 6: 1}
-        un = oracle_trace(SP0, 6, tab, ())
+        un = even + odd
         assert {e2: c for e2, c in un.items()} == \
             {0: 1, 1: 1, 3: 1, 4: 1, 5: 1, 6: 1}
 
     def test_cyclic_invariance(self):
         tab = VarTable.make(2)
-        a = oracle_trace(SP1, 4, tab, (0, 1))
-        b = oracle_trace(SP1, 4, tab, (1, 0))
+        a = plain_trace(SP1, 4, tab, (0, 1))
+        b = plain_trace(SP1, 4, tab, (1, 0))
         assert a.eq_upto(b)
 
     def test_charge_parity_blocks(self):
         """Elementary bilinears change each pair charge by 0 or +/-2, so the
         graded trace is supported on even-charge differences from zero."""
         tab = VarTable.make(1, 1)
-        tr = oracle_trace(SP1, 4, tab, (0,), z_indices=(1,))
+        tr = plain_trace(SP1, 4, tab, (0,), z_indices=(1,))
         for _, c in tr.items():
             assert all(e[1] % 2 == 0 for e in c.num.terms)
-
-    def test_projectors_partition_the_trace(self):
-        tab = VarTable.make(1)
-        full = oracle_trace(SP1, 4, tab, (0,))
-        even = oracle_trace(SP1, 4, tab, (0,), parity_projector="even")
-        odd = oracle_trace(SP1, 4, tab, (0,), parity_projector="odd")
-        assert (even + odd).eq_upto(full)
-        signed = oracle_trace(SP1, 4, tab, (0,), parity_sign=True)
-        assert (even - odd).eq_upto(signed)
 
     @pytest.mark.parametrize("space", [SP0, SP1, PAIR],
                              ids=["neutral", "pair+neutral", "pairs-only"])
@@ -285,34 +280,37 @@ class TestTraces:
     @pytest.mark.parametrize("z_grading", [False, True])
     def test_eval_first_equals_evaluated_symbolic(self, space, n, z_grading):
         """Applying each insertion at the point gives exactly the symbolic
-        trace evaluated there: plain, signed and both projectors."""
+        trace evaluated there: plain, signed and both projections."""
         nz = space.pairs if z_grading else 0
         tab = VarTable.make(n, nz)
         ti = tuple(range(n))
         zi = tuple(range(n, n + nz)) if z_grading else None
-        for kwargs in ({}, {"parity_sign": True},
-                       {"parity_projector": "even"},
-                       {"parity_projector": "odd"}):
-            sym = oracle_trace(space, 5, tab, ti, z_indices=zi, **kwargs)
-            for seed in (1, 2, 3):
-                pt = random_point(ti, seed)
-                ev = oracle_trace(space, 5, tab.bind(pt), ti, z_indices=zi,
-                                  **kwargs)
-                want = sym.evaluate(pt)
-                assert ev.table == want.table and ev.trunc2 == want.trunc2
-                assert ev.terms == want.terms, (kwargs, seed)
+
+        def traces(table):
+            even, odd = oracle_trace(space, 5, table, ti, z_indices=zi)
+            return {"plain": even + odd, "signed": even - odd,
+                    "even": even, "odd": odd}
+
+        sym = traces(tab)
+        for seed in (1, 2, 3):
+            pt = random_point(ti, seed)
+            ev = traces(tab.bind(pt))
+            for name, got in ev.items():
+                want = sym[name].evaluate(pt)
+                assert got.table == want.table and got.trunc2 == want.trunc2
+                assert got.terms == want.terms, (name, seed)
 
     def test_eval_mode_matches_symbolic(self):
         tab = VarTable.make(1, 1)
         pt = {0: Fraction(7, 3)}
-        sym = oracle_trace(SP1, 4, tab, (0,), z_indices=(1,)).evaluate(pt)
-        ev = oracle_trace(SP1, 4, tab.bind(pt), (0,), z_indices=(1,))
+        sym = plain_trace(SP1, 4, tab, (0,), z_indices=(1,)).evaluate(pt)
+        ev = plain_trace(SP1, 4, tab.bind(pt), (0,), z_indices=(1,))
         assert sym.eq_upto(ev)
 
     def test_pair_space_isomorphism_identity(self):
         # one complex pair vs two neutral copies: subset convolution
         tab = VarTable.make(1)
-        tw = oracle_trace(PAIR, 6, tab, (0,), parity_sign=True)
+        tw = signed_trace(PAIR, 6, tab, (0,))
         conv = d_half_vacuum(1, 6, True, tab, (0,)) * \
             d_half_vacuum(0, 6, True, tab, ()) * 2
         assert tw.eq_upto(conv)
@@ -321,16 +319,13 @@ class TestTraces:
 class TestExtraction:
     def test_rank_zero_is_identity(self):
         tab = VarTable.make(1)
-        tr = oracle_trace(SP0, 4, tab, (0,), parity_sign=True)
+        tr = signed_trace(SP0, 4, tab, (0,))
         ext = extract_module_function(tr, (), 0)
         assert ext.eq_upto(tr)
 
     def test_projector_route_matches_formula(self):
         tab = VarTable.make(1, 1)
-        even = oracle_trace(SP1, 6, tab, (0,), z_indices=(1,),
-                            parity_projector="even")
-        odd = oracle_trace(SP1, 6, tab, (0,), z_indices=(1,),
-                           parity_projector="odd")
+        even, odd = oracle_trace(SP1, 6, tab, (0,), z_indices=(1,))
         ftab = VarTable.make(1)
         for det in (False, True):
             ext = irreducible_from_projected(even, odd, (), 1, det)
@@ -341,10 +336,7 @@ class TestExtraction:
     def test_qdim_extraction(self):
         from qfock.qdim import qdim_irreducible
         tab = VarTable.make(0, 1)
-        even = oracle_trace(SP1, 8, tab, (), z_indices=(0,),
-                            parity_projector="even")
-        odd = oracle_trace(SP1, 8, tab, (), z_indices=(0,),
-                           parity_projector="odd")
+        even, odd = oracle_trace(SP1, 8, tab, (), z_indices=(0,))
         for lam in ((), (1,)):
             for det in (False, True):
                 ext = irreducible_from_projected(even, odd, lam, 1, det)
@@ -352,9 +344,69 @@ class TestExtraction:
 
     def test_out_of_range_coefficient(self):
         tab = VarTable.make(1)
-        tr = oracle_trace(SP0, 4, tab, (0,))
+        tr = plain_trace(SP0, 4, tab, (0,))
         with pytest.raises(UsageError):
             tr.coeff(6)
+
+
+class TestVariableKinds:
+    """Charge variables are distinct z-variables and insertion variables are
+    t-variables; anything else is refused, not turned into a wrong series."""
+
+    def test_repeated_charge_variables_are_refused(self):
+        tab = VarTable.make(0, 2)
+        with pytest.raises(UsageError):
+            weyl_denominator_B(2, tab, (0, 0))
+        with pytest.raises(UsageError):
+            oracle_trace(FockSpace(2, neutral=False), 2, tab, (),
+                         z_indices=(0, 0))
+
+    def test_extraction_refuses_repeated_charge_variables(self):
+        tab = VarTable.make(0, 2)
+        tr = plain_trace(FockSpace(2), 4, tab, (), z_indices=(0, 1))
+        assert {e2: c for e2, c in
+                extract_module_function(tr, (), 2, (0, 1)).items()} == \
+            {0: 1, 4: 1}
+        with pytest.raises(UsageError):
+            extract_module_function(tr, (), 2, (0, 0))
+
+    @pytest.mark.parametrize("zi", [(0,), (2,), (-1,)], ids=str)
+    def test_charge_grading_needs_a_z_variable(self, zi):
+        with pytest.raises(UsageError):
+            oracle_trace(SP1, 2, VarTable.make(2), (), z_indices=zi)
+
+    def test_charge_grading_needs_one_variable_per_pair(self):
+        with pytest.raises(UsageError):
+            oracle_trace(SP1, 2, VarTable.make(0, 2), (), z_indices=(0, 1))
+
+    @pytest.mark.parametrize("ti", [(1,), (2,), (-1,)], ids=str)
+    def test_insertion_needs_a_t_variable(self, ti):
+        tab = VarTable.make(1, 1)
+        with pytest.raises(UsageError):
+            oracle_trace(SP1, 2, tab, ti)
+        with pytest.raises(UsageError):
+            apply_D(FockState.vacuum(SP1), SP1, tab, ti[0])
+
+
+class TestOnePassPerSpace:
+    """Each verify suite enumerates each state space once: the parity
+    projections come from one pass."""
+
+    @pytest.mark.parametrize("suite,kwargs,spaces", [
+        (verify.suite_main_theorem, {}, 4),
+        (verify.suite_qdim, {"trunc2": 4}, 3),
+        (verify.suite_vacuum_recursion, {"n_max": 2}, 6),
+    ], ids=["main-theorem", "qdim", "vacuum-recursion"])
+    def test_enumerations(self, monkeypatch, suite, kwargs, spaces):
+        calls = []
+
+        def counted(space, max2):
+            calls.append(space)
+            return enumerate_states(space, max2)
+
+        monkeypatch.setattr(fock, "enumerate_states", counted)
+        assert verify.suite_passed(suite(**kwargs))
+        assert len(calls) == spaces
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +468,8 @@ def _suite_traces():
             ti = tuple(range(n))
             zi = tuple(range(n, n + l))
             for asn in [{}] + ([random_point(ti, 11)] if n else []):
-                even, odd = (oracle_trace(FockSpace(l, True), 6,
-                                          table.bind(asn), ti,
-                                          z_indices=zi, parity_projector=p)
-                             for p in ("even", "odd"))
+                even, odd = oracle_trace(FockSpace(l, True), 6,
+                                         table.bind(asn), ti, z_indices=zi)
                 for trace in (even + odd, even - odd):
                     yield l, lams, trace
 

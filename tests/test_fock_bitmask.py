@@ -412,6 +412,27 @@ def _bytes(s: HalfSeries) -> bytes:
     return json.dumps(series_to_json(s), sort_keys=True).encode()
 
 
+def _as_reference_kwargs(even: HalfSeries, odd: HalfSeries):
+    """Each trace built from the parity projections, with the keyword
+    arguments that give it in the reference."""
+    return (({}, even + odd), ({"parity_sign": True}, even - odd),
+            ({"parity_projector": "even"}, even),
+            ({"parity_projector": "odd"}, odd))
+
+
+@pytest.mark.parametrize("space", [FockSpace(0, True), FockSpace(1, True),
+                                   FockSpace(1, False)], ids=repr)
+def test_projections_match_the_reference(space):
+    """Symbolic, with one insertion: the plain and parity-signed traces
+    recombined from the projections, and each projection, as the
+    reference computes them one option at a time."""
+    table = VarTable.make(1)
+    even, odd = fock.oracle_trace(space, 4, table, (0,))
+    for kwargs, got in _as_reference_kwargs(even, odd):
+        want = oracle_trace(space, 4, table, (0,), **kwargs)
+        assert _bytes(got) == _bytes(want), kwargs
+
+
 @pytest.mark.parametrize("seed", [None, 0, 3, 20], ids=str)
 @pytest.mark.parametrize("l,n", [(l, n) for l in (0, 1) for n in (1, 2)])
 def test_oracle_trace_bytes_match_on_the_criterion_5_grid(l, n, seed):
@@ -423,9 +444,7 @@ def test_oracle_trace_bytes_match_on_the_criterion_5_grid(l, n, seed):
     trunc2 = 6 if seed is None else 8
     table = VarTable.make(n, l).bind(point)
     space = FockSpace(l, neutral=True)
-    for kwargs in ({}, {"parity_sign": True}, {"parity_projector": "even"},
-                   {"parity_projector": "odd"}):
-        got = fock.oracle_trace(space, trunc2, table, ti, z_indices=zi,
-                                **kwargs)
+    even, odd = fock.oracle_trace(space, trunc2, table, ti, z_indices=zi)
+    for kwargs, got in _as_reference_kwargs(even, odd):
         want = oracle_trace(space, trunc2, table, ti, z_indices=zi, **kwargs)
         assert _bytes(got) == _bytes(want), kwargs

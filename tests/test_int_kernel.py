@@ -149,11 +149,12 @@ def test_apply_D_at_an_integral_point_gives_fraction_weights():
 
 def test_oracle_levels_at_an_integral_point_are_normalized():
     # at v = 2 most weights are whole Fractions (2^k, the central 3*2/3)
-    trace = oracle_trace(FockSpace(1, True), 4,
-                         VarTable.make(1, 1).bind({0: 2}), (0,),
-                         z_indices=(1,))
+    even, odd = oracle_trace(FockSpace(1, True), 4,
+                             VarTable.make(1, 1).bind({0: 2}), (0,),
+                             z_indices=(1,))
     kinds = set()
-    for c in trace.terms.values():
-        _check_coefficients(c.num)
-        kinds.update(type(v) for v in c.num.terms.values())
+    for trace in (even, odd, even + odd):
+        for c in trace.terms.values():
+            _check_coefficients(c.num)
+            kinds.update(type(v) for v in c.num.terms.values())
     assert int in kinds

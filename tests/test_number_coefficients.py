@@ -18,7 +18,7 @@ from qfock.correlation import (
     gl_function,
     irreducible_function,
 )
-from qfock.fock import FockSpace, extract_module_function, oracle_trace
+from qfock.fock import FockSpace, extract_module_function
 from qfock.laurent import VarTable
 from qfock.qdim import QDimForm, q_minus, q_plus, qdim_irreducible
 from qfock.ratfunc import RatFunc
@@ -30,6 +30,8 @@ from qfock.weylb import BLabel
 hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from conftest import plain_trace  # noqa: E402
 
 T0 = VarTable.make(0)
 T1 = VarTable.make(1)
@@ -121,11 +123,11 @@ VARIABLE_FREE = {
     "gl_function": lambda: gl_function((1,), 1, 2, 6, _bound(2), TI),
     "f_bo": lambda: f_bo(2, 6, _bound(2), TI),
     "theta": lambda: theta(_bound(1), 6, ((0, 1),)),
-    "oracle_trace": lambda: oracle_trace(FockSpace(0), 6, _bound(2), TI),
-    "oracle_trace without insertions": lambda: oracle_trace(
+    "oracle_trace": lambda: plain_trace(FockSpace(0), 6, _bound(2), TI),
+    "oracle_trace without insertions": lambda: plain_trace(
         FockSpace(0), 6, T0),
     "extract_module_function": lambda: extract_module_function(
-        oracle_trace(FockSpace(1), 6, _bound(2, 1), TI, z_indices=(2,)),
+        plain_trace(FockSpace(1), 6, _bound(2, 1), TI, z_indices=(2,)),
         (1,), 1),
     "q_plus": lambda: q_plus((1,), 2, 8),
     "q_minus": lambda: q_minus((1,), 2, 8, QDimForm("product", "as-printed")),
