@@ -41,16 +41,19 @@ from .correlation import (
 from .qdim import QDimForm, q_minus, q_plus, qdim_irreducible
 from .fock import (
     FockSpace,
-    FockState,
-    Gradings,
     annihilate,
     apply_D,
     apply_field,
+    charges,
     create,
     enumerate_states,
     extract_module_function,
+    fock_state,
     irreducible_from_projected,
     oracle_trace,
+    parity,
+    state_modes,
+    vacuum,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

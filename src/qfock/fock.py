@@ -6,14 +6,14 @@ States are canonical products of creation operators: families ordered
 (plus_1, minus_1, ..., plus_l, minus_l, neutral), modes strictly decreasing
 within a family; modes are positive half-odd integers stored doubled.
 
-A state keeps one int bitmask per family, bit (m2 - 1)/2 standing for the
-doubled mode m2, and its doubled energy next to the masks.  A mode operator
-tests and flips one bit.  Its sign is (-1)^(number of creation operators
-standing before the slot in the canonical product): the popcount of every
-earlier family's mask plus that of the higher modes in the slot's own
-family.  Only the public FockState(modes) validates; vacuum,
-enumerate_states and the operators build states through the trusted
-FockState._trusted.
+A state is the plain tuple of its family masks, one int per family, bit
+(m2 - 1)/2 standing for the doubled mode m2.  No energy is stored:
+enumerate_states groups the states by it.  fock_state(modes) validates and
+builds a state, state_modes decodes one, vacuum builds the empty one, and
+charges and parity read the gradings.  A mode operator tests and flips one
+bit.  Its sign is (-1)^(number of creation operators standing before the
+slot in the canonical product): the popcount of every earlier family's mask
+plus that of the higher modes in the slot's own family.
 
 The diagonal operator inserted in traces acts on a state as
 
@@ -73,124 +73,94 @@ class FockSpace:
         return 2 * self.pairs
 
 
-class FockState:
-    """Occupied modes per family, one bitmask each (bit (m2 - 1)/2 for the
-    doubled mode m2), and the doubled energy e2.  FockState(modes) takes
-    strictly decreasing doubled half-odd modes per family and validates
-    them; .modes gives them back."""
-
-    __slots__ = ("masks", "e2")
-
-    def __init__(self, modes: Sequence[Sequence[int]]):
-        for fam in modes:
-            for m in fam:
-                if m <= 0 or m % 2 == 0:
-                    raise UsageError(f"modes must be positive half-odd: {m}/2")
-            if any(a <= b for a, b in zip(fam, fam[1:])):
-                raise UsageError(f"modes must strictly decrease: {fam}")
-        self.masks = tuple(sum(1 << (m >> 1) for m in fam) for fam in modes)
-        self.e2 = sum(map(sum, modes))
-
-    @classmethod
-    def _trusted(cls, masks: tuple[int, ...], e2: int) -> "FockState":
-        state = object.__new__(cls)
-        state.masks, state.e2 = masks, e2
-        return state
-
-    @classmethod
-    def vacuum(cls, space: FockSpace) -> "FockState":
-        return cls._trusted((0,) * space.families, 0)
-
-    @property
-    def modes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(2 * b + 1
-                           for b in reversed(range(mask.bit_length()))
-                           if mask >> b & 1) for mask in self.masks)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FockState) and self.masks == other.masks
-
-    def __hash__(self) -> int:
-        return hash(self.masks)
-
-    def __repr__(self) -> str:
-        return f"FockState(modes={self.modes!r})"
-
-    def energy2(self) -> int:
-        return self.e2
-
-    def charges(self, space: FockSpace) -> tuple[int, ...]:
-        m = self.masks
-        return tuple(m[2 * p].bit_count() - m[2 * p + 1].bit_count()
-                     for p in range(space.pairs))
-
-    def alpha_parity(self, space: FockSpace) -> int:
-        """Neutral-excitation count mod 2."""
-        return self.masks[space.neutral_family()].bit_count() % 2
-
-    def total_parity(self) -> int:
-        return sum(map(int.bit_count, self.masks)) % 2
+State = tuple  # of family masks, one int each
 
 
-@dataclass(frozen=True)
-class Gradings:
-    energy2: int
-    charges: tuple[int, ...]
-    alpha_parity: int
+def fock_state(modes: Sequence[Sequence[int]]) -> State:
+    """The state of the given doubled modes, strictly decreasing per family."""
+    for fam in modes:
+        for m in fam:
+            if m <= 0 or m % 2 == 0:
+                raise UsageError(f"modes must be positive half-odd: {m}/2")
+        if any(a <= b for a, b in zip(fam, fam[1:])):
+            raise UsageError(f"modes must strictly decrease: {fam}")
+    return tuple(sum(1 << (m >> 1) for m in fam) for fam in modes)
 
-    @classmethod
-    def of(cls, state: FockState, space: FockSpace) -> "Gradings":
-        return cls(state.energy2(), state.charges(space),
-                   state.alpha_parity(space) if space.neutral else 0)
+
+def state_modes(state: State) -> tuple[tuple[int, ...], ...]:
+    """The occupied doubled modes of each family, decreasing."""
+    return tuple(tuple(2 * b + 1 for b in reversed(range(mask.bit_length()))
+                       if mask >> b & 1) for mask in state)
+
+
+def vacuum(space: FockSpace) -> State:
+    return (0,) * space.families
+
+
+def charges(state: State, space: FockSpace) -> tuple[int, ...]:
+    return tuple(state[2 * p].bit_count() - state[2 * p + 1].bit_count()
+                 for p in range(space.pairs))
+
+
+def parity(state: State, space: FockSpace) -> int:
+    """The neutral-excitation count mod 2 when the space has a neutral
+    fermion, else the count of all excitations mod 2."""
+    if space.neutral:
+        return state[space.neutral_family()].bit_count() & 1
+    return sum(map(int.bit_count, state)) & 1
+
+
+def _check_shape(state: State, space: FockSpace) -> None:
+    if len(state) != space.families:
+        raise UsageError(f"a state of {len(state)} families in {space}")
 
 
 # ---------------------------------------------------------------------------
 # elementary operators
 # ---------------------------------------------------------------------------
 
-def _flip(state: FockState, fam: int, m2: int,
-          occupied: bool) -> tuple[int, FockState] | None:
+def _flip(state: State, fam: int, m2: int,
+          occupied: bool) -> tuple[int, State] | None:
     """Flip slot (fam, m2) if its occupation is `occupied`, else None.  The
     sign counts the creation operators standing before the slot: every mode
     of the earlier families and the higher modes of this one."""
-    masks = state.masks
     b = m2 >> 1
-    mask = masks[fam]
+    mask = state[fam]
     if (mask >> b & 1) != occupied:
         return None
-    ahead = sum(map(int.bit_count, masks[:fam])) + (mask >> b + 1).bit_count()
-    flipped = masks[:fam] + (mask ^ 1 << b,) + masks[fam + 1:]
-    e2 = state.e2 - m2 if occupied else state.e2 + m2
-    return -1 if ahead & 1 else 1, FockState._trusted(flipped, e2)
+    ahead = sum(map(int.bit_count, state[:fam])) + (mask >> b + 1).bit_count()
+    return (-1 if ahead & 1 else 1,
+            state[:fam] + (mask ^ 1 << b,) + state[fam + 1:])
 
 
-def _check_slot(state: FockState, fam: int, m2: int) -> None:
+def _check_slot(state: State, fam: int, m2: int) -> None:
     if m2 <= 0 or m2 % 2 == 0:
         raise UsageError(f"modes must be positive half-odd: {m2}/2")
-    if not 0 <= fam < len(state.masks):
-        raise UsageError(f"no family {fam} in a state of {len(state.masks)}")
+    if not 0 <= fam < len(state):
+        raise UsageError(f"no family {fam} in a state of {len(state)}")
 
 
-def create(state: FockState, fam: int, m2: int) -> tuple[int, FockState] | None:
+def create(state: State, fam: int, m2: int) -> tuple[int, State] | None:
     """Apply the creation operator for (fam, m2); None if excluded."""
     _check_slot(state, fam, m2)
     return _flip(state, fam, m2, False)
 
 
-def annihilate(state: FockState, fam: int, m2: int) -> tuple[int, FockState] | None:
+def annihilate(state: State, fam: int, m2: int) -> tuple[int, State] | None:
     """Apply the annihilation operator for (fam, m2); None if unoccupied."""
     _check_slot(state, fam, m2)
     return _flip(state, fam, m2, True)
 
 
-def apply_field(state: FockState, space: FockSpace, field: str, index: int,
-                r2: int) -> tuple[int, FockState] | None:
+def apply_field(state: State, space: FockSpace, field: str, index: int,
+                r2: int) -> tuple[int, State] | None:
     """Apply one fermion mode operator.
 
     field is "psi+", "psi-" (index = pair, 0-based) or "phi" (index ignored).
     r2 is the doubled mode index; negative indices create, positive ones
     annihilate, pairing psi+ with psi- across a pair.
     """
+    _check_shape(state, space)
     if r2 == 0 or r2 % 2 == 0:
         raise UsageError("mode indices are half-odd integers")
     if field == "phi":
@@ -205,10 +175,10 @@ def apply_field(state: FockState, space: FockSpace, field: str, index: int,
     return _flip(state, fam, abs(r2), r2 > 0)
 
 
-StateVector = dict  # FockState -> RatFunc, or Fraction at a point
+StateVector = dict  # state (tuple of family masks) -> RatFunc, or Fraction
 
 
-def _add_to(vec: StateVector, st: FockState, coeff) -> None:
+def _add_to(vec: StateVector, st: State, coeff) -> None:
     """vec[st] += coeff, dropping a zero entry."""
     cur = vec.get(st)
     cur = coeff if cur is None else cur + coeff
@@ -254,7 +224,7 @@ class _Insertion(dict):
         return c
 
 
-def apply_D(state: FockState, space: FockSpace, table: VarTable,
+def apply_D(state: State, space: FockSpace, table: VarTable,
             t_index: int, insertion: _Insertion | None = None) -> StateVector:
     """Apply the diagonal trace insertion for the variable t_index.
 
@@ -262,13 +232,14 @@ def apply_D(state: FockState, space: FockSpace, table: VarTable,
     annihilator acts there are applied through the elementary operators:
     the positive-index term t^(m2/2) and the negative-index one -t^(-m2/2).
     Every other bilinear annihilates the state.  The central scalar then
-    adds the input state back; 2*pairs + neutral is the number of fermion
-    families.  insertion holds the coefficients (built here unless given).
+    adds the input state back.  insertion holds the coefficients (built here
+    unless given).
     """
+    _check_shape(state, space)
     if insertion is None:
         insertion = _Insertion(space, table, t_index)
     out: StateVector = {}
-    for fam, mask in enumerate(state.masks):
+    for fam, mask in enumerate(state):
         # psi-_k annihilates in a plus family and psi+_{-k} creates there;
         # the roles swap in a minus family; phi_k, phi_{-k} act on the neutral
         if fam == 2 * space.pairs:
@@ -309,16 +280,16 @@ def _distinct_mode_sets(max2: int) -> list[tuple[int, int]]:
     return out
 
 
-def enumerate_states(space: FockSpace, max2: int) -> dict[int, list[FockState]]:
+def enumerate_states(space: FockSpace, max2: int) -> dict[int, list[State]]:
     """Every state with energy <= max2/2, grouped by doubled energy."""
     if max2 < 0:
         raise UsageError("energy bound must be nonnegative")
     per_family = _distinct_mode_sets(max2)
-    levels: dict[int, list[FockState]] = {e2: [] for e2 in range(max2 + 1)}
+    levels: dict[int, list[State]] = {e2: [] for e2 in range(max2 + 1)}
 
     def rec(fam: int, acc: list[int], tot: int) -> None:
         if fam == space.families:
-            levels[tot].append(FockState._trusted(tuple(acc), tot))
+            levels[tot].append(tuple(acc))
             return
         for mask, s in per_family:
             if tot + s <= max2:
@@ -330,23 +301,19 @@ def enumerate_states(space: FockSpace, max2: int) -> dict[int, list[FockState]]:
     return levels
 
 
-def _diagonal_weight(state: FockState, space: FockSpace, table: VarTable,
-                     t_indices: Sequence[int], insertions=None):
-    """<state| product of insertions |state> via repeated apply_D: a RatFunc,
-    or a Fraction over a bound table (the int 1 without insertions, 0 when
-    the insertions do not return to the state).  insertions maps each
-    insertion variable to its _Insertion, built once per trace."""
-    vec: StateVector = {state: 1}
+def _diagonal_weight(state: State, space: FockSpace, table: VarTable,
+                     t_indices: Sequence[int], *, insertions):
+    """<state| product of insertions |state> via repeated apply_D, which must
+    give back the input state alone: a RatFunc, or a Fraction over a bound
+    table (the int 1 without insertions).  insertions maps each insertion
+    variable to its _Insertion."""
+    weight = 1
     for t_index in reversed(tuple(t_indices)):
-        ins = insertions[t_index] if insertions else None
-        nxt: StateVector = {}
-        for st, coeff in vec.items():
-            for st2, c2 in apply_D(st, space, table, t_index, ins).items():
-                if st2.e2 != st.e2:
-                    raise InternalInvariantError("insertion changed the energy")
-                _add_to(nxt, st2, coeff * c2)
-        vec = nxt
-    return vec.get(state, 0)
+        out = apply_D(state, space, table, t_index, insertions[t_index])
+        weight = weight * out.pop(state, 0)
+        if out:
+            raise InternalInvariantError("an insertion moved the state")
+    return weight
 
 
 def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
@@ -355,24 +322,20 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
                  ) -> tuple[HalfSeries, HalfSeries]:
     """The parity projections (even, odd) of the exact graded trace over the
     states of energy <= trunc2/2, from one pass over the states: the plain
-    trace is even + odd, the one with (-1)^parity inserted even - odd.  The
-    parity counts neutral excitations when the space has a neutral fermion
-    and all excitations otherwise.
+    trace is even + odd, the one with (-1)^parity(state) inserted even - odd.
 
     Insertions: one diagonal operator per t-variable in t_indices, and
     optional charge grading in z_indices (distinct z-variables, one per
-    pair).  Each q^(m) coefficient is exact: the insertions preserve energy,
-    so no truncation leaks between levels.
+    pair).  The insertions are diagonal, so each q^(m) coefficient is exact.
 
-    Over a bound table, which must bind every insertion variable, each
-    insertion is applied at the table's point, so every weight is a Fraction;
-    the result lives over table.free() (z-variables survive).  Each
-    insertion's coefficients are built once, before any state is visited.
+    Over a bound table, which must bind every insertion variable, every
+    weight is a Fraction at the table's point, and the result lives over
+    table.free() (z-variables survive).
 
-    Either way the weights are summed per parity, q-level and charge vector,
-    and each q-level is built once: the sum of weight * z^charges when the
-    weights are RatFuncs, else the polynomial (a number when no z survives)
-    whose coefficients are the summed weights.
+    The weights are summed per parity, q-level and charge vector, and each
+    q-level is built once: the sum of weight * z^charges when the weights
+    are RatFuncs, else the polynomial (a number when no z survives) whose
+    coefficients are the summed weights.
     """
     out_table = table.free()
     zi = () if z_indices is None else tuple(
@@ -387,11 +350,9 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
                                       insertions=insertions)
             if not weight:
                 continue
-            par = (state.alpha_parity(space) if space.neutral
-                   else state.total_parity())
-            z_exps = {i: 2 * c for i, c in zip(zi, state.charges(space))}
+            z_exps = {i: 2 * c for i, c in zip(zi, charges(state, space))}
             key = tuple(z_exps.get(i, 0) for i in range(len(out_table)))
-            level = sums[par].setdefault(e2, {})
+            level = sums[parity(state, space)].setdefault(e2, {})
             level[key] = level[key] + weight if key in level else weight
     ratfuncs = bool(t_indices) and not table.values  # the weights' domain
 

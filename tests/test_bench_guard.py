@@ -4,10 +4,10 @@ bench/child.py refuses to time a pass unless the six module caches it
 counts exist and are empty at import, and its --trace wrappers rebind
 entry points such as correlation.pair_block, cli.series_to_json and
 qdim.qdim_irreducible by name.  Each workload builds its items from its
-own qfock entry points, and a full pass checks every item's output bytes
-against the SHA-256 digests in bench/golden.json.  A rename in qfock, or a
-change in any output byte, would otherwise surface only when the benchmark
-runs.
+own qfock entry points, and a full pass, traced or not, checks every
+item's output bytes against the SHA-256 digests in bench/golden.json.  A
+rename in qfock, or a change in any output byte, would otherwise surface
+only when the benchmark runs.
 """
 
 import json
@@ -39,6 +39,16 @@ def test_bench_child_sets_up_with_tracing(workload):
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_cold_pass_matches_the_golden_digests(workload):
     proc = _child("--workload", workload, "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["attempted"] > 0
+    assert result["failed"] == 0, proc.stderr
+
+
+def test_traced_cold_pass_of_verify_eval():
+    """Only a traced pass runs the weight counter, which unpacks the four
+    positional arguments of fock._diagonal_weight and hashes the state."""
+    proc = _child("--workload", "verify-eval", "--seed", "1", "--trace")
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["attempted"] > 0

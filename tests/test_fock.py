@@ -1,14 +1,16 @@
 """Fock-oracle tests: state enumeration, operator algebra, traces, extraction."""
 
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
 import pytest
 
-from qfock.cli import series_to_json
+from qfock.cli import main, series_to_json
 from qfock.laurent import (
     EvaluationPointError,
     InternalInvariantError,
@@ -28,16 +30,19 @@ from qfock.weylb import (
 from qfock.correlation import d_half_vacuum, irreducible_function
 from qfock.fock import (
     FockSpace,
-    FockState,
-    Gradings,
     annihilate,
     apply_D,
     apply_field,
+    charges,
     create,
     enumerate_states,
     extract_module_function,
+    fock_state,
     irreducible_from_projected,
     oracle_trace,
+    parity,
+    state_modes,
+    vacuum,
 )
 from qfock import fock, verify
 from qfock.verify import random_point
@@ -59,7 +64,11 @@ def rand_state(rng, space, max2=5):
     for _ in range(space.families):
         modes = [m for m in range(1, max2 + 1, 2) if rng.random() < 0.4]
         fams.append(tuple(sorted(modes, reverse=True)))
-    return FockState(tuple(fams))
+    return fock_state(tuple(fams))
+
+
+def energy2(state):
+    return sum(map(sum, state_modes(state)))
 
 
 class TestStates:
@@ -72,22 +81,24 @@ class TestStates:
 
     def test_vacuum_only_at_zero(self):
         levels = enumerate_states(SP1, 0)
-        assert levels[0] == [FockState.vacuum(SP1)]
+        assert levels[0] == [vacuum(SP1)]
 
     def test_gradings_recompute(self):
         rng = random.Random(20)
         for _ in range(50):
             st = rand_state(rng, SP1)
-            g = Gradings.of(st, SP1)
-            assert g.energy2 == sum(sum(f) for f in st.modes)
-            assert g.charges == (len(st.modes[0]) - len(st.modes[1]),)
-            assert g.alpha_parity == len(st.modes[2]) % 2
+            modes = state_modes(st)
+            assert st in enumerate_states(SP1, energy2(st))[energy2(st)]
+            assert charges(st, SP1) == (len(modes[0]) - len(modes[1]),)
+            assert parity(st, SP1) == len(modes[2]) % 2
+            st = rand_state(rng, PAIR)
+            assert parity(st, PAIR) == sum(map(len, state_modes(st))) % 2
 
     def test_invalid_modes_rejected(self):
         with pytest.raises(UsageError):
-            FockState(((2,),))
+            fock_state(((2,),))
         with pytest.raises(UsageError):
-            FockState(((1, 3),))  # must strictly decrease
+            fock_state(((1, 3),))  # must strictly decrease
 
 
 class TestOperatorAlgebra:
@@ -111,7 +122,7 @@ class TestOperatorAlgebra:
         """An even or nonpositive doubled mode, a family outside the state or
         a pair outside the space is refused rather than read as another slot
         (create(st, 0, 2) would otherwise set the bit of mode 3/2)."""
-        st = FockState(((3,), (), (1,)))
+        st = fock_state(((3,), (), (1,)))
         for op in (create, annihilate):
             for m2 in (2, 0, -1, -3):
                 with pytest.raises(UsageError):
@@ -161,9 +172,9 @@ class TestOperatorAlgebra:
                 assert lhs == {}, (x, y, kx, ky, st)
 
     def test_field_addressing(self):
-        vac = FockState.vacuum(SP1)
+        vac = vacuum(SP1)
         s, st = apply_field(vac, SP1, "psi+", 0, -1)
-        assert st.modes[0] == (1,) and s == 1
+        assert state_modes(st)[0] == (1,) and s == 1
         # psi-_{+1} annihilates the plus excitation
         s2, st2 = apply_field(st, SP1, "psi-", 0, 1)
         assert st2 == vac and s2 == 1
@@ -177,25 +188,25 @@ class TestOperatorAlgebra:
         rng = random.Random(24)
         for _ in range(100):
             st = rand_state(rng, SP1)
-            p = st.alpha_parity(SP1)
+            p = parity(st, SP1)
             for r2 in (-1, 1, -3, 3):
                 r = apply_field(st, SP1, "phi", 0, r2)
                 if r is not None:
-                    assert r[1].alpha_parity(SP1) == 1 - p
+                    assert parity(r[1], SP1) == 1 - p
                 r = apply_field(st, SP1, "psi+", 0, r2)
                 if r is not None:
-                    assert r[1].alpha_parity(SP1) == p
+                    assert parity(r[1], SP1) == p
 
 
 class TestApplyD:
     def test_vacuum_neutral_space(self):
         tab = VarTable.make(1)
-        sv = apply_D(FockState.vacuum(SP0), SP0, tab, 0)
-        assert sv == {FockState.vacuum(SP0): x_inv(tab)}
+        sv = apply_D(vacuum(SP0), SP0, tab, 0)
+        assert sv == {vacuum(SP0): x_inv(tab)}
 
     def test_single_neutral_excitation(self):
         tab = VarTable.make(1)
-        st = FockState(((1,),))
+        st = fock_state(((1,),))
         sv = apply_D(st, SP0, tab, 0)
         u = LaurentPoly.monomial(tab, {0: 1})
         ui = LaurentPoly.monomial(tab, {0: -1})
@@ -204,8 +215,8 @@ class TestApplyD:
 
     def test_central_scalar_scales_with_space(self):
         tab = VarTable.make(1)
-        sv = apply_D(FockState.vacuum(SP1), SP1, tab, 0)
-        assert sv == {FockState.vacuum(SP1): x_inv(tab) * 3}
+        sv = apply_D(vacuum(SP1), SP1, tab, 0)
+        assert sv == {vacuum(SP1): x_inv(tab) * 3}
 
     def test_energy_preserved(self):
         rng = random.Random(23)
@@ -213,8 +224,32 @@ class TestApplyD:
         for _ in range(60):
             st = rand_state(rng, SP1)
             for st2 in apply_D(st, SP1, tab, 0):
-                assert st2.energy2() == st.energy2()
+                assert energy2(st2) == energy2(st)
 
+    def test_state_of_another_space_is_refused(self):
+        """A state needs one mask per family of the space: a one-family state
+        is not read as a state of a three-family space."""
+        tab = VarTable.make(1)
+        for st in (fock_state(((1,),)), vacuum(SP0), vacuum(PAIR)):
+            with pytest.raises(UsageError):
+                apply_D(st, SP1, tab, 0)
+            with pytest.raises(UsageError):
+                apply_field(st, SP1, "psi+", 0, -1)
+
+    def test_insertion_that_moves_the_state_is_an_internal_error(
+            self, monkeypatch):
+        """The weights rely on D being diagonal; an apply_D that returns
+        another state is a fault of the program, and the CLI exits 3."""
+        def moved(state, *args):
+            return {state[:-1] + (state[-1] ^ 1,): 1}
+
+        monkeypatch.setattr(fock, "apply_D", moved)
+        with pytest.raises(InternalInvariantError):
+            oracle_trace(SP1, 2, VarTable.make(1), (0,))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["oracle", "--l", "1", "--n", "1", "--order", "1"])
+        assert code == 3 and "internal error" in err.getvalue()
 
     @pytest.mark.parametrize("space", [SP0, SP1, PAIR])
     def test_at_a_point_equals_evaluated_symbolic(self, space):
@@ -237,7 +272,7 @@ class TestEvaluationPointErrors:
     def test_bad_point_raises_evaluation_error(self, v):
         tab = VarTable.make(1)
         with pytest.raises(EvaluationPointError):
-            apply_D(FockState.vacuum(SP1), SP1, tab.bind({0: v}), 0)
+            apply_D(vacuum(SP1), SP1, tab.bind({0: v}), 0)
         with pytest.raises(EvaluationPointError):
             oracle_trace(SP1, 4, tab.bind({0: v}), (0,))
 
@@ -246,7 +281,7 @@ class TestEvaluationPointErrors:
         with pytest.raises(UsageError):
             oracle_trace(SP1, 4, tab, (0, 1))
         with pytest.raises(UsageError):
-            apply_D(FockState.vacuum(SP1), SP1, tab, 1)
+            apply_D(vacuum(SP1), SP1, tab, 1)
 
 
 class TestTraces:
@@ -385,7 +420,7 @@ class TestVariableKinds:
         with pytest.raises(UsageError):
             oracle_trace(SP1, 2, tab, ti)
         with pytest.raises(UsageError):
-            apply_D(FockState.vacuum(SP1), SP1, tab, ti[0])
+            apply_D(vacuum(SP1), SP1, tab, ti[0])
 
 
 class TestOnePassPerSpace:

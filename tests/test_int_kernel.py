@@ -17,7 +17,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import clear_caches  # noqa: E402
 from qfock.correlation import d_sum_function  # noqa: E402
-from qfock.fock import FockSpace, FockState, apply_D, oracle_trace  # noqa: E402
+from qfock.fock import (  # noqa: E402
+    FockSpace,
+    apply_D,
+    fock_state,
+    oracle_trace,
+    vacuum,
+)
 from qfock.laurent import (  # noqa: E402
     InternalInvariantError,
     LaurentPoly,
@@ -140,8 +146,8 @@ def test_constant_value_of_int_constants_is_a_fraction():
 def test_apply_D_at_an_integral_point_gives_fraction_weights():
     space = FockSpace(1, True)
     tab = VarTable.make(1)
-    st_ = FockState(((1,), (), ()))
-    for state in (FockState.vacuum(space), st_):
+    st_ = fock_state(((1,), (), ()))
+    for state in (vacuum(space), st_):
         out = apply_D(state, space, tab.bind({0: 2}), 0)
         assert out
         assert all(type(c) is Fraction for c in out.values())
