@@ -36,6 +36,12 @@ def _cases():
             yield _compute("fbo", 0, "", 2, seed, fmt)
             yield _compute("theta", 0, "", 1, seed, fmt)
             yield _compute("fock-trace", 0, "", 2, seed, fmt)
+    # three points, and seeds 20 and 31, whose points are removable
+    # singularities of the two-point kernel
+    for n, seeds in ((3, (0, 3)), (2, (20, 31))):
+        for seed in seeds:
+            yield _compute("gl", 1, "1", n, seed, "json")
+            yield _compute("fbo", 0, "", n, seed, "json")
     for fmt in ("json", "text"):
         qdim = ("qdim", "--l", "2", "--lambda", "1", "--order", "4",
                 "--format", fmt)
@@ -166,6 +172,22 @@ PINS = {
         "49cad48b2440c90c81b1f95c28d2c138b574e4ec1323bf891a37c6bc6763e6ec",
     "compute --family fock-trace --l 0 --lambda  --n 2 --order 3 --mode eval --seed 3 --format text":
         "0e26b4d71a212c68882665c3576d66b35176f7588a7af188bb2da41077bdcec4",
+    "compute --family gl --l 1 --lambda 1 --n 3 --order 3 --mode eval --seed 0 --format json":
+        "5e873205430208fa294ac38b08b8dbf921c7a36bc3f8c1c615b4aa6898d2a504",
+    "compute --family fbo --l 0 --lambda  --n 3 --order 3 --mode eval --seed 0 --format json":
+        "a3738dfce3943641d41b9245bf9aacbbca7967c379645fcf4126766d4c0f70aa",
+    "compute --family gl --l 1 --lambda 1 --n 3 --order 3 --mode eval --seed 3 --format json":
+        "5eef64558abb2c1fd3a38162f4f7b608acb32bf036e1f20e98c24fcb5f633279",
+    "compute --family fbo --l 0 --lambda  --n 3 --order 3 --mode eval --seed 3 --format json":
+        "d14307e8b0cb04fbf722c0fa2d9bd5f531a0dfeaeecc80247b06c07491acacf2",
+    "compute --family gl --l 1 --lambda 1 --n 2 --order 3 --mode eval --seed 20 --format json":
+        "002be8b2df733387bc289bc75f28b5f6c74a24174a217ab011fc3c1504606262",
+    "compute --family fbo --l 0 --lambda  --n 2 --order 3 --mode eval --seed 20 --format json":
+        "f774e6a99cc5fbd48f9c6ed43967736fd685afaa07d4cf5486bc403b702a1c35",
+    "compute --family gl --l 1 --lambda 1 --n 2 --order 3 --mode eval --seed 31 --format json":
+        "87d73f3affc941af95fa66270ea5d32b3968c5784d193b4aebb1e760f589c520",
+    "compute --family fbo --l 0 --lambda  --n 2 --order 3 --mode eval --seed 31 --format json":
+        "5cc02ba61ee8844c79a8e914b0f54a455f80cd5d26c5a9b7a04c6498d16b0580",
     "qdim --l 2 --lambda 1 --order 4 --format json":
         "ee3b3961330d6d09563e8d8ff999e0a28f959a4658e16c6faaab05c30885e068",
     "qdim --l 2 --lambda 1 --order 4 --format json --det":
