@@ -8,11 +8,10 @@ from .laurent import (
     LaurentPoly,
     UsageError,
     VarTable,
-    lp_tddt,
     poly_divexact,
     poly_gcd,
 )
-from .ratfunc import RatFunc, rf_reduce
+from .ratfunc import RatFunc
 from .series import HalfSeries
 from .special import f_bo, pochhammer_inf, qq_inf, theta, theta_deriv
 from .weylb import (

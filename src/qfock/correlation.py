@@ -32,10 +32,10 @@ subset convolution, and the function is (vacuum * det)([n]); in the printed
 one they are the full-point blocks and the function is vacuum([n]) * det.
 
 Eval mode is the same call over a bound table (VarTable.bind): every
-function here then returns a series over table.free().  pair_block, the
-vacuum recursion, the one-pair traces and the d functions compute at the
-table's point; gl_function and vacuum_one_point_series compute symbolically
-and evaluate there.
+function here computes at the table's point and returns a series over
+table.free(), by the rule HalfSeries applies to any series built over a
+bound table.  pair_block alone evaluates its cached symbolic kernel at the
+signed values itself.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Sequence
 from .laurent import LaurentPoly, UsageError, VarTable
 from .ratfunc import RatFunc
 from .series import HalfSeries
-from .special import _det, f_bo, pochhammer_inf
+from .special import _det, _points_of, f_bo, pochhammer_inf
 from .weylb import (
     _det_sector,
     check_partition,
@@ -71,20 +71,6 @@ _fbo_eval_cache: dict = {}
 _pair_block_cache: dict = {}
 _vacuum_cache: dict = {}
 _one_point_cache: dict = {}
-
-
-def _points_of(n: int, table: VarTable | None,
-               t_indices: Sequence[int] | None,
-               z: int = 0) -> tuple[VarTable, tuple[int, ...]]:
-    """The table (default: n t-variables and z z-variables) and the n
-    insertion variables (default: its first n t-variables)."""
-    if table is None:
-        table = VarTable.make(n, z)
-    t_indices = tuple(table.t_indices()[:n] if t_indices is None
-                      else t_indices)
-    if len(t_indices) != n:
-        raise UsageError(f"need {n} t-variables, got {len(t_indices)}")
-    return table, t_indices
 
 
 def _f_bo_generic(m: int, trunc2: int) -> HalfSeries:
@@ -162,10 +148,9 @@ def _vacuum_on(table: VarTable, t_indices: tuple[int, ...], trunc2: int,
     key = (table, frozenset(t_indices), trunc2, twisted)
     if key in _vacuum_cache:
         return _vacuum_cache[key]
-    out_table = table.free()
     n = len(t_indices)
     # (q^(1/2);q)_inf for the twisted trace, (-q^(1/2);q)_inf untwisted
-    base = pochhammer_inf(out_table, trunc2, 1, coeff=1 if twisted else -1)
+    base = pochhammer_inf(table, trunc2, 1, coeff=1 if twisted else -1)
     if n == 0:
         _vacuum_cache[key] = base
         return base
@@ -173,7 +158,7 @@ def _vacuum_on(table: VarTable, t_indices: tuple[int, ...], trunc2: int,
                               t_indices)
     # half the sum over ordered splits: the splits whose left part holds the
     # first point (odd masks)
-    sub = HalfSeries.zero(out_table, trunc2)
+    sub = HalfSeries.zero(table, trunc2)
     for m in range(1, (1 << n) - 1, 2):
         left = tuple(t_indices[i] for i in range(n) if m >> i & 1)
         right = tuple(t_indices[i] for i in range(n) if not m >> i & 1)
@@ -195,18 +180,11 @@ def gl_function(lam: Sequence[int], l: int, n: int, trunc2: int,
 
         q^(|lam|^2/2) (t_1...t_n)^(lam_1+...+lam_l)
         prod_{i<j} (1 - q^(lam_i - lam_j + j - i)) * F_bo(q;t)^l
-
-    Over a bound table it is computed symbolically and evaluated at the
-    table's point.
     """
     lam = check_partition(lam, None, allow_negative=True)
     if len(lam) != l:
         raise UsageError(f"weight {lam} must have exactly {l} parts")
     table, t_indices = _points_of(n, table, t_indices)
-    if table.values:
-        return gl_function(lam, l, n, trunc2,
-                           VarTable(table.names, table.kinds),
-                           t_indices).evaluate(dict(table.values))
     nrm2 = sum(x * x for x in lam)  # doubled exponent of q^(|lam|^2/2)
     size = sum(lam)
     out = HalfSeries.q_power(table, trunc2, nrm2) if nrm2 <= trunc2 else \
@@ -250,7 +228,7 @@ def fock_trace_at_sign(n: int, trunc2: int, sign: int,
     if sign not in (1, -1):
         raise UsageError("sign must be +1 or -1")
     table, t_indices = _points_of(n, table, t_indices)
-    acc = HalfSeries.zero(table.free(), trunc2)
+    acc = HalfSeries.zero(table, trunc2)
     for k in range(-isqrt(trunc2), isqrt(trunc2) + 1):
         blk = pair_block(table, t_indices, k, trunc2)
         acc = acc - blk if sign < 0 and k % 2 else acc + blk
@@ -265,7 +243,6 @@ def _d_function(lam: Sequence[int], l: int, n: int, trunc2: int,
     table, t_indices = _points_of(n, table, t_indices)
     if structure not in ("convolved", "printed"):
         raise UsageError(f"unknown structure {structure!r}")
-    out_table = table.free()
     rho = rho_B(l)
     lamrho = tuple(a + b for a, b in zip(pad_weight(lam, l), rho))
     printed = structure == "printed"
@@ -280,7 +257,7 @@ def _d_function(lam: Sequence[int], l: int, n: int, trunc2: int,
         # minus the other's floor, and the product is exact to trunc2 only
         fx, fy = x.floor2(), y.floor2()
         if fx + fy > trunc2:
-            return HalfSeries.zero(out_table, trunc2)
+            return HalfSeries.zero(table, trunc2)
         return x.truncate(trunc2 - fy) * y.truncate(trunc2 - fx)
 
     def put(f: dict, m: int, x: HalfSeries) -> None:
@@ -313,9 +290,9 @@ def _d_function(lam: Sequence[int], l: int, n: int, trunc2: int,
         return f or None
 
     det = _det([[entry(a, b) for b in range(l)] for a in range(l)],
-               {0: HalfSeries.one(out_table, trunc2)}, conv, add,
+               {0: HalfSeries.one(table, trunc2)}, conv, add,
                lambda f: {m: -x for m, x in f.items()}) or {}
-    acc = HalfSeries.zero(out_table, trunc2)
+    acc = HalfSeries.zero(table, trunc2)
     for m, x in det.items():
         vac = _vacuum_on(table, points[full if printed else full & ~m],
                          trunc2, twisted)
@@ -372,17 +349,12 @@ def vacuum_one_point_series(trunc2: int, reading: str = "q-step",
     where the prefactor P is (q^(1/2);q)_inf under the "q-step" reading and
     (q^(1/2);q^(1/2))_inf under "half-step".  The q-step reading matches the
     twisted vacuum recursion; the other is kept so the verification suite can
-    report where it fails.  Over a bound table it is computed symbolically
-    and evaluated at the table's point.
+    report where it fails.
     """
     if reading not in ONE_POINT_READINGS:
         raise UsageError(f"unknown reading {reading!r}")
     if table is None:
         table = VarTable.make(1)
-    if table.values:
-        return vacuum_one_point_series(
-            trunc2, reading, VarTable(table.names, table.kinds),
-            t_index).evaluate(dict(table.values))
     key = (table, t_index, trunc2, reading)
     if key in _one_point_cache:
         return _one_point_cache[key]

@@ -64,7 +64,8 @@ class VarTable:
     In eval mode a table binds some t-variables to square-root values
     (values: (index, value) pairs, empty for an ordinary table).  A function
     given a bound table computes at that point, and its result lives over
-    free(), the table with the bound variables removed.
+    free(), the table with the bound variables removed: HalfSeries applies
+    this rule to every series built over a bound table.
     """
 
     names: tuple[str, ...]
@@ -955,10 +956,6 @@ def _ig_prs_gcd(f: _Dict, g: _Dict, v: int) -> _Dict:
 
 
 # -- public wrappers ---------------------------------------------------------
-
-def lp_tddt(a: LaurentPoly, var: int) -> LaurentPoly:
-    return a.tddt(var)
-
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """GCD of the polynomial parts (monomial content handled by the caller).

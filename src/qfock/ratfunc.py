@@ -405,8 +405,3 @@ def _rename_factors(dfac: Factors, width: int, mapping) -> Factors:
         a, b = tuple(a), tuple(b)
         out.append(((a, b, c) if a > b else (b, a, c), m))
     return tuple(sorted(out))
-
-
-def rf_reduce(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
-    """Build the canonical rational function num/den."""
-    return RatFunc(num, den)

@@ -12,6 +12,12 @@ when integral, else a Fraction, several times cheaper to multiply, add and
 invert than a RatFunc constant.  Either way a coefficient is nonzero
 exactly when it is truthy, and the two render alike with str().
 
+Eval mode is resolved here, once for every function.  A series built over a
+bound table (VarTable.bind) lives over table.free(), and a LaurentPoly or
+RatFunc coefficient over the bound table is taken at the table's point; so
+a function given a bound table computes at the point with no code of its
+own.
+
 Truncation propagates conservatively through multiplication: the product of
 series exact to Na and Nb with supports starting at ma and mb is exact to
 min(Na + mb, Nb + ma), so no retained coefficient is ever approximate.
@@ -45,14 +51,15 @@ def _over_lcm(terms: Mapping[int, int | Fraction]) -> tuple[dict[int, int], int]
 
 class HalfSeries:
     """Truncated q-series over a shared VarTable, with RatFunc coefficients
-    (numbers over the table with no variables)."""
+    (numbers over the table with no variables); built over a bound table,
+    it lives over table.free()."""
 
     __slots__ = ("table", "trunc2", "terms")
 
     def __init__(self, table: VarTable, trunc2: int,
                  terms: Mapping[int, Coeff] | None = None,
                  *, _clean: bool = False):
-        self.table = table
+        self.table = table.free() if table.values else table
         self.trunc2 = trunc2
         if terms is None:
             self.terms: dict[int, Coeff] = {}
@@ -71,7 +78,10 @@ class HalfSeries:
             self.terms = clean
 
     def _coerce_coeff(self, c) -> Coeff:
-        """c in the table's coefficient domain."""
+        """c in the table's coefficient domain; a polynomial or rational
+        function over a bound table is taken at the table's point."""
+        if isinstance(c, (LaurentPoly, RatFunc)) and c.table.values:
+            c = c.evaluate(dict(c.table.values))
         if isinstance(c, LaurentPoly):
             c = RatFunc.from_poly(c)
         if isinstance(c, RatFunc):

@@ -31,9 +31,7 @@ def pochhammer_inf(table: VarTable, trunc2: int, alpha2: int,
     """
     if alpha2 <= 0:
         raise UsageError("non-truncating Pochhammer argument (needs q-exponent > 0)")
-    if mono is None:
-        mono = LaurentPoly.one(table)
-    c = mono * coeff
+    c = coeff if mono is None else mono * coeff
     out = HalfSeries.one(table, trunc2)
     e2 = alpha2
     while e2 <= trunc2:
@@ -45,6 +43,20 @@ def pochhammer_inf(table: VarTable, trunc2: int, alpha2: int,
 def qq_inf(table: VarTable, trunc2: int) -> HalfSeries:
     """(q;q)_inf."""
     return pochhammer_inf(table, trunc2, 2)
+
+
+def _points_of(n: int, table: VarTable | None,
+               t_indices: Sequence[int] | None,
+               z: int = 0) -> tuple[VarTable, tuple[int, ...]]:
+    """The table (default: n t-variables and z z-variables) and the n
+    insertion variables (default: its first n t-variables)."""
+    if table is None:
+        table = VarTable.make(n, z)
+    t_indices = tuple(table.t_indices()[:n] if t_indices is None
+                      else t_indices)
+    if len(t_indices) != n:
+        raise UsageError(f"need {n} t-variables, got {len(t_indices)}")
+    return table, t_indices
 
 
 def _validate_arg(table: VarTable, arg: ThetaArg) -> None:
@@ -61,10 +73,7 @@ def _validate_arg(table: VarTable, arg: ThetaArg) -> None:
 
 def theta(table: VarTable, trunc2: int, arg: ThetaArg) -> HalfSeries:
     """Theta evaluated at the monomial arg (empty arg gives the zero
-    series); over a bound table, then at the table's point."""
-    if table.values:
-        return theta(VarTable(table.names, table.kinds), trunc2,
-                     arg).evaluate(dict(table.values))
+    series)."""
     _validate_arg(table, arg)
     if not arg:
         return HalfSeries.zero(table, trunc2)
@@ -149,22 +158,20 @@ def f_bo(n: int, trunc2: int, table: VarTable | None = None,
     Each Theta(S) it divides by starts at q^0 with the nonzero coefficient
     u_S - 1/u_S (u_S the square root of the product over S), so every
     inverse exists.  Over a bound table the kernel is computed symbolically
-    and evaluated at the table's point, which fails only at a pole of a
-    reduced coefficient.
+    and then evaluated at the table's point, unlike every other function
+    here: Theta(S) may vanish at the point (u_S = +-1 with no u_j = +-1, a
+    removable singularity of the kernel), so computing at the point could
+    divide by zero.  The evaluation fails only at a pole of a reduced
+    coefficient.
     """
     if n < 0:
         raise UsageError("point count must be nonnegative")
     if path not in ("auto", "det", "closed"):
         raise UsageError(f"unknown f_bo path {path!r}")
-    if table is None:
-        table = VarTable.make(n)
+    table, t_indices = _points_of(n, table, t_indices)
     if table.values:
         return f_bo(n, trunc2, VarTable(table.names, table.kinds), t_indices,
                     path).evaluate(dict(table.values))
-    if t_indices is None:
-        t_indices = table.t_indices()[:n]
-    if len(t_indices) != n:
-        raise UsageError(f"need {n} t-variables, got {len(t_indices)}")
 
     if n == 0:
         return qq_inf(table, trunc2).inverse()

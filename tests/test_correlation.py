@@ -8,10 +8,11 @@ import pytest
 from conftest import CACHES, clear_caches
 from qfock import correlation, laurent, ratfunc, special
 from qfock.cli import series_to_json
-from qfock.laurent import LaurentPoly, UsageError, VarTable
+from qfock.laurent import EvaluationPointError, LaurentPoly, UsageError, VarTable
 from qfock.ratfunc import RatFunc
 from qfock.series import HalfSeries
-from qfock.special import f_bo, pochhammer_inf, qq_inf, theta
+from qfock.qdim import q_minus, q_plus, qdim_irreducible
+from qfock.special import f_bo, pochhammer_inf, qq_inf, theta, theta_deriv
 from qfock.verify import random_point, suite_main_theorem, suite_passed
 from qfock.weylb import BLabel
 from qfock.correlation import (
@@ -263,19 +264,33 @@ class TestEvalAtRemovableSingularities:
 
     @pytest.mark.parametrize("seed", EVAL_SEEDS)
     def test_symbolic_families_evaluate_at_a_bound_point(self, seed):
-        # gl, the one-point series, f_bo and theta compute symbolically and
-        # evaluate at the bound point, so their results live over
-        # table.free() like every other function's
+        # every function given a bound table computes at the point and
+        # returns a series over table.free(): the symbolic result evaluated
+        # there, byte for byte
         tab = VarTable.make(2)
         pt = random_point((0, 1), seed)
         at = tab.bind(pt)
         for fn in (lambda t: gl_function((1,), 1, 2, 4, t, (0, 1)),
                    lambda t: vacuum_one_point_series(4, "q-step", t, 1),
                    lambda t: f_bo(2, 4, t, (0, 1)),
-                   lambda t: theta(t, 4, ((0, 1), (1, -1)))):
+                   lambda t: theta(t, 4, ((0, 1), (1, -1))),
+                   lambda t: theta_deriv(t, 4, 2, ((0, 1), (1, -1))),
+                   lambda t: pochhammer_inf(
+                       t, 4, 2, LaurentPoly.monomial(t, {0: 2, 1: -1}), 3),
+                   lambda t: qq_inf(t, 4),
+                   lambda t: d_half_vacuum(2, 4, True, t),
+                   lambda t: q_plus((1,), 2, 4, table=t),
+                   lambda t: q_minus((1,), 2, 4, table=t),
+                   lambda t: qdim_irreducible(BLabel((1,), True), 2, 4,
+                                              table=t)):
             got = fn(at)
             assert got.table == at.free()
             assert _json_bytes(got) == _json_bytes(fn(tab).evaluate(pt))
+
+    def test_one_point_series_at_its_pole_raises(self):
+        # its t^(1/2)/(t - 1) term has a pole at t = 1
+        with pytest.raises(EvaluationPointError):
+            vacuum_one_point_series(4, "q-step", VarTable.make(1).bind({0: -1}))
 
     def test_gl_and_d_sum_over_one_bound_table_add(self):
         at = VarTable.make(1).bind({0: 3})
