@@ -42,6 +42,11 @@ def _cases():
         for seed in seeds:
             yield _compute("gl", 1, "1", n, seed, "json")
             yield _compute("fbo", 0, "", n, seed, "json")
+    # the charge-graded trace and a pair block at the same singular points
+    for seed in (20, 31):
+        for n in (2, 3):
+            yield _compute("fock-trace", 0, "", n, seed, "json")
+        yield _compute("d-sum", 1, "1", 2, seed, "json")
     for fmt in ("json", "text"):
         qdim = ("qdim", "--l", "2", "--lambda", "1", "--order", "4",
                 "--format", fmt)
@@ -188,6 +193,18 @@ PINS = {
         "87d73f3affc941af95fa66270ea5d32b3968c5784d193b4aebb1e760f589c520",
     "compute --family fbo --l 0 --lambda  --n 2 --order 3 --mode eval --seed 31 --format json":
         "5cc02ba61ee8844c79a8e914b0f54a455f80cd5d26c5a9b7a04c6498d16b0580",
+    "compute --family fock-trace --l 0 --lambda  --n 2 --order 3 --mode eval --seed 20 --format json":
+        "b899829afe1e9562126de889134f444636c869abac792d3e5068896b691f0958",
+    "compute --family fock-trace --l 0 --lambda  --n 3 --order 3 --mode eval --seed 20 --format json":
+        "567462cd42aa598461bdc6fe1dcf6f53016fcb1cdc775012a12f0e1a31445086",
+    "compute --family d-sum --l 1 --lambda 1 --n 2 --order 3 --mode eval --seed 20 --format json":
+        "d3a78b321e2a6d2f64637d436f049c74baa41e15209763bfdb8850efd741acda",
+    "compute --family fock-trace --l 0 --lambda  --n 2 --order 3 --mode eval --seed 31 --format json":
+        "1f803f84c9b1cc28321e9c3f7b6acc541d02f59dd883c93081c5e3c31df29d7e",
+    "compute --family fock-trace --l 0 --lambda  --n 3 --order 3 --mode eval --seed 31 --format json":
+        "67f4ddc4943aa5d43876e6e51af16db0ce6204729c056122b71205d68d986cd9",
+    "compute --family d-sum --l 1 --lambda 1 --n 2 --order 3 --mode eval --seed 31 --format json":
+        "9956a285c1a92e84eb32805cfef03ce1e68baa7ce49624eff0b5473fcde1a48c",
     "qdim --l 2 --lambda 1 --order 4 --format json":
         "ee3b3961330d6d09563e8d8ff999e0a28f959a4658e16c6faaab05c30885e068",
     "qdim --l 2 --lambda 1 --order 4 --format json --det":
