@@ -34,8 +34,7 @@ one they are the full-point blocks and the function is vacuum([n]) * det.
 Eval mode is the same call over a bound table (VarTable.bind): every
 function here computes at the table's point and returns a series over
 table.free(), by the rule HalfSeries applies to any series built over a
-bound table.  pair_block alone evaluates its cached symbolic kernel at the
-signed values itself.
+bound table or renamed onto one.
 """
 
 from __future__ import annotations
@@ -65,8 +64,7 @@ from .weylb import (
 _fbo_generic_cache: dict[tuple[int, int], HalfSeries] = {}
 # pair_block's kernel at the signed points, one entry per sign vector:
 # (table, t_indices, eps, trunc2) -> the generic kernel renamed onto the
-# signed t-variables; (values, trunc2, free table) -> its values at the
-# signed square-root values of a bound table
+# signed t-variables (its values there, over a bound table)
 _fbo_eval_cache: dict = {}
 _pair_block_cache: dict = {}
 _vacuum_cache: dict = {}
@@ -87,13 +85,13 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
         sum_{eps in {+1,-1}^S} [eps] (prod_S t^eps)^k F_bo(q; t_S^eps)
 
     This is the z^k coefficient of the charge-graded one-pair trace.  Each
-    term substitutes the one cached symbolic kernel F_bo(q; t_1..t_m) at the
-    signed points: it is renamed onto the signed t-variables, or, over a
-    bound table, evaluated at the signed square-root values.  The kernel at
-    the signed points does not depend on k, so it is made once per sign
-    vector and held in _fbo_eval_cache.  An evaluation fails only at a pole
-    of the reduced kernel, whose denominators are products of
-    t_j^(1/2) +- 1 (see verify.random_point).
+    term renames the one cached symbolic kernel F_bo(q; t_1..t_m) onto the
+    signed t-variables, which over a bound table evaluates it at the signed
+    square-root values.  The kernel at the signed points does not depend on
+    k, so it is made once per sign vector and held in _fbo_eval_cache; over
+    a bound table the factor (prod t^eps)^k is a number.  An evaluation
+    fails only at a pole of the reduced kernel, whose denominators are
+    products of t_j^(1/2) +- 1 (see verify.random_point).
     """
     t_indices = tuple(t_indices)
     m = len(t_indices)
@@ -101,31 +99,21 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
     key = (table, t_indices, k, trunc2)
     if key in _pair_block_cache:
         return _pair_block_cache[key]
-    out_table = table.free()
     values = dict(table.values)
-    out = HalfSeries.zero(out_table, trunc2)
+    out = HalfSeries.zero(table, trunc2)
     if qexp2 <= trunc2:
         generic = _f_bo_generic(m, trunc2)
         for eps, peps in sign_vectors(m):
-            if values:
-                point = tuple(values[i] ** e for i, e in zip(t_indices, eps))
-                ekey = (point, trunc2, out_table)
-                if ekey not in _fbo_eval_cache:
-                    # the values: numbers, or constants over z-variables
-                    _fbo_eval_cache[ekey] = HalfSeries(
-                        out_table, trunc2,
-                        generic.evaluate(dict(enumerate(point))).terms)
-                factor = prod((v ** (2 * k) for v in point), start=peps)
-            else:
-                ekey = (table, t_indices, eps, trunc2)
-                if ekey not in _fbo_eval_cache:
-                    _fbo_eval_cache[ekey] = generic.rename_signed(
-                        table, [((i, e),) for i, e in zip(t_indices, eps)])
-                factor = LaurentPoly.monomial(
-                    table, {i: 2 * k * e for i, e in zip(t_indices, eps)},
-                    peps)
+            ekey = (table, t_indices, eps, trunc2)
+            if ekey not in _fbo_eval_cache:
+                _fbo_eval_cache[ekey] = generic.rename_signed(
+                    table, [((i, e),) for i, e in zip(t_indices, eps)])
+            exps = {i: 2 * k * e for i, e in zip(t_indices, eps)}
+            factor = prod((values[i] ** x for i, x in exps.items()),
+                          start=peps) if values else \
+                LaurentPoly.monomial(table, exps, peps)
             out = out + _fbo_eval_cache[ekey].scale(factor)
-        out = out * HalfSeries.q_power(out_table, trunc2, qexp2)
+        out = out * HalfSeries.q_power(table, trunc2, qexp2)
     _pair_block_cache[key] = out
     return out
 
@@ -212,12 +200,10 @@ def fock_trace_closed(n: int, trunc2: int, table: VarTable | None = None,
     table, t_indices = _points_of(n, table, t_indices, z=1)
     if z_index is None:
         z_index = table.z_indices()[0]
-    out_table = table.free()
-    zi = out_table.index(table.names[z_index])
-    acc = HalfSeries.zero(out_table, trunc2)
+    acc = HalfSeries.zero(table, trunc2)
     for k in range(-isqrt(trunc2), isqrt(trunc2) + 1):
         blk = pair_block(table, t_indices, k, trunc2)
-        acc = acc + blk.scale(LaurentPoly.monomial(out_table, {zi: 2 * k}))
+        acc = acc + blk.scale(LaurentPoly.monomial(table, {z_index: 2 * k}))
     return acc
 
 

@@ -228,12 +228,13 @@ def apply_D(state: State, space: FockSpace, table: VarTable,
             t_index: int, insertion: _Insertion | None = None) -> StateVector:
     """Apply the diagonal trace insertion for the variable t_index.
 
-    For each occupied slot (fam, m2), the two normal-ordered bilinears whose
-    annihilator acts there are applied through the elementary operators:
-    the positive-index term t^(m2/2) and the negative-index one -t^(-m2/2).
-    Every other bilinear annihilates the state.  The central scalar then
-    adds the input state back.  insertion holds the coefficients (built here
-    unless given).
+    For each occupied slot (fam, m2), two normal-ordered bilinears have
+    their annihilator act there: the positive-index term t^(m2/2) and the
+    negative-index one -t^(-m2/2).  Both are the same pair of elementary
+    operators with different coefficients, so the pair is applied once and
+    its image takes both.  Every other bilinear annihilates the state.  The
+    central scalar then adds the input state back.  insertion holds the
+    coefficients (built here unless given).
     """
     _check_shape(state, space)
     if insertion is None:
@@ -250,14 +251,14 @@ def apply_D(state: State, space: FockSpace, table: VarTable,
             low = mask & -mask
             mask ^= low
             m2 = 2 * low.bit_length() - 1
-            for k2, sign in ((m2, 1), (-m2, -1)):
-                r = apply_field(state, space, ann, fam // 2, m2)
+            r = apply_field(state, space, ann, fam // 2, m2)
+            if r is not None:
+                s1, st1 = r
+                r = apply_field(st1, space, cre, fam // 2, -m2)
                 if r is not None:
-                    s1, st1 = r
-                    r = apply_field(st1, space, cre, fam // 2, -m2)
-                    if r is not None:
-                        s2, st2 = r
-                        _add_to(out, st2, insertion[k2, sign * s1 * s2])
+                    s2, st2 = r
+                    _add_to(out, st2, insertion[m2, s1 * s2])
+                    _add_to(out, st2, insertion[-m2, -s1 * s2])
     _add_to(out, state, insertion.central)
     return out
 
@@ -329,20 +330,17 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
     pair).  The insertions are diagonal, so each q^(m) coefficient is exact.
 
     Over a bound table, which must bind every insertion variable, every
-    weight is a Fraction at the table's point, and the result lives over
-    table.free() (z-variables survive).
+    weight is a Fraction at the table's point; each level is built over the
+    table, and the result lives over table.free() (z-variables survive).
 
     The weights are summed per parity, q-level and charge vector, and each
     q-level is built once: the sum of weight * z^charges when the weights
     are RatFuncs, else the polynomial (a number when no z survives) whose
     coefficients are the summed weights.
     """
-    out_table = table.free()
-    zi = () if z_indices is None else tuple(
-        out_table.index(table.names[i])
-        for i in _z_vars(table, space.pairs, z_indices))
+    zi = () if z_indices is None else _z_vars(table, space.pairs, z_indices)
     insertions = {i: _Insertion(space, table, i) for i in t_indices}
-    # parity -> q-level -> z-exponents over out_table -> summed weight
+    # parity -> q-level -> z-exponents over table -> summed weight
     sums: tuple[dict[int, dict[tuple[int, ...], object]], ...] = ({}, {})
     for e2, states in enumerate_states(space, trunc2).items():
         for state in states:
@@ -351,18 +349,18 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
             if not weight:
                 continue
             z_exps = {i: 2 * c for i, c in zip(zi, charges(state, space))}
-            key = tuple(z_exps.get(i, 0) for i in range(len(out_table)))
+            key = tuple(z_exps.get(i, 0) for i in range(len(table)))
             level = sums[parity(state, space)].setdefault(e2, {})
             level[key] = level[key] + weight if key in level else weight
     ratfuncs = bool(t_indices) and not table.values  # the weights' domain
 
     def coeff(level: dict[tuple[int, ...], object]):
         if not ratfuncs:
-            return LaurentPoly(out_table, level)
-        return sum((w * LaurentPoly(out_table, {key: 1}, _clean=True)
-                    for key, w in level.items()), RatFunc.zero(out_table))
+            return LaurentPoly(table, level)
+        return sum((w * LaurentPoly(table, {key: 1}, _clean=True)
+                    for key, w in level.items()), RatFunc.zero(table))
 
-    return tuple(HalfSeries(out_table, trunc2,
+    return tuple(HalfSeries(table, trunc2,
                             {e2: coeff(level) for e2, level in levels.items()})
                  for levels in sums)
 

@@ -65,7 +65,8 @@ class VarTable:
     (values: (index, value) pairs, empty for an ordinary table).  A function
     given a bound table computes at that point, and its result lives over
     free(), the table with the bound variables removed: HalfSeries applies
-    this rule to every series built over a bound table.
+    this rule to every series built over a bound table or renamed onto
+    one.
     """
 
     names: tuple[str, ...]
@@ -314,12 +315,13 @@ class LaurentPoly:
         # each variable's powers, once per call: with v = a/b and lo, hi
         # the least and greatest exponent of v in use, v^k is the integer
         # a^(k-lo) * b^(hi-k) times a^lo / b^hi, so every term sums integer
-        # products and the common scale multiplies each result once
+        # products and the common scale multiplies each result once; a
+        # variable that does not occur is only dropped
         powers = []
         scale = Fraction(1)
         for i, v in point:
             ks = {e[i] for e in self.terms}
-            if ks:
+            if any(ks):
                 lo, hi = min(ks), max(ks)
                 a, b = v.numerator, v.denominator
                 powers.append(
@@ -331,7 +333,9 @@ class LaurentPoly:
                 c *= pw[e[i]]
             ne = tuple(e[i] for i in keep)
             out[ne] = out.get(ne, 0) + c
-        return LaurentPoly(new_table, {e: c * scale for e, c in out.items()})
+        if scale != 1:
+            out = {e: c * scale for e, c in out.items()}
+        return LaurentPoly(new_table, out)
 
     def rename_signed(self, new_table: VarTable,
                       mapping: Sequence[Sequence[tuple[int, int]]]

@@ -321,32 +321,19 @@ def _split(p: Mapping) -> Factors | None:
 
 def _cancel(num: LaurentPoly, factors: Factors) -> tuple[LaurentPoly, Factors]:
     """Divide num by each binomial factor as often as it goes, at most to
-    the factor's multiplicity.  Returns the quotient and the factors left
-    over (factors itself when none divides).  Each exact division raises on
-    a remainder."""
+    the factor's multiplicity, as _binomial_divides (its +-1 test first)
+    decides.  Returns the quotient and the factors left over (factors
+    itself when none divides).  Each exact division raises on a remainder."""
     if not factors or len(num.terms) == 1:
         return num, factors  # a binomial never divides a monomial
     # the divisibility test takes Laurent exponents; the division does not
     f = ints = _integerize(num.terms)
     shift = None
     kept = []
-    # the +-1 prefilter of _binomial_divides, shared between factors: f at
-    # all ones (key -1) for c = +1, at x_j = -1 and all else 1 for c = -1
-    # with j the first variable of p.  A quotient of f vanishes at such a
-    # point only if f does, so a value stays a valid filter after division.
-    evals: dict[int, int] = {}
-
-    def vanishes(j: int) -> bool:
-        if j not in evals:
-            evals[j] = sum(f.values()) if j < 0 else sum(f.values()) - 2 * sum(
-                [a for e, a in f.items() if e[j] & 1])
-        return not evals[j]
-
     for b, m in factors:
         p, q, c = b
-        j = p.index(1) if c < 0 else -1
         k = 0
-        while k < m and vanishes(j) and _binomial_divides(f, p, q, c):
+        while k < m and _binomial_divides(f, p, q, c):
             if shift is None:
                 f, shift = _d_strip_monomial(f)
             f = _d_divexact(f, {p: 1, q: -c})

@@ -14,9 +14,10 @@ exactly when it is truthy, and the two render alike with str().
 
 Eval mode is resolved here, once for every function.  A series built over a
 bound table (VarTable.bind) lives over table.free(), and a LaurentPoly or
-RatFunc coefficient over the bound table is taken at the table's point; so
-a function given a bound table computes at the point with no code of its
-own.
+RatFunc coefficient over the bound table is taken at the table's point.  A
+series renamed onto a bound table that binds every image variable is
+evaluated at the images instead.  So a function given a bound table
+computes at the point with no code of its own.
 
 Truncation propagates conservatively through multiplication: the product of
 series exact to Na and Nb with supports starting at ma and mb is exact to
@@ -26,7 +27,7 @@ min(Na + mb, Nb + ma), so no retained coefficient is ever approximate.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Callable, Iterator, Mapping
 
 from .laurent import (
@@ -52,7 +53,7 @@ def _over_lcm(terms: Mapping[int, int | Fraction]) -> tuple[dict[int, int], int]
 class HalfSeries:
     """Truncated q-series over a shared VarTable, with RatFunc coefficients
     (numbers over the table with no variables); built over a bound table,
-    it lives over table.free()."""
+    or renamed onto one, it lives over table.free()."""
 
     __slots__ = ("table", "trunc2", "terms")
 
@@ -293,7 +294,13 @@ class HalfSeries:
 
     def rename_signed(self, new_table: VarTable, mapping) -> "HalfSeries":
         """The monomial map of LaurentPoly.rename_signed on every
-        coefficient."""
+        coefficient; onto a table whose point binds every image variable,
+        the series at the images u_j = prod v_i^s, over new_table.free()."""
+        bound = dict(new_table.values)
+        if bound and all(i in bound for image in mapping for i, _ in image):
+            return HalfSeries(new_table, self.trunc2, self.evaluate({
+                j: prod((bound[i] ** s for i, s in image), start=Fraction(1))
+                for j, image in enumerate(mapping)}).terms)
         return self.map_coeffs(lambda c: c.rename_signed(new_table, mapping),
                                table=new_table)
 

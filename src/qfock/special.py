@@ -158,11 +158,11 @@ def f_bo(n: int, trunc2: int, table: VarTable | None = None,
     Each Theta(S) it divides by starts at q^0 with the nonzero coefficient
     u_S - 1/u_S (u_S the square root of the product over S), so every
     inverse exists.  Over a bound table the kernel is computed symbolically
-    and then evaluated at the table's point, unlike every other function
-    here: Theta(S) may vanish at the point (u_S = +-1 with no u_j = +-1, a
-    removable singularity of the kernel), so computing at the point could
-    divide by zero.  The evaluation fails only at a pole of a reduced
-    coefficient.
+    and then renamed onto the table, which takes it at the table's point,
+    unlike every other function here: Theta(S) may vanish at the point
+    (u_S = +-1 with no u_j = +-1, a removable singularity of the kernel), so
+    computing at the point could divide by zero.  The evaluation fails only
+    at a pole of a reduced coefficient.
     """
     if n < 0:
         raise UsageError("point count must be nonnegative")
@@ -170,8 +170,8 @@ def f_bo(n: int, trunc2: int, table: VarTable | None = None,
         raise UsageError(f"unknown f_bo path {path!r}")
     table, t_indices = _points_of(n, table, t_indices)
     if table.values:
-        return f_bo(n, trunc2, VarTable(table.names, table.kinds), t_indices,
-                    path).evaluate(dict(table.values))
+        return f_bo(n, trunc2, path=path).rename_signed(
+            table, [((i, 1),) for i in t_indices])
 
     if n == 0:
         return qq_inf(table, trunc2).inverse()

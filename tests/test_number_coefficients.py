@@ -5,13 +5,18 @@ representation (an int when integral, else a Fraction); over any other
 table it is a RatFunc.  The number arithmetic is checked against the same
 series carried as RatFunc constants over a one-variable table, and every
 function that returns a variable-free series is checked for the domain.
+Renaming onto a bound table must give the bytes of renaming onto the
+unbound table and then evaluating at the point.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from qfock.cli import series_to_json
 from qfock.correlation import (
+    _f_bo_generic,
     d_sum_function,
     d_twisted_function,
     fock_trace_closed,
@@ -19,7 +24,7 @@ from qfock.correlation import (
     irreducible_function,
 )
 from qfock.fock import FockSpace, extract_module_function
-from qfock.laurent import VarTable
+from qfock.laurent import EvaluationPointError, LaurentPoly, VarTable
 from qfock.qdim import QDimForm, q_minus, q_plus, qdim_irreducible
 from qfock.ratfunc import RatFunc
 from qfock.series import HalfSeries
@@ -146,3 +151,78 @@ def test_a_series_with_variables_left_holds_ratfuncs():
     s = fock_trace_closed(2, 6, _bound(2, 1), (0, 1), 2)
     assert len(s.table) == 1 and not s.is_zero()
     assert_domain(s)
+
+
+# -- renaming onto a bound table --------------------------------------------
+
+S3 = VarTable.make(3)
+# images of three source variables among four t-variables: signed single
+# variables, and the products that theta_deriv and the kernel renamings use
+MAPPINGS = {
+    "signed variables": [((0, 1),), ((1, -1),), ((2, 1),)],
+    "products": [((0, 1), (2, 1)), ((1, -1),), ((1, 1), (3, 1))],
+}
+# every t-variable bound (a z-variable left free), and t4 left free: the
+# "products" images then use a free variable, so the series is renamed
+# symbolically before the rule takes it at the point
+TABLES = {
+    "all bound": lambda seed: VarTable.make(4, 1).bind(
+        random_point(range(4), seed)),
+    "t4 free": lambda seed: VarTable.make(4).bind(
+        random_point(range(3), seed)),
+}
+
+
+def _outcome(fn):
+    """The JSON bytes of fn's series, or the exception it raises."""
+    try:
+        return json.dumps(series_to_json(fn()))
+    except (EvaluationPointError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+
+
+def assert_renames_like_the_unbound_table(s, table, mapping):
+    # over the unbound copy of the table, then at the point
+    unbound = table.without(())
+    want = _outcome(lambda: s.rename_signed(unbound, mapping).evaluate(
+        dict(table.values)))
+    assert _outcome(lambda: s.rename_signed(table, mapping)) == want
+
+
+@st.composite
+def binomial_series(draw):
+    """A series over S3 whose denominators are products of binomials
+    x^p - c*x^q, p and q disjoint 0/1 exponent vectors."""
+    terms = {}
+    for e2 in draw(st.sets(st.integers(-2, 4), min_size=1, max_size=3)):
+        den = LaurentPoly.one(S3)
+        for _ in range(draw(st.integers(1, 2))):
+            roles = draw(st.lists(st.sampled_from((0, 1, 2)), min_size=3,
+                                  max_size=3).filter(any))
+            den = den * LaurentPoly(S3, {
+                tuple(int(r == 1) for r in roles): 1,
+                tuple(int(r == 2) for r in roles):
+                    -draw(st.sampled_from((1, -1)))})
+        num = LaurentPoly(S3, {
+            tuple(draw(st.integers(-2, 2)) for _ in range(3)): draw(rationals)
+            for _ in range(draw(st.integers(1, 3)))})
+        terms[e2] = RatFunc(num, den)
+    return HalfSeries(S3, 4, terms)
+
+
+@pytest.mark.parametrize("mapping", MAPPINGS)
+@pytest.mark.parametrize("table", TABLES)
+@pytest.mark.parametrize("seed", (3, 20, 31))
+def test_the_kernel_renames_onto_a_bound_table_like_the_unbound_one(
+        seed, table, mapping):
+    assert_renames_like_the_unbound_table(
+        _f_bo_generic(3, 4), TABLES[table](seed), MAPPINGS[mapping])
+
+
+@settings(max_examples=30, deadline=None)
+@given(binomial_series(), st.sampled_from(sorted(TABLES)),
+       st.sampled_from(sorted(MAPPINGS)), st.sampled_from((3, 20, 31)))
+def test_a_series_renames_onto_a_bound_table_like_the_unbound_one(
+        s, table, mapping, seed):
+    assert_renames_like_the_unbound_table(s, TABLES[table](seed),
+                                          MAPPINGS[mapping])
