@@ -42,6 +42,10 @@ def _cases():
         for seed in seeds:
             yield _compute("gl", 1, "1", n, seed, "json")
             yield _compute("fbo", 0, "", n, seed, "json")
+    # the one-point kernel, at seeds 20 and 31 too
+    for seed in (0, 3, 20, 31):
+        yield _compute("fbo", 0, "", 1, seed, "json")
+        yield _compute("gl", 1, "1", 1, seed, "json")
     # the charge-graded trace and a pair block at the same singular points
     for seed in (20, 31):
         for n in (2, 3):
@@ -231,6 +235,22 @@ PINS = {
         "d8463c1bb6a326b0a62369081bbc273433dd768afc244598f73ec4861461eb5d",
     "verify --suite all --mode eval --seed 3 --order 4":
         "41fc41977154536f825434e6f6c2bf3b463864246f8dfb8f57da57b3e17f016b",
+    "compute --family fbo --l 0 --lambda  --n 1 --order 3 --mode eval --seed 0 --format json":
+        "31ff843b9cecb8f24ce6f2834948c3d631c7187b7f8b73bca6791377fd912879",
+    "compute --family gl --l 1 --lambda 1 --n 1 --order 3 --mode eval --seed 0 --format json":
+        "050f7a6c479f598917b3eb044ad89d20770eb9551a800d21f5f494ccf12b3862",
+    "compute --family fbo --l 0 --lambda  --n 1 --order 3 --mode eval --seed 3 --format json":
+        "b805d267340d9b5879201afe7253a72aefe58d692653f90620c718f75d2fbbe8",
+    "compute --family gl --l 1 --lambda 1 --n 1 --order 3 --mode eval --seed 3 --format json":
+        "7bbf47d56f9760c3dc5ad6a309b455275840d00d8bf71b5b06d6b5fa43c3256f",
+    "compute --family fbo --l 0 --lambda  --n 1 --order 3 --mode eval --seed 20 --format json":
+        "99c437e359135739aaddea0a975a233ec09dd43f91b40ca80e99d057b8a89305",
+    "compute --family gl --l 1 --lambda 1 --n 1 --order 3 --mode eval --seed 20 --format json":
+        "fa695a7ed11f5e984651cc7b1bb1d3af980e9e312d4610e4a5858bea9b4350ab",
+    "compute --family fbo --l 0 --lambda  --n 1 --order 3 --mode eval --seed 31 --format json":
+        "b805d267340d9b5879201afe7253a72aefe58d692653f90620c718f75d2fbbe8",
+    "compute --family gl --l 1 --lambda 1 --n 1 --order 3 --mode eval --seed 31 --format json":
+        "7bbf47d56f9760c3dc5ad6a309b455275840d00d8bf71b5b06d6b5fa43c3256f",
 }
 
 

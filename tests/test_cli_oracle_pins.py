@@ -1,4 +1,5 @@
-"""Byte pins of the symbolic verify run and of the oracle's parity options.
+"""Byte pins of the symbolic verify run, the symbolic one-point kernel and
+the oracle's parity options.
 
 Each case runs one qfock command in process and compares the SHA-256 of its
 exit code and stdout with a digest recorded from an earlier version of the
@@ -16,6 +17,9 @@ from test_cli_eval_pins import digest
 
 def _cases():
     yield ("verify", "--suite", "all")
+    for fmt in ("json", "text"):
+        yield ("compute", "--family", "fbo", "--n", "1", "--order", "5",
+               "--format", fmt)
     for space in (("--l", "1", "--n", "1"),
                   ("--l", "1", "--n", "1", "--pairs-only"),
                   ("--l", "0", "--n", "2")):
@@ -39,6 +43,10 @@ def test_output_bytes_are_pinned(argv):
 PINS = {
     "verify --suite all":
         "cab7e305261a0a08c874985cd73a60c928bdc8ef9ae7bfe6b60ccffab4e1ae88",
+    "compute --family fbo --n 1 --order 5 --format json":
+        "53009472c72c71d569c0313b5ef6e78af7156e7e9ba1051837e2ff09440ba74f",
+    "compute --family fbo --n 1 --order 5 --format text":
+        "ee73b008b15efa4162d2b14d1a6a119533072850586da67f7068eb5e6efe18a0",
     "oracle --l 1 --n 1 --order 3":
         "42058603ed5264f395d03e017e9a77b91e09354d24334c1fe2b80466e08e5a92",
     "oracle --l 1 --n 1 --order 3 --z-grading":
