@@ -40,11 +40,9 @@ from .correlation import (
 from .qdim import QDimForm, q_minus, q_plus, qdim_irreducible
 from .fock import (
     FockSpace,
-    annihilate,
     apply_D,
     apply_field,
     charges,
-    create,
     enumerate_states,
     extract_module_function,
     fock_state,

@@ -40,7 +40,7 @@ bound table or renamed onto one.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt
 from typing import Sequence
 
 from .laurent import LaurentPoly, UsageError, VarTable
@@ -86,12 +86,13 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
 
     This is the z^k coefficient of the charge-graded one-pair trace.  Each
     term renames the one cached symbolic kernel F_bo(q; t_1..t_m) onto the
-    signed t-variables, which over a bound table evaluates it at the signed
-    square-root values.  The kernel at the signed points does not depend on
-    k, so it is made once per sign vector and held in _fbo_eval_cache; over
-    a bound table the factor (prod t^eps)^k is a number.  An evaluation
-    fails only at a pole of the reduced kernel, whose denominators are
-    products of t_j^(1/2) +- 1 (see verify.random_point).
+    signed t-variables and scales it by the monomial (prod t^eps)^k.  The
+    kernel at the signed points does not depend on k, so it is made once
+    per sign vector and held in _fbo_eval_cache.  Over a bound table,
+    partly or wholly, HalfSeries takes the renamed kernel and the monomial
+    at the table's point.  An evaluation fails only at a pole of the reduced
+    kernel, whose denominators are products of t_j^(1/2) +- 1 (see
+    verify.random_point).
     """
     t_indices = tuple(t_indices)
     m = len(t_indices)
@@ -99,7 +100,6 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
     key = (table, t_indices, k, trunc2)
     if key in _pair_block_cache:
         return _pair_block_cache[key]
-    values = dict(table.values)
     out = HalfSeries.zero(table, trunc2)
     if qexp2 <= trunc2:
         generic = _f_bo_generic(m, trunc2)
@@ -109,10 +109,8 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
                 _fbo_eval_cache[ekey] = generic.rename_signed(
                     table, [((i, e),) for i, e in zip(t_indices, eps)])
             exps = {i: 2 * k * e for i, e in zip(t_indices, eps)}
-            factor = prod((values[i] ** x for i, x in exps.items()),
-                          start=peps) if values else \
-                LaurentPoly.monomial(table, exps, peps)
-            out = out + _fbo_eval_cache[ekey].scale(factor)
+            out = out + _fbo_eval_cache[ekey].scale(
+                LaurentPoly.monomial(table, exps, peps))
         out = out * HalfSeries.q_power(table, trunc2, qexp2)
     _pair_block_cache[key] = out
     return out

@@ -10,18 +10,19 @@ A state is the plain tuple of its family masks, one int per family, bit
 (m2 - 1)/2 standing for the doubled mode m2.  No energy is stored:
 enumerate_states groups the states by it.  fock_state(modes) validates and
 builds a state, state_modes decodes one, vacuum builds the empty one, and
-charges and parity read the gradings.  A mode operator tests and flips one
-bit.  Its sign is (-1)^(number of creation operators standing before the
-slot in the canonical product): the popcount of every earlier family's mask
-plus that of the higher modes in the slot's own family.
+charges and parity read the gradings.  apply_field, the one mode operator,
+tests and flips one bit.  Its sign is (-1)^(number of creation operators
+standing before the slot in the canonical product): the popcount of every
+earlier family's mask plus that of the higher modes in the slot's own
+family.
 
 The diagonal operator inserted in traces acts on a state as
 
     sum over occupied modes m of (t^m - t^(-m))
       + (2*pairs + neutral) / (t^(1/2) - t^(-1/2)),
 
-assembled here term by term from the elementary mode operators so the
-anticommutation bookkeeping is exercised, not assumed.  Over a bound table
+assembled here term by term from apply_field so the anticommutation
+bookkeeping is exercised, not assumed.  Over a bound table
 (VarTable.bind) the same operators run with Fraction coefficients in place of
 RatFuncs.
 """
@@ -131,25 +132,6 @@ def _flip(state: State, fam: int, m2: int,
     ahead = sum(map(int.bit_count, state[:fam])) + (mask >> b + 1).bit_count()
     return (-1 if ahead & 1 else 1,
             state[:fam] + (mask ^ 1 << b,) + state[fam + 1:])
-
-
-def _check_slot(state: State, fam: int, m2: int) -> None:
-    if m2 <= 0 or m2 % 2 == 0:
-        raise UsageError(f"modes must be positive half-odd: {m2}/2")
-    if not 0 <= fam < len(state):
-        raise UsageError(f"no family {fam} in a state of {len(state)}")
-
-
-def create(state: State, fam: int, m2: int) -> tuple[int, State] | None:
-    """Apply the creation operator for (fam, m2); None if excluded."""
-    _check_slot(state, fam, m2)
-    return _flip(state, fam, m2, False)
-
-
-def annihilate(state: State, fam: int, m2: int) -> tuple[int, State] | None:
-    """Apply the annihilation operator for (fam, m2); None if unoccupied."""
-    _check_slot(state, fam, m2)
-    return _flip(state, fam, m2, True)
 
 
 def apply_field(state: State, space: FockSpace, field: str, index: int,

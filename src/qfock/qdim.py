@@ -94,27 +94,21 @@ def _qdim(lam: Sequence[int], l: int, trunc2: int, twisted: bool,
 
 def q_plus(lam: Sequence[int], l: int, trunc2: int,
            form: QDimForm = QDimForm(),
-           table: VarTable | None = None) -> HalfSeries:
+           table: VarTable = VarTable.make(0)) -> HalfSeries:
     """q-dimension of the two det-sectors' direct sum."""
-    if table is None:
-        table = VarTable.make(0)
     return _qdim(lam, l, trunc2, False, form, table)
 
 
 def q_minus(lam: Sequence[int], l: int, trunc2: int,
             form: QDimForm = QDimForm(),
-            table: VarTable | None = None) -> HalfSeries:
+            table: VarTable = VarTable.make(0)) -> HalfSeries:
     """Parity-signed q-dimension of the two det-sectors' direct sum."""
-    if table is None:
-        table = VarTable.make(0)
     return _qdim(lam, l, trunc2, True, form, table)
 
 
 def qdim_irreducible(label: BLabel, l: int, trunc2: int,
-                     table: VarTable | None = None) -> HalfSeries:
+                     table: VarTable = VarTable.make(0)) -> HalfSeries:
     """Graded dimension of one irreducible (corrected reading)."""
-    if table is None:
-        table = VarTable.make(0)
     form = QDimForm("weyl-sum", "corrected")
     plus = q_plus(label.partition, l, trunc2, form, table)
     minus = q_minus(label.partition, l, trunc2, form, table)

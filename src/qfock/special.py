@@ -146,14 +146,11 @@ def _det(entries: list[list], one, mul, add, neg):
 
 
 def f_bo(n: int, trunc2: int, table: VarTable | None = None,
-         t_indices: Sequence[int] | None = None,
-         path: str = "auto") -> HalfSeries:
-    """The n-point correlation kernel in the variables t_indices.
-
-    path: "auto" uses the closed form for n <= 1 and the subset recursion
-    otherwise; "det" forces the recursion (at n = 1 it gives
-    Theta'(1)/Theta(t), the closed form since Theta'(1) = 1); "closed" forces
-    the n=1 closed form (only valid for n <= 1).
+         t_indices: Sequence[int] | None = None) -> HalfSeries:
+    """The n-point correlation kernel in the variables t_indices, by the
+    subset recursion below for every n >= 1.  At n = 1 the recursion gives
+    Theta'(1)/Theta(t) (q;q)_inf^-1, the closed form 1/((q;q)_inf Theta(t))
+    since Theta'(1) = 1.
 
     Each Theta(S) it divides by starts at q^0 with the nonzero coefficient
     u_S - 1/u_S (u_S the square root of the product over S), so every
@@ -166,20 +163,12 @@ def f_bo(n: int, trunc2: int, table: VarTable | None = None,
     """
     if n < 0:
         raise UsageError("point count must be nonnegative")
-    if path not in ("auto", "det", "closed"):
-        raise UsageError(f"unknown f_bo path {path!r}")
     table, t_indices = _points_of(n, table, t_indices)
     if table.values:
-        return f_bo(n, trunc2, path=path).rename_signed(
+        return f_bo(n, trunc2).rename_signed(
             table, [((i, 1),) for i in t_indices])
-
     if n == 0:
         return qq_inf(table, trunc2).inverse()
-    if path == "closed" and n != 1:
-        raise UsageError("closed form is the n=1 special case")
-    if n == 1 and path != "det":
-        th = theta(table, trunc2, ((t_indices[0], 1),))
-        return (qq_inf(table, trunc2) * th).inverse()
 
     @cache
     def theta_k_at(k: int, vars_: frozenset[int]) -> HalfSeries:

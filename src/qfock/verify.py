@@ -162,8 +162,7 @@ def suite_onepoint(trunc2: int = 6) -> list[Check]:
     """Disambiguate the classical twisted-vacuum one-point prefactor."""
     checks: list[Check] = []
     table = VarTable.make(1)
-    even, odd = oracle_trace(FockSpace(0, True), trunc2, table, (0,))
-    oracle = even - odd
+    oracle = _traces(FockSpace(0, True), trunc2, table, (0,))[1]
     rec = d_half_vacuum(1, trunc2, True, table, (0,))
     checks.append(_cmp("twisted vacuum one-point recursion == neutral oracle",
                        rec, oracle))
@@ -243,9 +242,8 @@ def suite_needed(trunc2: int = 6, n_values=(1, 2)) -> list[Check]:
         ti = tuple(range(n))
         z = n
         closed = fock_trace_closed(n, trunc2, table, ti, z)
-        even, odd = oracle_trace(FockSpace(1, neutral=False), trunc2, table,
-                                 ti, z_indices=(z,))
-        oracle = even + odd
+        oracle = _traces(FockSpace(1, neutral=False), trunc2, table, ti,
+                         z_indices=(z,))[0]
         checks.append(_cmp(f"charge-graded pair trace n={n}: closed == oracle",
                            closed, oracle))
     return checks

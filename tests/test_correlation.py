@@ -298,6 +298,20 @@ class TestEvalAtRemovableSingularities:
             d_sum_function((1,), 1, 1, 2, table=at)
         assert s.table == at.free()
 
+    def test_partly_bound_table_equals_partly_evaluated_symbolic(self):
+        # t1 bound, t2 free: the blocks and the function over it are the
+        # symbolic ones with t1 taken at its value
+        tab = VarTable.make(2)
+        pt = {0: Fraction(3, 2)}
+        bound = tab.bind(pt)
+        got = pair_block(bound, (0, 1), 1, 4)
+        assert got.table == bound.free()
+        assert _json_bytes(got) == \
+            _json_bytes(pair_block(tab, (0, 1), 1, 4).evaluate(pt))
+        got = d_sum_function((1,), 1, 2, 4, table=bound)
+        assert _json_bytes(got) == \
+            _json_bytes(d_sum_function((1,), 1, 2, 4, table=tab).evaluate(pt))
+
     @pytest.mark.parametrize("m, trunc2", [(1, 8), (2, 8), (3, 6), (4, 6)])
     def test_kernel_denominators_are_u_plus_minus_one(self, m, trunc2):
         # every denominator of F_bo splits into factors u_j - 1 and u_j + 1,

@@ -127,7 +127,7 @@ class TestFboSubsetRecursion:
         tab = VarTable.make(n)
         ti = tab.t_indices()
         want = perm_sum_f_bo(n, trunc2, tab, ti)
-        assert _bytes(f_bo(n, trunc2, tab, ti, path="det")) == _bytes(want)
+        assert _bytes(f_bo(n, trunc2, tab, ti)) == _bytes(want)
 
     @pytest.mark.parametrize("n, trunc2", [(1, 8), (2, 8), (3, 6), (4, 4)])
     def test_at_a_point_matches_permutation_sum(self, n, trunc2):
@@ -135,7 +135,7 @@ class TestFboSubsetRecursion:
         ti = tab.t_indices()
         pt = {i: POINT[i] for i in ti}
         want = perm_sum_f_bo(n, trunc2, tab, ti, pt)
-        got = f_bo(n, trunc2, tab, ti, path="det").evaluate(pt)
+        got = f_bo(n, trunc2, tab, ti).evaluate(pt)
         assert _bytes(got) == _bytes(want)
 
 

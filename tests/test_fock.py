@@ -30,11 +30,9 @@ from qfock.weylb import (
 from qfock.correlation import d_half_vacuum, irreducible_function
 from qfock.fock import (
     FockSpace,
-    annihilate,
     apply_D,
     apply_field,
     charges,
-    create,
     enumerate_states,
     extract_module_function,
     fock_state,
@@ -69,6 +67,17 @@ def rand_state(rng, space, max2=5):
 
 def energy2(state):
     return sum(map(sum, state_modes(state)))
+
+
+def slot_op(state, kind, fam, m2, space=SP1):
+    """The creation ("c") or annihilation ("a") operator at slot (fam, m2),
+    through the field that addresses it: psi+ creates in a plus family and
+    annihilates in a minus one, psi- the other way round."""
+    r2 = -m2 if kind == "c" else m2
+    if fam == 2 * space.pairs:
+        return apply_field(state, space, "phi", 0, r2)
+    field = "psi+" if (fam % 2 == 0) == (kind == "c") else "psi-"
+    return apply_field(state, space, field, fam // 2, r2)
 
 
 class TestStates:
@@ -108,31 +117,35 @@ class TestOperatorAlgebra:
             st = rand_state(rng, SP1)
             fam = rng.randrange(SP1.families)
             m2 = rng.choice([1, 3, 5])
-            r = create(st, fam, m2)
+            r = slot_op(st, "c", fam, m2)
             if r is None:
-                s, st2 = annihilate(st, fam, m2)
-                s2, st3 = create(st2, fam, m2)
+                s, st2 = slot_op(st, "a", fam, m2)
+                s2, st3 = slot_op(st2, "c", fam, m2)
                 assert st3 == st and s * s2 == 1
             else:
                 s, st2 = r
-                s2, st3 = annihilate(st2, fam, m2)
+                s2, st3 = slot_op(st2, "a", fam, m2)
                 assert st3 == st and s * s2 == 1
 
     def test_bad_slot_is_a_usage_error(self):
-        """An even or nonpositive doubled mode, a family outside the state or
-        a pair outside the space is refused rather than read as another slot
-        (create(st, 0, 2) would otherwise set the bit of mode 3/2)."""
+        """An even or zero doubled mode, a pair outside the space, a state of
+        another space, a neutral field without a neutral fermion or an
+        unknown field is refused rather than read as another slot (mode 2
+        would otherwise set the bit of mode 3/2)."""
         st = fock_state(((3,), (), (1,)))
-        for op in (create, annihilate):
-            for m2 in (2, 0, -1, -3):
+        for field in ("psi+", "psi-", "phi"):
+            for r2 in (2, 0, -2):
                 with pytest.raises(UsageError):
-                    op(st, 0, m2)
-            for fam in (-1, 3):
-                with pytest.raises(UsageError):
-                    op(st, fam, 1)
+                    apply_field(st, SP1, field, 0, r2)
         for index in (-1, 1):  # pair 1 would address the neutral family
             with pytest.raises(UsageError):
                 apply_field(st, SP1, "psi+", index, -1)
+        with pytest.raises(UsageError):
+            apply_field(st, PAIR, "psi+", 0, -1)
+        with pytest.raises(UsageError):
+            apply_field(vacuum(PAIR), PAIR, "phi", 0, -1)
+        with pytest.raises(UsageError):
+            apply_field(st, SP1, "chi", 0, -1)
 
     def test_anticommutators(self):
         """Mode operators obey the canonical anticommutation relations:
@@ -145,7 +158,7 @@ class TestOperatorAlgebra:
             def run(vec):
                 out = {}
                 for st, c in vec.items():
-                    r = (create if kind == "c" else annihilate)(st, *slot)
+                    r = slot_op(st, kind, *slot)
                     if r is not None:
                         s, st2 = r
                         out[st2] = out.get(st2, 0) + s * c
