@@ -167,6 +167,7 @@ def f_bo(n: int, trunc2: int, table: VarTable | None = None,
     if table.values:
         return f_bo(n, trunc2).rename_signed(
             table, [((i, 1),) for i in t_indices])
+
     if n == 0:
         return qq_inf(table, trunc2).inverse()
 
