@@ -1,5 +1,6 @@
-"""Byte pins of the symbolic verify run, the symbolic one-point kernel and
-the oracle's parity options.
+"""Byte pins of the symbolic verify run, the symbolic one-point kernel, the
+symbolic theta function, the Weyl sums at rank 3 and the oracle's parity
+options.
 
 Each case runs one qfock command in process and compares the SHA-256 of its
 exit code and stdout with a digest recorded from an earlier version of the
@@ -20,6 +21,16 @@ def _cases():
     for fmt in ("json", "text"):
         yield ("compute", "--family", "fbo", "--n", "1", "--order", "5",
                "--format", fmt)
+        yield ("compute", "--family", "theta", "--n", "1", "--order", "4",
+               "--format", fmt)
+    # the signed sums over W(B_3), both characters and both readings
+    qdim = ("qdim", "--l", "3", "--lambda", "2,1", "--order", "5")
+    for sector in ("plus", "minus"):
+        for reading in ("corrected", "as-printed"):
+            yield (*qdim, "--sector", sector, "--reading", reading)
+    yield (*qdim, "--det")
+    yield ("compute", "--family", "q-minus", "--l", "3", "--lambda", "1",
+           "--order", "5", "--form", "weyl-sum")
     for space in (("--l", "1", "--n", "1"),
                   ("--l", "1", "--n", "1", "--pairs-only"),
                   ("--l", "0", "--n", "2")):
@@ -47,6 +58,22 @@ PINS = {
         "53009472c72c71d569c0313b5ef6e78af7156e7e9ba1051837e2ff09440ba74f",
     "compute --family fbo --n 1 --order 5 --format text":
         "ee73b008b15efa4162d2b14d1a6a119533072850586da67f7068eb5e6efe18a0",
+    "compute --family theta --n 1 --order 4 --format json":
+        "fd24a25951fec5af56a8c090f56e79d52fae1a5efd44507cf3cdc3e6639efcf3",
+    "compute --family theta --n 1 --order 4 --format text":
+        "e336a0bb5e7c9e827def44720c601a28fd816f78658951ba8eaeaa3d595121d2",
+    "qdim --l 3 --lambda 2,1 --order 5 --sector plus --reading corrected":
+        "73a3c19522b24c17772018b23743f08e5f9357ee56dce269996a7fc6007e870a",
+    "qdim --l 3 --lambda 2,1 --order 5 --sector plus --reading as-printed":
+        "66993351447b451d6e316483402c750d3d969bc45962368990e514650afc32c7",
+    "qdim --l 3 --lambda 2,1 --order 5 --sector minus --reading corrected":
+        "6fb09cfee4f6d5018497e670d84e932246afaa90c7db3820318121b6ef76a0ff",
+    "qdim --l 3 --lambda 2,1 --order 5 --sector minus --reading as-printed":
+        "786fe44587733419b1fa517b584902de45fadc05b98b972dfa25af59bfd3071c",
+    "qdim --l 3 --lambda 2,1 --order 5 --det":
+        "3eecae3f978366ae9ff103470da9ea074d166583739daaaa9015ded7a6f1914d",
+    "compute --family q-minus --l 3 --lambda 1 --order 5 --form weyl-sum":
+        "307eb1b0ac2a7b40cac5134f77c62c3c19f69af179833bfc5a8a66e464ff2851",
     "oracle --l 1 --n 1 --order 3":
         "42058603ed5264f395d03e017e9a77b91e09354d24334c1fe2b80466e08e5a92",
     "oracle --l 1 --n 1 --order 3 --z-grading":
