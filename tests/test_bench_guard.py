@@ -10,12 +10,16 @@ rename in qfock, or a change in any output byte, would otherwise surface
 only when the benchmark runs.
 """
 
+import ast
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import CACHES
+from qfock import correlation, special
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,3 +57,31 @@ def test_traced_cold_pass_of_verify_eval():
     result = json.loads(proc.stdout)
     assert result["attempted"] > 0
     assert result["failed"] == 0, proc.stderr
+
+
+def _module_caches() -> dict[tuple[str, str], dict]:
+    """Every module-level _*_cache dict of the closed-form modules."""
+    return {(mod.__name__, name): value for mod in (correlation, special)
+            for name, value in vars(mod).items()
+            if name.startswith("_") and name.endswith("_cache")
+            and isinstance(value, dict)}
+
+
+def _bench_caches() -> set[tuple[str, str]]:
+    """The (module, name) pairs of bench/child.py's CACHES, read unrun."""
+    tree = ast.parse((ROOT / "bench" / "child.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and \
+                [t.id for t in node.targets] == ["CACHES"]:
+            return {(f"qfock.{mod.id}", name.value)
+                    for mod, name in (e.elts for e in node.value.elts)}
+    raise AssertionError("bench/child.py defines no CACHES")
+
+
+def test_every_module_cache_is_cleared_and_counted():
+    """clear_caches() and the benchmark's cold-pass check see every cache,
+    so no cold-cache test or seeded fault runs against a warm entry."""
+    caches = _module_caches()
+    assert len(CACHES) == len(caches)
+    assert {id(c) for c in CACHES} == {id(c) for c in caches.values()}
+    assert _bench_caches() == set(caches)
