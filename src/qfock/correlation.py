@@ -49,6 +49,7 @@ from .series import HalfSeries
 from .special import _det, _points_of, f_bo, pochhammer_inf
 from .weylb import (
     _det_sector,
+    _z_vars,
     check_partition,
     BLabel,
     pad_weight,
@@ -100,6 +101,7 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
     key = (table, t_indices, k, trunc2)
     if key in _pair_block_cache:
         return _pair_block_cache[key]
+    _points_of(m, table, t_indices)
     out = HalfSeries.zero(table, trunc2)
     if qexp2 <= trunc2:
         generic = _f_bo_generic(m, trunc2)
@@ -196,8 +198,7 @@ def fock_trace_closed(n: int, trunc2: int, table: VarTable | None = None,
                       z_index: int | None = None) -> HalfSeries:
     """Charge-graded one-pair trace: sum_k z^k q^(k^2/2) (inversion blocks)."""
     table, t_indices = _points_of(n, table, t_indices, z=1)
-    if z_index is None:
-        z_index = table.z_indices()[0]
+    z_index, = _z_vars(table, 1, None if z_index is None else (z_index,))
     acc = HalfSeries.zero(table, trunc2)
     for k in range(-isqrt(trunc2), isqrt(trunc2) + 1):
         blk = pair_block(table, t_indices, k, trunc2)
@@ -337,8 +338,7 @@ def vacuum_one_point_series(trunc2: int, reading: str = "q-step",
     """
     if reading not in ONE_POINT_READINGS:
         raise UsageError(f"unknown reading {reading!r}")
-    if table is None:
-        table = VarTable.make(1)
+    table, (t_index,) = _points_of(1, table, (t_index,))
     key = (table, t_index, trunc2, reading)
     if key in _one_point_cache:
         return _one_point_cache[key]

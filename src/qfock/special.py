@@ -49,13 +49,18 @@ def _points_of(n: int, table: VarTable | None,
                t_indices: Sequence[int] | None,
                z: int = 0) -> tuple[VarTable, tuple[int, ...]]:
     """The table (default: n t-variables and z z-variables) and the n
-    insertion variables (default: its first n t-variables)."""
+    distinct insertion variables (default: its first n t-variables)."""
     if table is None:
         table = VarTable.make(n, z)
     t_indices = tuple(table.t_indices()[:n] if t_indices is None
                       else t_indices)
     if len(t_indices) != n:
         raise UsageError(f"need {n} t-variables, got {len(t_indices)}")
+    if len(set(t_indices)) != n:
+        raise UsageError(f"repeated t-variable in {t_indices}")
+    for i in t_indices:
+        if not (0 <= i < len(table) and table.kinds[i] == T_KIND):
+            raise UsageError(f"no t-variable at index {i}")
     return table, t_indices
 
 

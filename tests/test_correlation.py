@@ -405,3 +405,37 @@ class TestWorkDoneOnce:
         clear_caches()
         d_sum_function((1,), 1, 3, 6)
         assert 0 < len(calls) <= 27
+
+
+
+T2, T1Z1 = VarTable.make(2), VarTable.make(1, 1)  # t1 t2; t1 z1
+
+
+class TestVariableKinds:
+    """As in the oracle, a repeated, out-of-range or wrong-kind variable is
+    refused with UsageError (exit 2 in the CLI), not turned into a wrong
+    series or an IndexError."""
+
+    CASES = {
+        "f_bo repeated point": lambda: f_bo(2, 2, T2, (0, 0)),
+        "f_bo point out of range": lambda: f_bo(1, 2, T2, (2,)),
+        "pair_block repeated point": lambda: pair_block(T2, (0, 0), 1, 2),
+        "pair_block z-point": lambda: pair_block(T1Z1, (1,), 1, 2),
+        "d_half_vacuum z-point": lambda: d_half_vacuum(1, 2, True, T1Z1, (1,)),
+        "gl_function z-point": lambda: gl_function((0,), 1, 1, 2, T1Z1, (1,)),
+        "d_sum_function repeated point": lambda: d_sum_function(
+            (), 1, 2, 2, "convolved", T2, (1, 1)),
+        "one-point z-point": lambda: vacuum_one_point_series(
+            2, "q-step", T1Z1, 1),
+        "one-point out of range": lambda: vacuum_one_point_series(
+            2, "q-step", VarTable.make(1), -1),
+        "fock trace graded by a t-variable": lambda: fock_trace_closed(
+            1, 2, T2, (0,), 1),
+        "fock trace without a z-variable": lambda: fock_trace_closed(
+            1, 2, VarTable.make(1)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_refused(self, case):
+        with pytest.raises(UsageError):
+            self.CASES[case]()
