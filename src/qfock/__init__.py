@@ -16,15 +16,12 @@ from .series import HalfSeries
 from .special import f_bo, pochhammer_inf, qq_inf, theta, theta_deriv
 from .weylb import (
     BLabel,
-    SignedPerm,
-    act,
     char_B,
-    enumerate_WB,
-    norm_sq,
     rho_B,
     sign_vectors,
     weyl_denominator_B,
     weyl_denominator_det,
+    weyl_orbit,
 )
 from .correlation import (
     d_half_vacuum,

@@ -46,7 +46,7 @@ from typing import Sequence
 from .laurent import LaurentPoly, UsageError, VarTable
 from .ratfunc import RatFunc
 from .series import HalfSeries
-from .special import _det, _points_of, f_bo, pochhammer_inf
+from .special import _det, _points_of, f_bo, pochhammer_inf, qq_inf
 from .weylb import (
     _det_sector,
     _z_vars,
@@ -342,14 +342,10 @@ def vacuum_one_point_series(trunc2: int, reading: str = "q-step",
     key = (table, t_index, trunc2, reading)
     if key in _one_point_cache:
         return _one_point_cache[key]
-    if reading == "q-step":
-        pref = pochhammer_inf(table, trunc2, 1)
-    else:
-        pref = HalfSeries.one(table, trunc2)
-        e2 = 1
-        while e2 <= trunc2:
-            pref = pref * HalfSeries(table, trunc2, {0: 1, e2: -1})
-            e2 += 1
+    pref = pochhammer_inf(table, trunc2, 1)
+    if reading == "half-step":
+        # (q^(1/2);q^(1/2))_inf = (q^(1/2);q)_inf (q;q)_inf
+        pref = pref * qq_inf(table, trunc2)
     terms: dict[int, LaurentPoly] = {}
     m = 1
     while 2 * m - 1 <= trunc2:

@@ -9,6 +9,8 @@ and F_bo packages all n-point functions as the standard permutation sum of
 determinants of theta derivatives divided by a chain of theta factors, with
 the conventions 1/(-k)! = 0 for k > 0 and F_bo() = (q;q)_inf^(-1).  The sum
 is computed as a recursion over the 2^n subsets of the points (see f_bo).
+Theta is built once per truncation, as the zeroth of its t d/dt derivatives
+in a scratch variable, and renamed onto each argument (theta_deriv).
 """
 
 from __future__ import annotations
@@ -64,34 +66,10 @@ def _points_of(n: int, table: VarTable | None,
     return table, t_indices
 
 
-def _validate_arg(table: VarTable, arg: ThetaArg) -> None:
-    seen = set()
-    for i, s in arg:
-        if table.kinds[i] != T_KIND:
-            raise UsageError("theta arguments are monomials in t-variables")
-        if s not in (1, -1):
-            raise UsageError("theta argument exponents must be +1 or -1")
-        if i in seen:
-            raise UsageError("theta argument uses a variable twice")
-        seen.add(i)
-
-
 def theta(table: VarTable, trunc2: int, arg: ThetaArg) -> HalfSeries:
-    """Theta evaluated at the monomial arg (empty arg gives the zero
-    series)."""
-    _validate_arg(table, arg)
-    if not arg:
-        return HalfSeries.zero(table, trunc2)
-    half = LaurentPoly.monomial(table, {i: s for i, s in arg})       # arg^(1/2)
-    half_inv = LaurentPoly.monomial(table, {i: -s for i, s in arg})  # arg^(-1/2)
-    full = LaurentPoly.monomial(table, {i: 2 * s for i, s in arg})
-    full_inv = LaurentPoly.monomial(table, {i: -2 * s for i, s in arg})
-    pref = HalfSeries(table, trunc2, {0: half - half_inv})
-    qq2 = qq_inf(table, trunc2)
-    qq2 = (qq2 * qq2).truncate(trunc2).inverse()
-    a = pochhammer_inf(table, trunc2, 2, full)
-    b = pochhammer_inf(table, trunc2, 2, full_inv)
-    return pref * qq2 * a * b
+    """Theta at the monomial arg, its zeroth derivative (empty arg gives the
+    zero series: the prefactor renames to 1 - 1)."""
+    return theta_deriv(table, trunc2, 0, arg)
 
 
 # Scratch table holding the single formal argument of theta derivatives.
@@ -100,11 +78,18 @@ _theta_deriv_cache: dict[tuple[int, int], HalfSeries] = {}
 
 
 def _theta_deriv_scratch(k: int, trunc2: int) -> HalfSeries:
-    """Theta^{(k)} as a series in the single scratch variable."""
+    """Theta^{(k)} as a series in the single scratch variable t."""
     key = (k, trunc2)
     if key not in _theta_deriv_cache:
         if k == 0:
-            T = theta(_SCRATCH, trunc2, ((0, 1),))
+            # (t^(1/2) - t^(-1/2)) (q;q)_inf^-2 (qt;q)_inf (q/t;q)_inf
+            def mono(e2: int) -> LaurentPoly:
+                return LaurentPoly.monomial(_SCRATCH, {0: e2})
+            pref = HalfSeries(_SCRATCH, trunc2, {0: mono(1) - mono(-1)})
+            qq = qq_inf(_SCRATCH, trunc2)
+            T = pref * (qq * qq).truncate(trunc2).inverse() \
+                * pochhammer_inf(_SCRATCH, trunc2, 2, mono(2)) \
+                * pochhammer_inf(_SCRATCH, trunc2, 2, mono(-2))
         else:
             T = _theta_deriv_scratch(k - 1, trunc2).tddt(0)
         _theta_deriv_cache[key] = T
@@ -115,7 +100,9 @@ def theta_deriv(table: VarTable, trunc2: int, k: int, arg: ThetaArg) -> HalfSeri
     """(t d/dt)^k Theta, differentiated first and then evaluated at arg."""
     if k < 0:
         raise UsageError("derivative order must be nonnegative")
-    _validate_arg(table, arg)
+    if any(s not in (1, -1) for _, s in arg):
+        raise UsageError("theta argument exponents must be +1 or -1")
+    _points_of(len(arg), table, [i for i, _ in arg])
     return _theta_deriv_scratch(k, trunc2).rename_signed(table, [tuple(arg)])
 
 

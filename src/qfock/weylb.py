@@ -1,14 +1,16 @@
-"""Type-B combinatorics: partitions, orthogonal-group labels, the hyperoctahedral
-group with its sign characters, weight arithmetic, Weyl denominators, and the
-odd-orthogonal character as an exact determinant ratio.
+"""Type-B combinatorics: partition checks, orthogonal-group labels, the Weyl
+group W(B_l) as the orbit of rho, weight arithmetic, Weyl denominators, and
+the odd-orthogonal character as an exact determinant ratio.
 
-Weights are tuples of Fractions (half-integers appear through rho).  The
-hyperoctahedral group W(B_l) of signed permutations carries two characters
-used here: the full sign character (-1)^(length), which equals the
-determinant of the signed permutation matrix, and the permutation-only sign,
-which forgets the sign flips.  The "minus" Weyl denominator is the alternating
-sum over the full character; the "plus" variant alternates only over the
-permutation sign and equals the determinant with + entries.
+Weights are tuples of Fractions (half-integers appear through rho).  Every
+sum over the hyperoctahedral group W(B_l) of signed permutations needs only
+sigma(rho) and two characters of sigma, so weyl_orbit yields those and the
+group is never composed or inverted.  The two characters are the full sign
+character (-1)^(length), which equals the determinant of the signed
+permutation matrix, and the permutation-only sign, which forgets the sign
+flips.  The "minus" Weyl denominator is the alternating sum over the full
+character; the "plus" variant alternates only over the permutation sign and
+equals the determinant with + entries.
 """
 
 from __future__ import annotations
@@ -58,84 +60,11 @@ def _det_sector(plain, signed, det: bool):
     return ((plain - signed) if det else (plain + signed)) * Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class SignedPerm:
-    """A signed permutation: i -> signs[perm[i]] * (place perm[i]).
-
-    perm is a 0-based permutation tuple (perm[i] is the image of i); signs is
-    a +/-1 tuple indexed by position.
-    """
-
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise UsageError(f"not a permutation: {self.perm}")
-        if len(self.signs) != len(self.perm) or any(s not in (1, -1) for s in self.signs):
-            raise UsageError(f"bad sign vector: {self.signs}")
-
-    @property
-    def l(self) -> int:
-        return len(self.perm)
-
-    def inverse_perm(self) -> tuple[int, ...]:
-        inv = [0] * self.l
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return tuple(inv)
-
-    def perm_sign(self) -> int:
-        sign = 1
-        p = self.perm
-        for i in range(len(p)):
-            for j in range(i + 1, len(p)):
-                if p[i] > p[j]:
-                    sign = -sign
-        return sign
-
-    def sign_character(self) -> int:
-        """(-1)^length = det of the signed permutation matrix."""
-        s = self.perm_sign()
-        for x in self.signs:
-            s *= x
-        return s
-
-    def compose(self, other: "SignedPerm") -> "SignedPerm":
-        """self after other, so act(a.compose(b), v) == act(a, act(b, v))."""
-        if self.l != other.l:
-            raise UsageError("rank mismatch")
-        inv_a = self.inverse_perm()
-        perm = tuple(self.perm[other.perm[i]] for i in range(self.l))
-        signs = tuple(self.signs[i] * other.signs[inv_a[i]] for i in range(self.l))
-        return SignedPerm(perm, signs)
-
-
 def rho_B(l: int) -> Weight:
     """(l - 1/2, l - 3/2, ..., 1/2)."""
     if l < 0:
         raise UsageError("rank must be nonnegative")
     return tuple(Fraction(2 * (l - i) + 1, 2) for i in range(1, l + 1))
-
-
-def enumerate_WB(l: int) -> Iterator[tuple[SignedPerm, int]]:
-    """All 2^l l! signed permutations with the full sign character."""
-    for perm in permutations(range(l)):
-        for signs in iproduct((1, -1), repeat=l):
-            sp = SignedPerm(tuple(perm), tuple(signs))
-            yield sp, sp.sign_character()
-
-
-def act(sigma: SignedPerm, v: Weight) -> Weight:
-    """Permute then flip: result[i] = signs[i] * v[perm^(-1)(i)]."""
-    if sigma.l != len(v):
-        raise UsageError("rank mismatch")
-    inv = sigma.inverse_perm()
-    return tuple(sigma.signs[i] * v[inv[i]] for i in range(sigma.l))
-
-
-def norm_sq(v: Weight) -> Fraction:
-    return sum((Fraction(x) * Fraction(x) for x in v), Fraction(0))
 
 
 def sign_vectors(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -145,6 +74,19 @@ def sign_vectors(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
         for e in eps:
             p *= e
         yield eps, p
+
+
+def weyl_orbit(l: int) -> Iterator[tuple[Weight, int, int]]:
+    """(sigma(rho), full character, permutation sign) for each of the
+    2^l l! signed permutations sigma, sigma(rho)_i = s_i rho_perm(i)."""
+    rho = rho_B(l)
+    for perm in permutations(range(l)):
+        inversions = sum(a > b for i, a in enumerate(perm)
+                         for b in perm[i + 1:])
+        perm_sign = -1 if inversions % 2 else 1
+        for signs, flips in sign_vectors(l):
+            yield (tuple(s * rho[p] for s, p in zip(signs, perm)),
+                   perm_sign * flips, perm_sign)
 
 
 def pad_weight(parts: Sequence[int], l: int) -> Weight:
@@ -157,16 +99,13 @@ def pad_weight(parts: Sequence[int], l: int) -> Weight:
 def weyl_charges(lam: Sequence[int], l: int):
     """Yield (character pair, integer charge vector, doubled q-norm) per
     Weyl element; charges are the components of lam + rho - sigma(rho)."""
-    rho = rho_B(l)
-    lamrho = tuple(a + b for a, b in zip(pad_weight(lam, l), rho))
-    for sigma, full_char in enumerate_WB(l):
-        srho = act(sigma, rho)
-        mu = tuple(lamrho[i] - srho[i] for i in range(l))
+    lamrho = tuple(a + b for a, b in zip(pad_weight(lam, l), rho_B(l)))
+    for srho, full_char, perm_sign in weyl_orbit(l):
+        mu = tuple(a - b for a, b in zip(lamrho, srho))
         if any(m.denominator != 1 for m in mu):
             raise UsageError("charges must be integers")
         mu_int = tuple(int(m) for m in mu)
-        nrm2 = sum(m * m for m in mu_int)
-        yield full_char, sigma.perm_sign(), mu_int, nrm2
+        yield full_char, perm_sign, mu_int, sum(m * m for m in mu_int)
 
 
 def _z_vars(table: VarTable, l: int, z_indices: Sequence[int] | None) -> tuple[int, ...]:
@@ -194,14 +133,11 @@ def weyl_denominator_B(l: int, table: VarTable,
     if variant not in ("minus", "plus"):
         raise UsageError(f"unknown denominator variant {variant!r}")
     zi = _z_vars(table, l, z_indices)
-    rho = rho_B(l)
     out = LaurentPoly.zero(table)
-    for sigma, char in enumerate_WB(l):
-        if variant == "plus":
-            char = sigma.perm_sign()
-        w = act(sigma, rho)
-        exps = {zi[i]: int(2 * w[i]) for i in range(l)}
-        out = out + LaurentPoly.monomial(table, exps, char)
+    for srho, full_char, perm_sign in weyl_orbit(l):
+        exps = {z: int(2 * w) for z, w in zip(zi, srho)}
+        out = out + LaurentPoly.monomial(
+            table, exps, full_char if variant == "minus" else perm_sign)
     return out
 
 

@@ -419,6 +419,9 @@ class TestVariableKinds:
     CASES = {
         "f_bo repeated point": lambda: f_bo(2, 2, T2, (0, 0)),
         "f_bo point out of range": lambda: f_bo(1, 2, T2, (2,)),
+        "theta argument out of range": lambda: theta(T2, 2, ((2, 1),)),
+        "theta z-argument": lambda: theta(T1Z1, 2, ((1, 1),)),
+        "theta argument repeated": lambda: theta(T2, 2, ((0, 1), (0, -1))),
         "pair_block repeated point": lambda: pair_block(T2, (0, 0), 1, 2),
         "pair_block z-point": lambda: pair_block(T1Z1, (1,), 1, 2),
         "d_half_vacuum z-point": lambda: d_half_vacuum(1, 2, True, T1Z1, (1,)),

@@ -67,7 +67,9 @@ def _vacuum_base_flipped(mp):
 
 def _full_character_dropped(mp):
     """The full sign character of W(B_l) replaced by the permutation sign."""
-    mp.setattr(weylb.SignedPerm, "sign_character", weylb.SignedPerm.perm_sign)
+    orbit = weylb.weyl_orbit
+    mp.setattr(weylb, "weyl_orbit",
+               lambda l: ((w, perm, perm) for w, _, perm in orbit(l)))
 
 
 def _theta_negated(mp):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -9,16 +10,13 @@ from qfock.laurent import LaurentPoly, UsageError, VarTable
 from qfock.ratfunc import RatFunc
 from qfock.weylb import (
     BLabel,
-    SignedPerm,
-    act,
     char_B,
     check_partition,
-    enumerate_WB,
-    norm_sq,
     rho_B,
     sign_vectors,
     weyl_denominator_B,
     weyl_denominator_det,
+    weyl_orbit,
 )
 
 
@@ -38,11 +36,6 @@ class TestBasics:
             check_partition((1, 1, 1), l=2)
         check_partition((2, -1), allow_negative=True)
 
-    def test_norm_sq(self):
-        assert norm_sq((Fraction(2), Fraction(1))) == 5
-        assert norm_sq(()) == 0
-        assert norm_sq((Fraction(1, 2),)) == Fraction(1, 4)
-
     def test_sign_vectors(self):
         assert list(sign_vectors(0)) == [((), 1)]
         assert list(sign_vectors(1)) == [((1,), 1), ((-1,), -1)]
@@ -53,42 +46,33 @@ class TestBasics:
 class TestGroup:
     def test_counts_and_characters(self):
         for l in range(0, 4):
-            elems = list(enumerate_WB(l))
+            elems = list(weyl_orbit(l))
             assert len(elems) == 2 ** l * _fact(l)
-            seen = {(sp.perm, sp.signs) for sp, _ in elems}
-            assert len(seen) == len(elems)
-        chars = [c for _, c in enumerate_WB(2)]
+            assert len({w for w, _, _ in elems}) == len(elems)
+        chars = [c for _, c, _ in weyl_orbit(2)]
         assert chars.count(1) == 4 and chars.count(-1) == 4
 
     def test_l1_elements(self):
-        elems = {(sp.perm, sp.signs): c for sp, c in enumerate_WB(1)}
-        assert elems[((0,), (1,))] == 1
-        assert elems[((0,), (-1,))] == -1
+        half = Fraction(1, 2)
+        assert list(weyl_orbit(1)) == [((half,), 1, 1), ((-half,), -1, 1)]
 
-    def test_identity_action(self):
-        v = (Fraction(3), Fraction(1, 2))
-        ident = SignedPerm((0, 1), (1, 1))
-        assert act(ident, v) == v
-
-    def test_sign_flip(self):
-        flip = SignedPerm((0,), (-1,))
-        assert act(flip, (Fraction(1, 2),)) == (Fraction(-1, 2),)
-
-    def test_action_composition(self):
-        rng = random.Random(11)
-        elems = [sp for sp, _ in enumerate_WB(3)]
-        v = (Fraction(5, 2), Fraction(-1), Fraction(1, 3))
-        for _ in range(200):
-            a, b = rng.choice(elems), rng.choice(elems)
-            assert act(a.compose(b), v) == act(a, act(b, v))
-
-    def test_characters_multiply(self):
-        rng = random.Random(12)
-        elems = [sp for sp, _ in enumerate_WB(3)]
-        for _ in range(200):
-            a, b = rng.choice(elems), rng.choice(elems)
-            assert a.compose(b).sign_character() == \
-                a.sign_character() * b.sign_character()
+    @pytest.mark.parametrize("l", [0, 1, 2, 3])
+    def test_orbit_is_every_signed_permutation_of_rho(self, l):
+        """Each element is read back into its signed permutation matrix,
+        whose determinant is the full character and whose unsigned
+        determinant is the permutation sign."""
+        rho = rho_B(l)
+        want = {tuple(s * rho[p] for s, p in zip(signs, perm))
+                for perm in permutations(range(l))
+                for signs, _ in sign_vectors(l)}
+        got = list(weyl_orbit(l))
+        assert {w for w, _, _ in got} == want
+        for w, full, perm_sign in got:
+            matrix = [[(1 if x > 0 else -1) if abs(x) == r else 0
+                       for r in rho] for x in w]
+            assert _det_int(matrix) == full
+            assert _det_int([[abs(a) for a in row] for row in matrix]) \
+                == perm_sign
 
 
 class TestDenominator:
@@ -165,6 +149,15 @@ class TestCharacter:
         assert lab.partition == (2, 1) and lab.det
         with pytest.raises(UsageError):
             BLabel((1, 2))
+
+
+def _det_int(m):
+    """Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * a * _det_int([row[:j] + row[j + 1:]
+                                          for row in m[1:]])
+               for j, a in enumerate(m[0]) if a)
 
 
 def _fact(n):
