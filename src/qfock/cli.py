@@ -48,8 +48,7 @@ from . import verify as verify_mod
 # ---------------------------------------------------------------------------
 
 def poly_to_json(p: LaurentPoly) -> list[dict]:
-    return [{"exps_x2": list(e), "val": str(c)}
-            for e, c in sorted(p.terms.items())]
+    return [{"exps_x2": list(e), "val": str(c)} for e, c in p.items()]
 
 
 def poly_from_json(table: VarTable, data: list[dict]) -> LaurentPoly:

@@ -39,9 +39,8 @@ from .laurent import (
     T_KIND,
     UsageError,
     VarTable,
-    _whole,
 )
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, _rename_factors
 from .series import HalfSeries
 from .weylb import (
     _det_sector,
@@ -339,7 +338,7 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
     def coeff(level: dict[tuple[int, ...], object]):
         if not ratfuncs:
             return LaurentPoly(table, level)
-        return sum((w * LaurentPoly(table, {key: 1}, _clean=True)
+        return sum((w * LaurentPoly(table, {key: 1})
                     for key, w in level.items()), RatFunc.zero(table))
 
     return tuple(HalfSeries(table, trunc2,
@@ -380,28 +379,24 @@ def extract_module_function(trace: HalfSeries, lam: Sequence[int], l: int,
     target = tuple(int(2 * (a + b)) for a, b in zip(pad_weight(lam, l), rho))
     # the z-exponents a term of c.num needs: den's coefficient at target - e_z
     need = {tuple(t - e[i] for t, i in zip(target, z_indices)): c
-            for e, c in den.terms.items()}
+            for e, c in den.items()}
+    # c.den and its binomial factors are zero in every z-column, so they
+    # map over with those columns dropped
+    drop = table.drop_images(z_set)
     out: dict[int, RatFunc] = {}
     for e2, c in trace.terms.items():
         if any(i in z_set for i in c.den.variables_used()):
             raise InternalInvariantError("denominator involves charge variables")
         num_terms: dict = {}
-        for e, a in c.num.terms.items():
+        for e, a in c.num.items():
             b = need.get(tuple(e[i] for i in z_indices))
             if b is not None:
                 k = tuple(e[i] for i in keep)
                 num_terms[k] = num_terms.get(k, 0) + a * b
-        num_terms = _whole({k: v for k, v in num_terms.items() if v})
-        if num_terms:
-            den_terms = {tuple(e[i] for i in keep): v
-                         for e, v in c.den.terms.items()}
-            # c.den's binomial factors are zero in every z-column, so the
-            # factor record maps over with those columns dropped
-            dfac = c.dfac and tuple(
-                ((tuple(p[i] for i in keep), tuple(q[i] for i in keep), s), m)
-                for (p, q, s), m in c.dfac)
-            out[e2] = RatFunc(LaurentPoly(out_table, num_terms, _clean=True),
-                              LaurentPoly(out_table, den_terms, _clean=True),
+        num = LaurentPoly(out_table, num_terms)  # drops zeros, normalizes
+        if num.terms:
+            dfac = c.dfac and _rename_factors(c.dfac, len(out_table), drop)
+            out[e2] = RatFunc(num, c.den.rename_signed(out_table, drop),
                               _canonical=True, dfac=dfac)
     return HalfSeries(out_table, trace.trunc2, out)
 

@@ -11,11 +11,25 @@ stay ints; every operation that can produce a whole Fraction turns it back
 into an int.  Since 3 == Fraction(3), with equal hashes and equal str(),
 the representation never shows in equality or output.
 
-A polynomial is a dict mapping exponent tuples (one doubled exponent per
-variable) to nonzero coefficients; the zero polynomial stores no terms.
+A polynomial is a dict mapping packed monomial keys to nonzero
+coefficients; the zero polynomial stores no terms.  A key packs the doubled
+exponents of one monomial into one int (Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007): over a table of width w, variable i owns the 16-bit field at bit
+16*(w-1-i), which holds e_i + 2^14.  Variable 0 is most significant, so int
+order on the keys is lex order on the exponent tuples.  The key of the
+monomial 1, OFF (2^14 in every field), depends only on the width, and a
+monomial product is one addition, k1 + k2 - OFF.  The top bit of each field
+is a guard bit: no valid key sets one, and a product or shift whose
+exponent leaves [-2^14, 2^14) does, so it raises UsageError instead of
+wrapping into a wrong polynomial.  Every doubled exponent given to the
+kernel must have absolute value below 2^14; a computed one may also reach
+-2^14, which the layout still holds.  Only this module reads keys:
+the constructor takes exponent tuples, and items() gives them back.
 
   t1^(1/2) - (1/2)*t1^(-1/2)   over  VarTable(("t1", "t2"))
-      ->  {(1, 0): 1, (-1, 0): Fraction(-1, 2)}
+      items():  [((-1, 0), Fraction(-1, 2)), ((1, 0), 1)]
+      terms:    {0x40014000: 1, 0x3fff4000: Fraction(-1, 2)}
 
 Monomial order, where one is needed (exact division, canonical forms), is lex
 on the exponent tuples.
@@ -24,10 +38,11 @@ on the exponent tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
 from heapq import heappop, heappush
-from itertools import combinations, product
+from itertools import combinations, compress, product, repeat
 from math import gcd, isqrt
-from operator import add, mul, sub
+from operator import add, and_, mul, or_, sub
 from fractions import Fraction
 from typing import Container, Mapping, Sequence
 
@@ -113,6 +128,14 @@ class VarTable:
         return VarTable(tuple(self.names[i] for i in keep),
                         tuple(self.kinds[i] for i in keep))
 
+    def drop_images(self, indices: Container[int]
+                    ) -> list[tuple[tuple[int, int], ...]]:
+        """The rename_signed images onto without(indices): each kept
+        variable to itself there, each removed one to 1."""
+        keep = [i for i in range(len(self)) if i not in indices]
+        pos = {i: j for j, i in enumerate(keep)}
+        return [((pos[i], 1),) if i in pos else () for i in range(len(self))]
+
     def bind(self, point: Mapping[int, Fraction]) -> "VarTable":
         """The table with the t-variables at point's indices bound to
         point's square-root values (the same table for an empty point)."""
@@ -161,31 +184,78 @@ def _whole(terms: dict) -> dict:
     return terms
 
 
+# -- packed monomial keys ------------------------------------------------------
+
+_F = 16                # bits per variable
+_H = 1 << (_F - 2)     # the bias: a field holds e + _H
+_MASK = (1 << _F) - 1
+
+
+@cache
+def _layout(w: int) -> tuple[int, tuple[int, ...]]:
+    """(OFF, shifts) for tables of width w: OFF is the key of the monomial
+    1 and shifts[i] the lowest bit of variable i's field.  OFF << 1 sets
+    exactly the guard bits."""
+    shifts = tuple(_F * (w - 1 - i) for i in range(w))
+    return sum(_H << s for s in shifts), shifts
+
+
+def _range_error() -> UsageError:
+    return UsageError(f"exponent out of range: every doubled exponent must "
+                      f"be an int of absolute value below {_H}")
+
+
+def _pack(e: Sequence[int], lo: int = 1 - _H) -> int:
+    """The key of an exponent vector over a table of width len(e), each
+    exponent in [lo, 2^14): (-2^14, 2^14) for exponents given to the
+    kernel, and lo = -2^14 for a computed one, which may reach it."""
+    key = 0
+    for x in e:
+        if not (isinstance(x, int) and lo <= x < _H):
+            raise _range_error()
+        key = key << _F | x + _H
+    return key
+
+
+def _unpack(key: int, w: int) -> Exps:
+    return tuple((key >> s & _MASK) - _H for s in _layout(w)[1])
+
+
+def _checked(terms: dict, off: int) -> dict:
+    """terms, once no key sets a guard bit (which an exponent that left
+    the range sets); off is the table's OFF."""
+    if terms and reduce(or_, terms) & off << 1:
+        raise _range_error()
+    return terms
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial over a VarTable with rational (int or
-    Fraction) coefficients."""
+    Fraction) coefficients, keyed by packed monomials."""
 
     __slots__ = ("table", "terms")
 
     def __init__(self, table: VarTable, terms: Mapping[Exps, Coeff] | None = None,
                  *, _clean: bool = False):
-        """With _clean, terms is taken as it is: nonzero coefficients, each
-        an int or a non-integral Fraction."""
+        """terms maps exponent tuples (one doubled exponent per variable) to
+        coefficients.  With _clean, terms is taken as it is, not copied: a
+        dict that nothing mutates afterwards, with packed keys and nonzero
+        coefficients, each an int or a non-integral Fraction."""
         self.table = table
         if terms is None:
-            self.terms: dict[Exps, Coeff] = {}
+            self.terms: dict[int, Coeff] = {}
         elif _clean:
-            self.terms = dict(terms)
+            self.terms = terms
         else:
             w = len(table)
-            clean: dict[Exps, Coeff] = {}
+            clean: dict[int, Coeff] = {}
             for e, c in terms.items():
-                if len(e) != w:
-                    raise UsageError(
-                        f"exponent tuple {e} has wrong width (table has {w} variables)")
+                if not isinstance(e, tuple) or len(e) != w:
+                    raise UsageError(f"exponent key {e!r} is not a tuple of "
+                                     f"{w} exponents (one per table variable)")
                 c = _coef(c)
                 if c != 0:
-                    clean[tuple(e)] = c
+                    clean[_pack(e)] = c
             self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -199,7 +269,7 @@ class LaurentPoly:
         c = _coef(c)
         if c == 0:
             return cls.zero(table)
-        return cls(table, {(0,) * len(table): c}, _clean=True)
+        return cls(table, {_layout(len(table))[0]: c}, _clean=True)
 
     @classmethod
     def one(cls, table: VarTable) -> "LaurentPoly":
@@ -214,7 +284,7 @@ class LaurentPoly:
         e = [0] * len(table)
         for i, v in exps.items():
             e[i] = v
-        return cls(table, {tuple(e): c}, _clean=True)
+        return cls(table, {_pack(e): c}, _clean=True)
 
     # -- inspection --------------------------------------------------------
 
@@ -222,21 +292,29 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * len(self.table): ONE}
+        return (len(self.terms) == 1
+                and self.terms.get(_layout(len(self.table))[0]) == ONE)
 
     def is_constant(self) -> bool:
-        z = (0,) * len(self.table)
-        return not self.terms or (len(self.terms) == 1 and z in self.terms)
+        return not self.terms or (len(self.terms) == 1 and
+                                  _layout(len(self.table))[0] in self.terms)
 
     def constant_value(self) -> Coeff:
         if not self.is_constant():
             raise UsageError("not a constant polynomial")
-        return self.terms.get((0,) * len(self.table), ZERO)
+        return self.terms.get(_layout(len(self.table))[0], ZERO)
 
     def variables_used(self) -> tuple[int, ...]:
-        w = len(self.table)
-        return tuple(i for i in range(w)
-                     if any(e[i] != 0 for e in self.terms))
+        off, shifts = _layout(len(self.table))
+        used = reduce(or_, (k ^ off for k in self.terms), 0)
+        return tuple(i for i, s in enumerate(shifts) if used >> s & _MASK)
+
+    def items(self) -> list[tuple[Exps, Coeff]]:
+        """The (exponent tuple, coefficient) pairs, in lex order of the
+        exponents."""
+        shifts = _layout(len(self.table))[1]
+        return [(tuple((k >> s & _MASK) - _H for s in shifts), c)
+                for k, c in sorted(self.terms.items())]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -246,7 +324,7 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        return LaurentPoly(self.table, _whole(_d_add(self.terms, other.terms)),
+        return LaurentPoly(self.table, _d_add(self.terms, other.terms),
                            _clean=True)
 
     def __neg__(self) -> "LaurentPoly":
@@ -259,24 +337,37 @@ class LaurentPoly:
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
             c = _coef(other)
-            if c == 0:
-                return LaurentPoly.zero(self.table)
-            if c == 1:
-                return self  # nothing mutates .terms in place
-            return LaurentPoly(self.table,
-                               _whole({e: v * c for e, v in self.terms.items()}),
-                               _clean=True)
+            return self._moved(0, c) if c else LaurentPoly.zero(self.table)
         self._check(other)
-        return LaurentPoly(self.table, _whole(_d_mul(self.terms, other.terms)),
+        p, m = (other, self) if len(self.terms) == 1 else (self, other)
+        off = _layout(len(self.table))[0]
+        if len(m.terms) == 1:
+            # by a monomial: a scalar, or a shift of every key
+            (k, c), = m.terms.items()
+            return p._moved(k - off, c)
+        return LaurentPoly(self.table, _whole(_d_mul(p.terms, m.terms, off)),
                            _clean=True)
 
     __rmul__ = __mul__
 
+    def _moved(self, d: int, c: Coeff = ONE) -> "LaurentPoly":
+        """self times c*x^m, with d the key of m less OFF (a nonzero int or
+        non-integral Fraction c; each exponent of m in (-2^14, 2^14])."""
+        if d:
+            terms = ({k + d: v for k, v in self.terms.items()} if c == 1 else
+                     _whole({k + d: v * c for k, v in self.terms.items()}))
+            _checked(terms, _layout(len(self.table))[0])
+        elif c == 1:
+            return self  # nothing mutates .terms in place
+        else:
+            terms = _whole({k: v * c for k, v in self.terms.items()})
+        return LaurentPoly(self.table, terms, _clean=True)
+
     def shift(self, exps: Exps) -> "LaurentPoly":
         """Multiply by the monomial with the given (doubled) exponents."""
-        if not any(exps):
-            return self
-        return LaurentPoly(self.table, _d_shift(self.terms, exps), _clean=True)
+        if len(exps) != len(self.table):
+            raise UsageError("shift needs one exponent per table variable")
+        return self._moved(_pack(exps) - _layout(len(self.table))[0])
 
     # -- the t d/dt operator ------------------------------------------------
 
@@ -288,11 +379,12 @@ class LaurentPoly:
         """
         if self.table.kinds[var] != T_KIND:
             raise UsageError("tddt applies to t-type variables only")
-        out: dict[Exps, Coeff] = {}
-        for e, c in self.terms.items():
-            k = e[var]
+        s = _layout(len(self.table))[1][var]
+        out: dict[int, Coeff] = {}
+        for key, c in self.terms.items():
+            k = (key >> s & _MASK) - _H
             if k:
-                out[e] = c * Fraction(k, 2) if k & 1 else c * (k >> 1)
+                out[key] = c * Fraction(k, 2) if k & 1 else c * (k >> 1)
         return LaurentPoly(self.table, _whole(out), _clean=True)
 
     # -- evaluation and monomial maps -----------------------------------------
@@ -309,33 +401,37 @@ class LaurentPoly:
         point = [(i, _fr(v)) for i, v in assignment.items()]
         if any(v == 0 for _, v in point):
             raise EvaluationPointError("square-root values must be nonzero")
-        keep = [i for i in range(len(self.table)) if i not in assignment]
         if new_table is None:
             new_table = self.table.without(assignment)
+        images = self.table.drop_images(assignment)
+        if len(new_table) != sum(map(bool, images)):
+            raise UsageError("new_table must hold the unassigned variables")
+        shifts = _layout(len(self.table))[1]
         # each variable's powers, once per call: with v = a/b and lo, hi
         # the least and greatest exponent of v in use, v^k is the integer
-        # a^(k-lo) * b^(hi-k) times a^lo / b^hi, so every term sums integer
-        # products and the common scale multiplies each result once; a
-        # variable that does not occur is only dropped
+        # a^(k-lo) * b^(hi-k) times a^lo / b^hi, so every term takes integer
+        # products, and the common scale multiplies each result once, after
+        # the renaming that drops the assigned variables sums the terms; a
+        # variable that does not occur is only dropped.  Powers are keyed
+        # by the field, e + 2^14, which differences leave unchanged.
         powers = []
         scale = Fraction(1)
         for i, v in point:
-            ks = {e[i] for e in self.terms}
-            if any(ks):
+            s = shifts[i]
+            ks = {k >> s & _MASK for k in self.terms}
+            if ks and ks != {_H}:
                 lo, hi = min(ks), max(ks)
                 a, b = v.numerator, v.denominator
                 powers.append(
-                    (i, {k: a ** (k - lo) * b ** (hi - k) for k in ks}))
-                scale *= Fraction(a) ** lo / Fraction(b) ** hi
-        out: dict[Exps, Coeff] = {}
-        for e, c in self.terms.items():
-            for i, pw in powers:
-                c *= pw[e[i]]
-            ne = tuple(e[i] for i in keep)
-            out[ne] = out.get(ne, 0) + c
-        if scale != 1:
-            out = {e: c * scale for e, c in out.items()}
-        return LaurentPoly(new_table, out)
+                    (s, {k: a ** (k - lo) * b ** (hi - k) for k in ks}))
+                scale *= Fraction(a) ** (lo - _H) / Fraction(b) ** (hi - _H)
+        terms: dict[int, Coeff] = {}
+        for k, c in self.terms.items():
+            for s, pw in powers:
+                c *= pw[k >> s & _MASK]
+            terms[k] = c
+        return LaurentPoly(self.table, _whole(terms), _clean=True
+                           ).rename_signed(new_table, images) * scale
 
     def rename_signed(self, new_table: VarTable,
                       mapping: Sequence[Sequence[tuple[int, int]]]
@@ -346,21 +442,42 @@ class LaurentPoly:
         exponent e of variable j adds e*sign to each target's exponent."""
         if len(mapping) != len(self.table):
             raise UsageError("mapping must cover every source variable")
-        w = len(new_table)
-        out: dict[Exps, Coeff] = {}
-        for e, c in self.terms.items():
-            ne = [0] * w
-            for j, image in enumerate(mapping):
-                if e[j]:
+        noff, nshifts = _layout(len(new_table))
+        out: dict[int, Coeff] = {}
+        targets = [t for image in mapping for t, _ in image]
+        if (len(set(targets)) < len(targets)
+                and max(map(targets.count, targets)) > 2):
+            # a target field summing three or more exponents could carry
+            # past its guard bit: each monomial goes through its tuple
+            for e, c in self.items():
+                ne = [0] * len(new_table)
+                for x, image in zip(e, mapping):
                     for tgt, sgn in image:
-                        ne[tgt] += e[j] * sgn
-            ne = tuple(ne)
-            s = out.get(ne, 0) + c
-            if s:
-                out[ne] = s
+                        ne[tgt] += x * sgn
+                k = _pack(ne, -_H)
+                c += out.get(k, 0)
+                if c:
+                    out[k] = c
+                else:
+                    del out[k]
+            return LaurentPoly(new_table, _whole(out), _clean=True)
+        # a target field sums at most two exponents, in (-2^15, 2^15], so
+        # its guard bit is set whenever the sum leaves the range
+        moves = []
+        for s, image in zip(_layout(len(self.table))[1], mapping):
+            d = sum(sgn * (1 << nshifts[tgt]) for tgt, sgn in image)
+            if d:
+                moves.append((s, d))
+        for k, c in self.terms.items():
+            nk = noff
+            for s, d in moves:
+                nk += ((k >> s & _MASK) - _H) * d
+            c += out.get(nk, 0)
+            if c:
+                out[nk] = c
             else:
-                out.pop(ne, None)
-        return LaurentPoly(new_table, _whole(out), _clean=True)
+                del out[nk]
+        return LaurentPoly(new_table, _whole(_checked(out, noff)), _clean=True)
 
     # -- ordering helpers -----------------------------------------------------
 
@@ -368,8 +485,8 @@ class LaurentPoly:
         """Lex-leading (exponents, coefficient)."""
         if not self.terms:
             raise UsageError("zero polynomial has no leading term")
-        e = max(self.terms)
-        return e, self.terms[e]
+        k = max(self.terms)
+        return _unpack(k, len(self.table)), self.terms[k]
 
     # -- equality / display ---------------------------------------------------
 
@@ -399,8 +516,7 @@ def format_poly(p: LaurentPoly) -> str:
     if not p.terms:
         return "0"
     bits = []
-    for e in sorted(p.terms, reverse=True):
-        c = p.terms[e]
+    for e, c in reversed(p.items()):
         factors = []
         for i, v in enumerate(e):
             if v == 0:
@@ -423,52 +539,23 @@ def format_poly(p: LaurentPoly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial GCD (heuristic GCD; the subresultant PRS as a fallback)
+# The packed kernel: dicts {key: coeff} over one table
 # ---------------------------------------------------------------------------
-#
-# These helpers work on raw dicts {exps: coeff} whose exponents are all
-# nonnegative (callers strip monomial content first).  The "main variable"
-# view keeps full-width tuples and treats one slot as the polynomial variable,
-# so coefficient-ring arithmetic is the same dict arithmetic.
-#
-# Every gcd takes one path.  Both operands are scaled to integer
-# coefficients (gcds over the rational field are only defined up to units,
-# so clearing denominators is free), stripped of their monomial content and
-# made primitive.  GCDHEU (Char, Geddes & Gonnet, "GCDHEU: Heuristic
-# polynomial GCD algorithm based on integer GCD computation", J. Symb.
-# Comp. 7(1), 1989) runs on what is left: it evaluates one variable at an
-# integer xi > 2*min(|a|, |b|) + 2 (max norms of the primitive operands),
-# recurses down to an integer gcd, and rebuilds a candidate xi-adically
-# from symmetric remainders.  By their theorem a candidate that divides
-# both operands exactly is the gcd, so the two exact divisions certify it,
-# the coprime case (candidate 1) included; otherwise a larger xi is tried.
-# Only when no xi tried gives a certified candidate does the recursive
-# subresultant PRS run, on the same primitive integer operands.
-#
-# Binomial factors.  Every denominator the library builds is a product of
-# binomials x^p - c*x^q with p, q disjoint 0/1 vectors of stored exponents
-# and c = +-1 (u_S -+ 1 and their Weyl-denominator relatives; z_i - z_j is
-# (u_i - u_j)(u_i + u_j) in the stored square roots).  Such a binomial is
-# irreducible: p - q is primitive, so a unimodular change of variables
-# makes it y - c.  Distinct (p, q, c) with p lex above q are not associate.
-# _binomial_split finds such a factorization by trial division;
-# divisibility by one binomial is a linear substitution test (x^p = c*x^q),
-# and each exact division raises on a remainder.  RatFunc keeps each
-# denominator's split (ratfunc's factor record), so its arithmetic cancels
-# by the substitution test and exact division alone; only a denominator
-# that does not split comes to the gcd.
 
 _Dict = dict
 
 
 def _d_add(a: _Dict, b: _Dict) -> _Dict:
+    """a + b, each new sum in the kernel's representation."""
     out = dict(a)
     for e, c in b.items():
         s = out.get(e, 0) + c
-        if s:
+        if not s:
+            del out[e]
+        elif s.__class__ is int or s.denominator != 1:
             out[e] = s
         else:
-            out.pop(e, None)
+            out[e] = s.numerator
     return out
 
 
@@ -476,38 +563,37 @@ def _d_neg(a: _Dict) -> _Dict:
     return {e: -c for e, c in a.items()}
 
 
-def _d_mul(a: _Dict, b: _Dict) -> _Dict:
+def _d_mul(a: _Dict, b: _Dict, off: int) -> _Dict:
+    """The product of packed dicts over a table whose OFF is off."""
     out: _Dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            s = out.get(e, 0) + c1 * c2
+    get = out.get
+    for k1, c1 in a.items():
+        k1 -= off
+        for k2, c2 in b.items():
+            k = k1 + k2
+            s = get(k, 0) + c1 * c2
             if s:
-                out[e] = s
+                out[k] = s
             else:
-                out.pop(e, None)
-    return out
+                del out[k]
+    return _checked(out, off)
 
 
-def _d_pow(a: _Dict, n: int, width: int) -> _Dict:
-    out: _Dict = {(0,) * width: 1}
-    for _ in range(n):
-        out = _d_mul(out, a)
-    return out
-
-
-def _d_divexact(num: _Dict, den: _Dict) -> _Dict:
-    """Exact division in lex order; raises if not exact.
+def _d_divexact(num: _Dict, den: _Dict, w: int) -> _Dict:
+    """Exact division of packed dicts over a table of width w, in lex
+    order; raises if not exact.
 
     Heap-ordered (Monagan & Pearce, "Sparse polynomial division using a
     heap", J. Symb. Comp. 46(7), 2011): the remainder is never stored.  A
     heap yields the next lex-largest monomial of num - quo*den by merging
     num with the products quo_j*den_i, each quotient term advancing along
     den one term at a time, so a step costs O(log #quo) instead of a scan
-    of the whole remainder.  Exponents are packed into one int per
-    monomial (mixed radix, first variable most significant, so int order
-    is lex order); the quotient exponents are range-checked against the
-    degree bounds an exact quotient obeys, which keeps every packed
+    of the whole remainder.  The heap does not run on the stored keys:
+    each call repacks the exponents into one int per monomial in a mixed
+    radix as tight as the operands allow (first variable most
+    significant, so int order is still lex order), which keeps the heap's
+    ints small.  The quotient exponents are range-checked against the
+    degree bounds an exact quotient obeys, which keeps every repacked
     product inside the radix.  Quotient terms come out in decreasing lex
     order.
 
@@ -520,8 +606,10 @@ def _d_divexact(num: _Dict, den: _Dict) -> _Dict:
     if not num:
         return {}
     over_z = all(c.__class__ is int for d in (num, den) for c in d.values())
-    w = len(next(iter(num)))
-    ncols, dcols = list(zip(*num)), list(zip(*den))
+    off, shifts = _layout(w)
+    # each variable's exponent field (e + 2^14) term by term
+    ncols = [[k >> s & _MASK for k in num] for s in shifts]
+    dcols = [[k >> s & _MASK for k in den] for s in shifts]
     tops = list(map(max, ncols))
     # an exact quotient has degree deg(num) - deg(den) in every variable
     his = list(map(sub, tops, map(max, dcols)))
@@ -531,11 +619,13 @@ def _d_divexact(num: _Dict, den: _Dict) -> _Dict:
     radix = [1] * w
     for v in range(w - 2, -1, -1):
         radix[v] = radix[v + 1] * (tops[v + 1] - los[v + 1] + 1)
-    off = sum(map(mul, los, radix))
-    fs = sorted(((sum(map(mul, e, radix)) - off, c) for e, c in num.items()),
-                reverse=True)
-    gs = sorted(((sum(map(mul, e, radix)) - off, e, c)
-                 for e, c in den.items()), reverse=True)
+    roff = sum(map(mul, los, radix))
+    nrows = zip(*ncols) if w else [()] * len(num)
+    drows = zip(*dcols) if w else [()] * len(den)
+    fs = sorted(((sum(map(mul, e, radix)) - roff, c)
+                 for e, c in zip(nrows, num.values())), reverse=True)
+    gs = sorted(((sum(map(mul, e, radix)) - roff, e, c)
+                 for e, c in zip(drows, den.values())), reverse=True)
     glead_p, glead, glc = gs[0]
     gp = [g[0] for g in gs]
     gc = [g[2] for g in gs]
@@ -543,7 +633,7 @@ def _d_divexact(num: _Dict, den: _Dict) -> _Dict:
     qp: list[int] = []
     qc: list = []
     quo: _Dict = {}
-    heap: list[int] = []          # negated packed monomials, each once
+    heap: list[int] = []          # negated repacked monomials, each once
     chains: dict[int, list] = {}  # monomial -> (j, i) pairs quo_j*den_i
     fi = 0
     while True:
@@ -572,21 +662,21 @@ def _d_divexact(num: _Dict, den: _Dict) -> _Dict:
             return quo
         if not c:
             continue
-        qe = []
+        qk = off
         r = m
         for v in range(w):
             d, r = divmod(r, radix[v])
             x = d + los[v] - glead[v]
             if x < 0 or x > his[v]:
                 raise InternalInvariantError("non-exact polynomial division")
-            qe.append(x)
+            qk += x << shifts[v]
         if over_z:
             qcoef, r = divmod(c, glc)
             if r:
                 raise InternalInvariantError("non-exact coefficient division")
         else:
             qcoef = _coef(Fraction(c) / glc)
-        quo[tuple(qe)] = qcoef
+        quo[qk] = qcoef
         j = len(qp)
         qp.append(m - glead_p)
         qc.append(qcoef)
@@ -598,6 +688,231 @@ def _d_divexact(num: _Dict, den: _Dict) -> _Dict:
                 heappush(heap, -mm)
             else:
                 ch.append((j, 1))
+
+
+def _d_strip(a: _Dict, w: int) -> tuple[_Dict, int]:
+    """Factor out the componentwise-minimal monomial m of a packed dict over
+    a table of width w: (a / x^m, key of m less OFF)."""
+    if not a:
+        return a, 0
+    off, shifts = _layout(w)
+    d = sum(min(k >> s & _MASK for k in a) << s for s in shifts) - off
+    if not d:
+        return a, 0
+    return _checked({k - d: c for k, c in a.items()}, off), d
+
+
+def _integerize(a: _Dict) -> _Dict:
+    """Scale a Fraction- or int-coefficient dict to coprime integer
+    coefficients (same signs); a itself when it already has them."""
+    den_lcm = 1
+    ints = True
+    for c in a.values():
+        if c.__class__ is not int:
+            ints = False
+            d = c.denominator
+            if d != 1:
+                den_lcm = den_lcm * d // gcd(den_lcm, d)
+    if not ints:
+        a = {e: c.numerator * (den_lcm // c.denominator)
+             for e, c in a.items()}
+    num_gcd = gcd(*a.values())
+    if num_gcd > 1:
+        a = {e: c // num_gcd for e, c in a.items()}
+    return a
+
+
+def _ig_primitive(a: _Dict) -> _Dict:
+    """Integer content 1, positive lex-leading coefficient (packed or
+    tuple keys: both order lex)."""
+    if not a:
+        return {}
+    g = 0
+    for c in a.values():
+        g = gcd(g, c)
+    if a[max(a)] < 0:
+        g = -g
+    if g == 1:
+        return dict(a)
+    return {e: c // g for e, c in a.items()}
+
+
+# ---------------------------------------------------------------------------
+# Binomial factors
+# ---------------------------------------------------------------------------
+#
+# Every denominator the library builds is a product of binomials
+# x^p - c*x^q with p, q disjoint 0/1 vectors of stored exponents and
+# c = +-1 (u_S -+ 1 and their Weyl-denominator relatives; z_i - z_j is
+# (u_i - u_j)(u_i + u_j) in the stored square roots).  Such a binomial is
+# irreducible: p - q is primitive, so a unimodular change of variables
+# makes it y - c.  Distinct (p, q, c) with p lex above q are not associate.
+# A binomial is held as the packed keys of p and q with c.  _binomial_split
+# finds such a factorization by trial division; divisibility by one
+# binomial is a linear substitution test (x^p = c*x^q), and each exact
+# division raises on a remainder.  RatFunc keeps each denominator's split
+# (ratfunc's factor record), so its arithmetic cancels by the substitution
+# test and exact division alone; only a denominator that does not split
+# comes to the gcd.
+
+# more variables than this, and _binomial_split gives up
+# (3^k - 1 candidate binomials in k variables)
+_SPLIT_MAX_VARS = 5
+
+Binomial = tuple[int, int, int]  # (p, q, c) for x^p - c*x^q, p lex above q
+
+
+def _binomial_split(f: _Dict, w: int) -> list[tuple[Binomial, int]] | None:
+    """Factor f (packed over a table of width w, no monomial content) into
+    binomials with multiplicities, or None if f is not such a product times
+    a constant.
+
+    A factor's p divides the lex-leading monomial of f and its q the
+    lex-trailing one, which bounds the candidates tried.  Once what is left
+    is itself one binomial, it is taken as found.
+    """
+    lead, trail = max(f), min(f)
+    if abs(f[lead]) != abs(f[trail]):
+        return None  # in such a product they agree up to sign
+    le, te = _unpack(lead, w), _unpack(trail, w)
+    ps = [v for v, x in enumerate(le) if x]
+    qs = [v for v, x in enumerate(te) if x]
+    if len(set(ps) | set(qs)) > _SPLIT_MAX_VARS:
+        return None
+    factors = []
+    for (p, q), c in product(_binomial_supports(w, ps, qs), (1, -1)):
+        if len(f) == 1 or (len(f) == 2 and max(le + te) == 1):
+            break
+        pk, qk = _pack(p), _pack(q)
+        m = 0
+        while (all(x <= y for x, y in zip(p, le))
+               and all(x <= y for x, y in zip(q, te))
+               and _binomial_divides(f, pk, qk, c)):
+            f = _d_divexact(f, {pk: 1, qk: -c}, w)
+            lead, trail = next(iter(f)), next(reversed(f))
+            le, te = _unpack(lead, w), _unpack(trail, w)
+            m += 1
+        if m:
+            factors.append(((pk, qk, c), m))
+    if len(f) == 2 and max(le + te) == 1:
+        # no factor found so far divides it, so it is a new one
+        factors.append(((lead, trail, -f[trail] // f[lead]), 1))
+    elif len(f) > 1:
+        return None
+    return factors
+
+
+def _binomial_supports(w: int, ps: list[int], qs: list[int]):
+    """0/1 vectors p, q of width w with p inside ps, q inside qs, disjoint,
+    p nonzero and lex above q."""
+    for r in range(1, len(ps) + 1):
+        for pset in combinations(ps, r):
+            p = tuple(1 if v in pset else 0 for v in range(w))
+            rest = [v for v in qs if v not in pset and v > pset[0]]
+            for s in range(len(rest) + 1):
+                for qset in combinations(rest, s):
+                    yield p, tuple(1 if v in qset else 0 for v in range(w))
+
+
+def _binomial_divides(f: _Dict, p: int, q: int, c: int,
+                      values: dict | None = None) -> bool:
+    """Whether x^p - c*x^q divides the packed dict f, by substituting
+    x^p = c*x^q.  values, when given, holds f's values at the quick test's
+    points across calls; the caller empties it when f changes.
+
+    With j the first variable of p and d = p - q (so d_j = 1), the monomial
+    x^e becomes c^(e_j) x^(e - e_j*d), whose j-th exponent is 0; those
+    monomials are independent modulo the binomial, so it divides f exactly
+    when every class sums to zero.  On keys the substitution is
+    key - e_j*(p - q).  A field may leave its range there, but each stays
+    within a window of 2^16 values, so distinct classes keep distinct
+    keys.  A binomial without monomial content divides f in the polynomial
+    ring as soon as it does in the Laurent ring.
+    """
+    # the lowest bit of variable j's field: p and q differ in the fields of
+    # their variables, and j is the first of them
+    s = (p ^ q).bit_length() - 1
+    # quick necessary condition: f vanishes at x_j = c, all else 1, a point
+    # on the binomial's zero set; 2^14 is even, so bit s is e_j's parity,
+    # and at c = -1 the terms of odd e_j change sign
+    point = 0 if c > 0 else 1 << s
+    v = None if values is None else values.get(point)
+    if v is None:
+        v = sum(f.values())
+        if point:
+            v -= 2 * sum(compress(f.values(), map(and_, f, repeat(point))))
+        if values is not None:
+            values[point] = v
+    if v:
+        return False
+    d = p - q
+    acc: _Dict = {}
+    for k, a in f.items():
+        n = (k >> s & _MASK) - _H
+        if n:
+            k -= n * d
+            if c < 0 and n & 1:
+                a = -a
+        acc[k] = acc.get(k, 0) + a
+    return not any(acc.values())
+
+
+# ---------------------------------------------------------------------------
+# Polynomial GCD (heuristic GCD; the subresultant PRS as a fallback)
+# ---------------------------------------------------------------------------
+#
+# These helpers work on raw dicts {exps: coeff} keyed by exponent tuples,
+# whose exponents are all nonnegative (callers strip monomial content
+# first); poly_gcd and ratfunc convert at this boundary.  The "main
+# variable" view keeps full-width tuples and treats one slot as the
+# polynomial variable, so coefficient-ring arithmetic is the same dict
+# arithmetic; products and exact divisions go through the packed kernel.
+#
+# Every gcd takes one path.  Both operands are scaled to integer
+# coefficients (gcds over the rational field are only defined up to units,
+# so clearing denominators is free), stripped of their monomial content and
+# made primitive.  GCDHEU (Char, Geddes & Gonnet, "GCDHEU: Heuristic
+# polynomial GCD algorithm based on integer GCD computation", J. Symb.
+# Comp. 7(1), 1989) runs on what is left: it evaluates one variable at an
+# integer xi > 2*min(|a|, |b|) + 2 (max norms of the primitive operands),
+# recurses down to an integer gcd, and rebuilds a candidate xi-adically
+# from symmetric remainders.  By their theorem a candidate that divides
+# both operands exactly is the gcd, so the two exact divisions certify it,
+# the coprime case (candidate 1) included; otherwise a larger xi is tried.
+# Only when no xi tried gives a certified candidate does the recursive
+# subresultant PRS run, on the same primitive integer operands.
+
+
+def _tuples(a: _Dict, w: int) -> _Dict:
+    """A packed dict over a table of width w, keyed by exponent tuples."""
+    shifts = _layout(w)[1]
+    return {tuple((k >> s & _MASK) - _H for s in shifts): c
+            for k, c in a.items()}
+
+
+def _packed(a: _Dict) -> _Dict:
+    return {_pack(e): c for e, c in a.items()}
+
+
+def _t_mul(a: _Dict, b: _Dict) -> _Dict:
+    """The product of nonzero tuple-keyed dicts."""
+    w = len(next(iter(a)))
+    return _tuples(_d_mul(_packed(a), _packed(b), _layout(w)[0]), w)
+
+
+def _t_divexact(num: _Dict, den: _Dict) -> _Dict:
+    """_d_divexact on tuple-keyed dicts."""
+    if not den:
+        raise ZeroDivisionError("division by zero polynomial")
+    w = len(next(iter(den)))
+    return _tuples(_d_divexact(_packed(num), _packed(den), w), w)
+
+
+def _d_pow(a: _Dict, n: int, width: int) -> _Dict:
+    out: _Dict = {(0,) * width: 1}
+    for _ in range(n):
+        out = _t_mul(out, a)
+    return out
 
 
 def _d_deg(a: _Dict, v: int) -> int:
@@ -637,11 +952,11 @@ def _d_prem(f: _Dict, g: _Dict, v: int) -> _Dict:
             break
         shift[v] = dr - dg
         lr = _d_shift(_d_lc(r, v), tuple(shift))
-        r = _d_add(_d_mul(lg, r), _d_neg(_d_mul(lr, g)))
+        r = _d_add(_t_mul(lg, r), _d_neg(_t_mul(lr, g)))
         e -= 1
     if e > 0 and r:
         width = len(next(iter(r)))
-        r = _d_mul(r, _d_pow(lg, e, width))
+        r = _t_mul(r, _d_pow(lg, e, width))
     return r
 
 
@@ -653,40 +968,6 @@ def _d_strip_monomial(a: _Dict) -> tuple[_Dict, Exps]:
     if not any(mins):
         return a, mins
     return _d_shift(a, tuple(-m for m in mins)), mins
-
-
-def _integerize(a: _Dict) -> _Dict:
-    """Scale a Fraction- or int-coefficient dict to coprime integer
-    coefficients (same signs); a itself when it already has them."""
-    den_lcm = 1
-    ints = True
-    for c in a.values():
-        if c.__class__ is not int:
-            ints = False
-            d = c.denominator
-            if d != 1:
-                den_lcm = den_lcm * d // gcd(den_lcm, d)
-    if not ints:
-        a = {e: c.numerator * (den_lcm // c.denominator)
-             for e, c in a.items()}
-    num_gcd = gcd(*a.values())
-    if num_gcd > 1:
-        a = {e: c // num_gcd for e, c in a.items()}
-    return a
-
-
-def _ig_primitive(a: _Dict) -> _Dict:
-    """Integer content 1, positive lex-leading coefficient."""
-    if not a:
-        return {}
-    g = 0
-    for c in a.values():
-        g = gcd(g, c)
-    if a[max(a)] < 0:
-        g = -g
-    if g == 1:
-        return dict(a)
-    return {e: c // g for e, c in a.items()}
 
 
 def _ig_content(a: _Dict, v: int) -> _Dict:
@@ -706,90 +987,6 @@ def _d_gcd(a: _Dict, b: _Dict) -> _Dict:
     coefficients: integer-primitive, with positive lex-leading coefficient.
     GCDHEU first; the PRS only when GCDHEU certifies no candidate."""
     return _ig_gcd(_integerize(a), _integerize(b))
-
-
-# more variables than this, and _binomial_split gives up
-# (3^k - 1 candidate binomials in k variables)
-_SPLIT_MAX_VARS = 5
-
-Binomial = tuple[Exps, Exps, int]  # (p, q, c) for x^p - c*x^q, p lex above q
-
-
-def _binomial_split(f: _Dict) -> list[tuple[Binomial, int]] | None:
-    """Factor f (no monomial content) into binomials with multiplicities,
-    or None if f is not such a product times a constant.
-
-    A factor's p divides the lex-leading monomial of f and its q the
-    lex-trailing one, which bounds the candidates tried.  Once what is left
-    is itself one binomial, it is taken as found.
-    """
-    lead, trail = max(f), min(f)
-    if abs(f[lead]) != abs(f[trail]):
-        return None  # in such a product they agree up to sign
-    ps = [v for v, x in enumerate(lead) if x]
-    qs = [v for v, x in enumerate(trail) if x]
-    if len(set(ps) | set(qs)) > _SPLIT_MAX_VARS:
-        return None
-    factors = []
-    for (p, q), c in product(_binomial_supports(len(lead), ps, qs), (1, -1)):
-        if len(f) == 1 or (len(f) == 2 and max(lead + trail) == 1):
-            break
-        m = 0
-        while (all(x <= y for x, y in zip(p, lead))
-               and all(x <= y for x, y in zip(q, trail))
-               and _binomial_divides(f, p, q, c)):
-            f = _d_divexact(f, {p: 1, q: -c})
-            lead, trail = next(iter(f)), next(reversed(f))
-            m += 1
-        if m:
-            factors.append(((p, q, c), m))
-    if len(f) == 2 and max(lead + trail) == 1:
-        # no factor found so far divides it, so it is a new one
-        factors.append(((lead, trail, -f[trail] // f[lead]), 1))
-    elif len(f) > 1:
-        return None
-    return factors
-
-
-def _binomial_supports(w: int, ps: list[int], qs: list[int]):
-    """0/1 vectors p, q of width w with p inside ps, q inside qs, disjoint,
-    p nonzero and lex above q."""
-    for r in range(1, len(ps) + 1):
-        for pset in combinations(ps, r):
-            p = tuple(1 if v in pset else 0 for v in range(w))
-            rest = [v for v in qs if v not in pset and v > pset[0]]
-            for s in range(len(rest) + 1):
-                for qset in combinations(rest, s):
-                    yield p, tuple(1 if v in qset else 0 for v in range(w))
-
-
-def _binomial_divides(f: _Dict, p: Exps, q: Exps, c: int) -> bool:
-    """Whether x^p - c*x^q divides f, by substituting x^p = c*x^q.
-
-    With j the first variable of p and d = p - q (so d_j = 1), the monomial
-    x^e becomes c^(e_j) x^(e - e_j*d), whose j-th exponent is 0; those
-    monomials are independent modulo the binomial, so it divides f exactly
-    when every class sums to zero.  A binomial without monomial content
-    divides f in the polynomial ring as soon as it does in the Laurent ring.
-    """
-    j = p.index(1)
-    # quick necessary condition: f vanishes at x_j = c, all else 1, a point
-    # on the binomial's zero set
-    if c > 0:
-        if sum(f.values()):
-            return False
-    elif sum(-a if e[j] & 1 else a for e, a in f.items()):
-        return False
-    d = tuple(x - y for x, y in zip(p, q))
-    acc: _Dict = {}
-    for e, a in f.items():
-        k = e[j]
-        if k:
-            e = tuple(x - k * y for x, y in zip(e, d))
-            if c < 0 and k & 1:
-                a = -a
-        acc[e] = acc.get(e, 0) + a
-    return not any(acc.values())
 
 
 def _ig_gcd(a: _Dict, b: _Dict) -> _Dict:
@@ -892,7 +1089,7 @@ def _xi_adic(h: _Dict, v: int, xi: int) -> _Dict:
 
 def _divides(a: _Dict, h: _Dict) -> bool:
     try:
-        _d_divexact(a, h)
+        _t_divexact(a, h)
     except InternalInvariantError:
         return False
     return True
@@ -911,8 +1108,8 @@ def _ig_prs_fallback(a: _Dict, b: _Dict) -> _Dict:
     # main variable: smallest combined degree keeps remainders small
     v = min(both, key=lambda i: _d_deg(a, i) + _d_deg(b, i))
     ca, cb = _ig_content(a, v), _ig_content(b, v)
-    pg = _ig_prs_gcd(_d_divexact(a, ca), _d_divexact(b, cb), v)
-    g = _ig_primitive(_d_mul(_ig_gcd(ca, cb), pg))
+    pg = _ig_prs_gcd(_t_divexact(a, ca), _t_divexact(b, cb), v)
+    g = _ig_primitive(_t_mul(_ig_gcd(ca, cb), pg))
     # safety net: a gcd must divide both inputs
     if not (_divides(a, g) and _divides(b, g)):
         raise InternalInvariantError("PRS produced a non-divisor; gcd bug")
@@ -942,11 +1139,11 @@ def _ig_prs_gcd(f: _Dict, g: _Dict, v: int) -> _Dict:
             # psi = (-lc)^delta_prev / psi^(delta_prev - 1)
             num = _d_pow(_d_neg(lc_prev), delta_prev, w)
             if delta_prev >= 1:
-                psi = _d_divexact(num, _d_pow(psi, delta_prev - 1, w))
+                psi = _t_divexact(num, _d_pow(psi, delta_prev - 1, w))
             else:
-                psi = _d_mul(num, _d_pow(psi, 1 - delta_prev, w))
-            beta = _d_neg(_d_mul(lc_prev, _d_pow(psi, delta, w)))
-        rem = _d_divexact(rem, beta)
+                psi = _t_mul(num, _d_pow(psi, 1 - delta_prev, w))
+            beta = _d_neg(_t_mul(lc_prev, _d_pow(psi, delta, w)))
+        rem = _t_divexact(rem, beta)
         delta_prev = delta
         r_prev, r_cur = r_cur, rem
         d_new = _d_deg(r_cur, v)
@@ -956,7 +1153,7 @@ def _ig_prs_gcd(f: _Dict, g: _Dict, v: int) -> _Dict:
     if _d_deg(r_cur, v) == 0:
         return unit
     cont = _ig_content(r_cur, v)
-    return _d_divexact(r_cur, cont)
+    return _t_divexact(r_cur, cont)
 
 
 # -- public wrappers ---------------------------------------------------------
@@ -970,9 +1167,10 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """
     if a.table != b.table:
         raise UsageError("operands use different variable tables")
-    da, _ = _d_strip_monomial(dict(a.terms))
-    db, _ = _d_strip_monomial(dict(b.terms))
-    return LaurentPoly(a.table, _d_gcd(da, db), _clean=True)
+    w = len(a.table)
+    da, _ = _d_strip_monomial(_tuples(a.terms, w))
+    db, _ = _d_strip_monomial(_tuples(b.terms, w))
+    return LaurentPoly(a.table, _d_gcd(da, db))
 
 
 def poly_divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -983,13 +1181,16 @@ def poly_divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero(num.table)
-    dn, sn = _d_strip_monomial(num.terms)
-    dd, sd = _d_strip_monomial(den.terms)
+    w = len(num.table)
+    dn, sn = _d_strip(num.terms, w)
+    dd, sd = _d_strip(den.terms, w)
     # divide the primitive integer parts: by Gauss's lemma an exact quotient
     # of primitive polynomials is primitive, with integer coefficients
     ni, di = _integerize(dn), _integerize(dd)
-    q = LaurentPoly(num.table, _d_divexact(ni, di), _clean=True)
+    q = LaurentPoly(num.table, _d_divexact(ni, di, w), _clean=True)
     if ni is not dn or di is not dd:
         e, f = next(iter(dn)), next(iter(dd))
         q = q * (Fraction(dn[e], ni[e]) * Fraction(di[f], dd[f]))
-    return q.shift(tuple(a - b for a, b in zip(sn, sd)))
+    # times x^sn first: that stays within num's exponents, so the guard
+    # bits see only a quotient that itself leaves the range
+    return q._moved(sn)._moved(-sd)

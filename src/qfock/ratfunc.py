@@ -14,14 +14,14 @@ cross-multiplication test.
 Each RatFunc also carries dfac, the factor record of its denominator: a
 sorted tuple of ((p, q, c), m) whose product of binomials (x^p - c*x^q)^m
 is exactly den, or None when den does not split so (the empty tuple for
-den = 1).  The binomials are laurent's: p, q disjoint 0/1 exponent vectors,
-p lex above q, c = +-1.  Each is irreducible, integer-primitive, with lead
-coefficient 1 and no monomial content, so by Gauss's lemma their product
-already is the canonical den.  The record never enters equality, hashing
-or output.  With it, cancellation is trial division by the few known
-factors: in a product a factor of one den can divide only the other num,
-and in a sum only a factor that both dens hold equally often can divide
-the new numerator.  A sum or product with a denominator outside the
+den = 1).  The binomials are laurent's: p, q the packed keys of disjoint
+0/1 exponent vectors, p lex above q, c = +-1.  Each is irreducible,
+integer-primitive, with lead coefficient 1 and no monomial content, so by
+Gauss's lemma their product already is the canonical den.  The record
+never enters equality, hashing or output.  With it, cancellation is trial
+division by the few known factors: in a product a factor of one den can
+divide only the other num, and in a sum only a factor that both dens hold
+equally often can divide the new numerator.  A sum or product with a denominator outside the
 binomial basis goes through the generic constructor, whose one
 multivariate GCD (laurent's heuristic GCD) reduces the cross products.
 """
@@ -42,9 +42,14 @@ from .laurent import (
     _d_divexact,
     _d_gcd,
     _d_mul,
+    _d_strip,
     _d_strip_monomial,
     _ig_primitive,
     _integerize,
+    _layout,
+    _pack,
+    _tuples,
+    _unpack,
     poly_divexact,
 )
 
@@ -71,7 +76,8 @@ class RatFunc:
         if _canonical:
             self.num = num
             self.den = den
-            self.dfac = _split(den.terms) if dfac is _UNSPLIT else dfac
+            self.dfac = (_split(den.terms, len(den.table)) if dfac is _UNSPLIT
+                         else dfac)
             return
         if num.table != den.table:
             raise UsageError("num and den use different variable tables")
@@ -133,21 +139,27 @@ class RatFunc:
         m1, m2 = dict(f1), dict(f2)
         cof1 = tuple((b, m - m1.get(b, 0)) for b, m in f2 if m > m1.get(b, 0))
         cof2 = tuple((b, m - m2.get(b, 0)) for b, m in f1 if m > m2.get(b, 0))
-        t = _times(self.num, cof1) + _times(other.num, cof2)
+        e1 = _expand(self.table, cof1) if cof1 else None
+        t = ((self.num if e1 is None else self.num * e1)
+             + (other.num * _expand(self.table, cof2) if cof2 else other.num))
         if t.is_zero():
             return RatFunc.zero(self.table)
         # a factor held more often by d2 divides n1 (L/d1) but neither n2
         # nor L/d2, so it cannot divide t; only equal holdings can cancel
         shared = tuple((b, m) for b, m in f1 if m2.get(b) == m)
         t, kept = _cancel(t, shared)
-        if kept is shared and not (cof1 and cof2):
-            den, dfac = (other.den, f2) if cof1 else (self.den, f1)
-        else:
+        if kept is not shared:
             # L = d1 (L/d1), less what cancelled
             left = dict(kept)
             dfac = _merge(f1, cof1, tuple((b, left.get(b, 0) - m)
                                           for b, m in shared))
             den = _expand(self.table, dfac)
+        elif not cof1:
+            den, dfac = self.den, f1
+        elif not cof2:
+            den, dfac = other.den, f2
+        else:
+            den, dfac = self.den * e1, _merge(f1, cof1)  # L = d1 (L/d1)
         return RatFunc(t, den, _canonical=True, dfac=dfac)
 
     def __radd__(self, other) -> "RatFunc":
@@ -167,6 +179,13 @@ class RatFunc:
         if self.is_zero() or other.is_zero():
             return RatFunc.zero(self.table)
         f1, f2 = self.dfac, other.dfac
+        # by a constant: only the numerator scales
+        if f2 == () and other.num.is_constant():
+            return RatFunc(self.num * other.num, self.den, _canonical=True,
+                           dfac=f1)
+        if f1 == () and self.num.is_constant():
+            return RatFunc(self.num * other.num, other.den, _canonical=True,
+                           dfac=f2)
         if f1 is None or f2 is None:
             return RatFunc(self.num * other.num, self.den * other.den,
                            dfac=None)
@@ -176,6 +195,8 @@ class RatFunc:
         n2, kept1 = _cancel(other.num, f1)
         if kept1 is f1 and kept2 is f2 and not (f1 and f2):
             den, dfac = (other.den, f2) if f2 else (self.den, f1)
+        elif kept1 is f1 and kept2 is f2:
+            den, dfac = self.den * other.den, _merge(f1, f2)
         else:
             dfac = _merge(kept1, kept2)
             den = _expand(self.table, dfac)
@@ -274,12 +295,11 @@ def _finalize(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentP
     table = num.table
     if num.is_zero():
         return LaurentPoly.zero(table), LaurentPoly.one(table)
-    dd, sd = _d_strip_monomial(den.terms)
+    dd, sd = _d_strip(den.terms, len(table))
     den_p = _ig_primitive(_integerize(dd))
     e = next(iter(dd))
     num = num * Fraction(den_p[e], dd[e])
-    return (num.shift(tuple(-s for s in sd)),
-            LaurentPoly(table, den_p, _clean=True))
+    return num._moved(-sd), LaurentPoly(table, den_p, _clean=True)
 
 
 def _reduce(num: LaurentPoly, den: LaurentPoly, split=_UNSPLIT
@@ -289,33 +309,36 @@ def _reduce(num: LaurentPoly, den: LaurentPoly, split=_UNSPLIT
     split); by default den is split here.  A split den cancels by trial
     division, any other by the GCD."""
     table = num.table
+    w = len(table)
     if num.is_zero():
         return LaurentPoly.zero(table), LaurentPoly.one(table), ()
-    dd, sd = _d_strip_monomial(den.terms)
+    dd, sd = _d_strip(den.terms, w)
     if split is _UNSPLIT:
-        split = _split(dd)
+        split = _split(dd, w)
     if split is not None:
         # den = k * x^sd * (product of split), and that product has lead 1
         num_p, dfac = _cancel(num, split)
         k = dd[max(dd)]
-        if dfac is split and k == 1 and not any(sd):
+        if dfac is split and k == 1 and not sd:
             return num_p, den, dfac
-        num_p = (num_p * Fraction(1, k)).shift(tuple(-s for s in sd))
+        num_p = (num_p * Fraction(1, k))._moved(-sd)
         return num_p, _expand(table, dfac), dfac
-    g = _d_gcd(_d_strip_monomial(num.terms)[0], dd)
-    if g == {(0,) * len(table): 1}:
+    # the generic GCD works on exponent tuples
+    g = _d_gcd(_d_strip_monomial(_tuples(num.terms, w))[0], _tuples(dd, w))
+    if g == {(0,) * w: 1}:
         return (*_finalize(num, den), None)
-    g = LaurentPoly(table, g, _clean=True)
+    g = LaurentPoly(table, g)
     num, den = _finalize(poly_divexact(num, g), poly_divexact(den, g))
-    return num, den, _split(den.terms)  # what is left may split
+    return num, den, _split(den.terms, w)  # what is left may split
 
 
-def _split(p: Mapping) -> Factors | None:
-    """The sorted binomial factors of p (a dict without monomial content)
-    up to a constant, or None when p is not such a product."""
+def _split(p: Mapping, w: int) -> Factors | None:
+    """The sorted binomial factors of p (a packed dict over a table of width
+    w, without monomial content) up to a constant, or None when p is not
+    such a product."""
     if len(p) == 1:
         return ()
-    split = _binomial_split(_integerize(p))
+    split = _binomial_split(_integerize(p), w)
     return None if split is None else tuple(sorted(split))
 
 
@@ -327,16 +350,19 @@ def _cancel(num: LaurentPoly, factors: Factors) -> tuple[LaurentPoly, Factors]:
     if not factors or len(num.terms) == 1:
         return num, factors  # a binomial never divides a monomial
     # the divisibility test takes Laurent exponents; the division does not
+    w = len(num.table)
     f = ints = _integerize(num.terms)
     shift = None
     kept = []
+    values: dict = {}  # f at the +-1 test points, shared by the factors
     for b, m in factors:
         p, q, c = b
         k = 0
-        while k < m and _binomial_divides(f, p, q, c):
+        while k < m and _binomial_divides(f, p, q, c, values):
             if shift is None:
-                f, shift = _d_strip_monomial(f)
-            f = _d_divexact(f, {p: 1, q: -c})
+                f, shift = _d_strip(f, w)
+            f = _d_divexact(f, {p: 1, q: -c}, w)
+            values.clear()
             k += 1
         if k < m:
             kept.append((b, m - k))
@@ -346,21 +372,18 @@ def _cancel(num: LaurentPoly, factors: Factors) -> tuple[LaurentPoly, Factors]:
     if ints is not num.terms:
         e = next(iter(ints))
         quo = quo * Fraction(num.terms[e], ints[e])
-    return quo.shift(shift), tuple(kept)
+    return quo._moved(shift), tuple(kept)
 
 
 def _expand(table: VarTable, factors: Factors) -> LaurentPoly:
     """The product of the binomial factors."""
-    out = {(0,) * len(table): 1}
+    off = _layout(len(table))[0]
+    out = None
     for (p, q, c), m in factors:
         for _ in range(m):
-            out = _d_mul(out, {p: 1, q: -c})
-    return LaurentPoly(table, out, _clean=True)
-
-
-def _times(p: LaurentPoly, factors: Factors) -> LaurentPoly:
-    """p times the product of the binomial factors."""
-    return p * _expand(p.table, factors) if factors else p
+            out = ({p: 1, q: -c} if out is None else
+                   _d_mul(out, {p: 1, q: -c}, off))
+    return LaurentPoly(table, out or {off: 1}, _clean=True)
 
 
 def _merge(*records: Factors) -> Factors:
@@ -374,8 +397,10 @@ def _merge(*records: Factors) -> Factors:
 
 
 def _rename_factors(dfac: Factors, width: int, mapping) -> Factors:
-    """The factor record of a denominator after a renaming that sends
-    variable j to its own variable t raised to s, mapping[j] = ((t, s),).
+    """The factor record of a denominator after a renaming onto a table of
+    the given width that sends variable j to its own variable t raised to
+    s, mapping[j] = ((t, s),), or to 1, mapping[j] = (), when no factor
+    holds it.
 
     x^p - c*x^q becomes y^a - c*y^b up to a monomial, where a collects the
     images of p's variables kept in sign and of q's flipped, and b the
@@ -383,12 +408,15 @@ def _rename_factors(dfac: Factors, width: int, mapping) -> Factors:
     left to the caller's normalization."""
     out = []
     for (p, q, c), m in dfac:
+        p, q = _unpack(p, len(mapping)), _unpack(q, len(mapping))
         a, b = [0] * width, [0] * width
-        for j, ((t, s),) in enumerate(mapping):
+        for j, image in enumerate(mapping):
             if p[j]:
+                (t, s), = image
                 (a if s > 0 else b)[t] = 1
             elif q[j]:
+                (t, s), = image
                 (b if s > 0 else a)[t] = 1
-        a, b = tuple(a), tuple(b)
+        a, b = _pack(a), _pack(b)
         out.append(((a, b, c) if a > b else (b, a, c), m))
     return tuple(sorted(out))

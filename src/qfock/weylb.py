@@ -130,14 +130,13 @@ def weyl_denominator_B(l: int, table: VarTable,
     denominator); variant "plus" uses the permutation sign only (the
     alternant with + entries, used for twisted-trace extraction).
     """
-    if variant not in ("minus", "plus"):
-        raise UsageError(f"unknown denominator variant {variant!r}")
+    minus = _entry_sign(variant) < 0
     zi = _z_vars(table, l, z_indices)
     out = LaurentPoly.zero(table)
     for srho, full_char, perm_sign in weyl_orbit(l):
         exps = {z: int(2 * w) for z, w in zip(zi, srho)}
         out = out + LaurentPoly.monomial(
-            table, exps, full_char if variant == "minus" else perm_sign)
+            table, exps, full_char if minus else perm_sign)
     return out
 
 
@@ -150,10 +149,18 @@ def weyl_denominator_det(l: int, table: VarTable,
     return _alternant_det(table, zi, rho, variant)
 
 
+def _entry_sign(variant: str) -> int:
+    """The sign of z^(-e) in an alternant entry: -1 for the "minus"
+    variant, +1 for "plus"; any other variant is refused."""
+    if variant not in ("minus", "plus"):
+        raise UsageError(f"unknown denominator variant {variant!r}")
+    return -1 if variant == "minus" else 1
+
+
 def _alternant_det(table: VarTable, zi: Sequence[int], exps: Weight,
                    variant: str) -> LaurentPoly:
     """det(z_j^(e_i) -/+ z_j^(-e_i)) over the exponents e of exps."""
-    sign = -1 if variant == "minus" else 1
+    sign = _entry_sign(variant)
     entries = []
     for e in exps:
         e2 = int(2 * e)

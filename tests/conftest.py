@@ -15,7 +15,6 @@ from qfock.laurent import (
     _ig_primitive,
     _ig_prs_fallback,
     _integerize,
-    _whole,
 )
 from qfock.ratfunc import RatFunc
 from qfock.series import HalfSeries
@@ -74,7 +73,7 @@ def subst(self: LaurentPoly, var: int,
         if s not in (1, -1):
             raise UsageError("target exponents must be +1 or -1")
     out: dict[Exps, Fraction] = {}
-    for e, c in self.terms.items():
+    for e, c in self.items():
         ne = list(e)
         ev = ne[var]
         ne[var] = 0
@@ -86,7 +85,7 @@ def subst(self: LaurentPoly, var: int,
             out[ne] = s2
         else:
             out.pop(ne, None)
-    return LaurentPoly(self.table, _whole(out), _clean=True)
+    return LaurentPoly(self.table, out)  # normalizes
 
 
 def scratch_subst(series: HalfSeries, table: VarTable,
@@ -108,7 +107,7 @@ def distribute(p: LaurentPoly, table: VarTable,
                arg: Sequence[tuple[int, int]]) -> LaurentPoly:
     terms: dict[tuple[int, ...], int | Fraction] = {}
     w = len(table)
-    for e, c in p.terms.items():
+    for e, c in p.items():
         ne = [0] * w
         for i, s in arg:
             ne[i] = e[0] * s

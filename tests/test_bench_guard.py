@@ -11,6 +11,7 @@ only when the benchmark runs.
 """
 
 import ast
+import importlib.util
 import json
 import subprocess
 import sys
@@ -19,7 +20,9 @@ from pathlib import Path
 import pytest
 
 from conftest import CACHES
-from qfock import correlation, special
+from tuple_kernel import _d_mul
+from qfock import correlation, ratfunc, special
+from qfock.laurent import LaurentPoly, VarTable
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -85,3 +88,36 @@ def test_every_module_cache_is_cleared_and_counted():
     assert len(CACHES) == len(caches)
     assert {id(c) for c in CACHES} == {id(c) for c in caches.values()}
     assert _bench_caches() == set(caches)
+
+
+def _tracing():
+    """bench/tracing.py, loaded from its file; nothing under bench/ runs
+    or is written."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracing_counters_read_the_kernel_types():
+    """The traced counters read LaurentPoly.terms (its length) and the
+    result keys of ratfunc._d_gcd (exponent tuples).  No workload reaches
+    _d_gcd, so only this test would see a change of either."""
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tab = VarTable.make(2)
+    a = LaurentPoly(tab, {(1, 0): 1, (0, 1): -2, (0, 0): 3})
+    b = LaurentPoly(tab, {(1, 1): 1, (0, 0): -1})
+    tracing._term_products(tracer, (a, b), a * b)
+    tracing._term_products(tracer, (b, 3), b * 3)
+    assert tracer.counters["laurent.mul.term_products"] == 3 * 2 + 2
+    shared = {(1, 1): 1, (0, 0): -1}                  # x y - 1
+    x2, y3 = {(1, 0): 1, (0, 0): 2}, {(0, 1): 1, (0, 0): 3}
+    pair = _d_mul(shared, x2), _d_mul(shared, y3)
+    g = ratfunc._d_gcd(*pair)
+    assert g == shared
+    tracing._trivial_dict_gcd(tracer, pair, g)
+    assert tracer.counters["laurent.gcd.trivial"] == 0
+    tracing._trivial_dict_gcd(tracer, (x2, y3), ratfunc._d_gcd(x2, y3))
+    assert tracer.counters["laurent.gcd.trivial"] == 1

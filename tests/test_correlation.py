@@ -8,7 +8,8 @@ import pytest
 from conftest import CACHES, clear_caches
 from qfock import correlation, laurent, ratfunc, special
 from qfock.cli import series_to_json
-from qfock.laurent import EvaluationPointError, LaurentPoly, UsageError, VarTable
+from qfock.laurent import (EvaluationPointError, LaurentPoly, UsageError,
+                           VarTable, _unpack)
 from qfock.ratfunc import RatFunc
 from qfock.series import HalfSeries
 from qfock.qdim import q_minus, q_plus, qdim_irreducible
@@ -319,6 +320,7 @@ class TestEvalAtRemovableSingularities:
         for _, c in f_bo(m, trunc2).items():
             assert c.dfac is not None
             for (p, q, _sign), _mult in c.dfac:
+                p, q = _unpack(p, m), _unpack(q, m)
                 assert sum(p) == 1 and not any(q), (p, q)
 
 

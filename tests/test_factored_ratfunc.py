@@ -18,14 +18,14 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import distribute, prs_gcd, subst  # noqa: E402
+from tuple_kernel import _d_divexact, _d_mul  # noqa: E402
 from qfock import special  # noqa: E402
 
 from qfock.laurent import (  # noqa: E402
     LaurentPoly,
     VarTable,
-    _d_divexact,
-    _d_mul,
     _d_strip_monomial,
+    _pack,
 )
 from qfock.ratfunc import (  # noqa: E402
     RatFunc,
@@ -117,8 +117,8 @@ def _prs_canonical(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
     """num/den in canonical form through the PRS gcd alone."""
     if num.is_zero():
         return RatFunc.zero(TAB)
-    dn, sn = _d_strip_monomial(num.terms)
-    dd, sd = _d_strip_monomial(den.terms)
+    dn, sn = _d_strip_monomial(dict(num.items()))
+    dd, sd = _d_strip_monomial(dict(den.items()))
     g = prs_gcd(dn, dd)
     den_p = LaurentPoly(TAB, _d_divexact(dd, g))
     scale = _normalizing_scale(den_p)
@@ -130,7 +130,7 @@ def _prs_canonical(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
 def _to_sympy(p: LaurentPoly):
     """(sympy Poly, shift) with p = Poly * x^shift and Poly free of
     monomial content."""
-    d, shift = _d_strip_monomial(p.terms)
+    d, shift = _d_strip_monomial(dict(p.items()))
     poly = sympy.Poly.from_dict(
         {e: sympy.Rational(c.numerator, c.denominator) for e, c in d.items()},
         *GENS, domain="QQ")
@@ -141,10 +141,10 @@ def _check_record(r: RatFunc) -> None:
     """dfac multiplies out to den, and is None only when den does not
     split."""
     if r.dfac is None:
-        assert _split(r.den.terms) is None
+        assert _split(r.den.terms, len(r.table)) is None
     else:
         assert _expand(r.table, r.dfac) == r.den
-        assert r.dfac == _split(r.den.terms)
+        assert r.dfac == _split(r.den.terms, len(r.table))
 
 
 def _check(result: RatFunc, num: LaurentPoly, den: LaurentPoly) -> None:
@@ -212,7 +212,7 @@ def test_non_splitting_denominator_has_no_record():
     assert r.dfac is None
     # cancelling the outside factor leaves a denominator that splits
     s = r * RatFunc(LaurentPoly(TAB, NON_BINOMIAL[1]))
-    assert s.dfac == ((((1, 1, 0), (0, 0, 0), 1), 1),)
+    assert s.dfac == (((_pack((1, 1, 0)), _pack((0, 0, 0)), 1), 1),)
     _check_record(s)
 
 
@@ -311,11 +311,10 @@ def monomial_maps(draw):
 
 def _mapped(p: LaurentPoly, mapping) -> LaurentPoly:
     """p under the monomial map, by one subst per source variable."""
-    q = LaurentPoly(BOTH, {e + (0,) * len(WIDE): c
-                           for e, c in p.terms.items()})
+    q = LaurentPoly(BOTH, {e + (0,) * len(WIDE): c for e, c in p.items()})
     for j, image in enumerate(mapping):
         q = subst(q, j, [(WIDTH + t, s) for t, s in image])
-    return LaurentPoly(WIDE, {e[WIDTH:]: c for e, c in q.terms.items()})
+    return LaurentPoly(WIDE, {e[WIDTH:]: c for e, c in q.items()})
 
 
 @SETTINGS

@@ -320,7 +320,7 @@ class TestTraces:
         tab = VarTable.make(1, 1)
         tr = plain_trace(SP1, 4, tab, (0,), z_indices=(1,))
         for _, c in tr.items():
-            assert all(e[1] % 2 == 0 for e in c.num.terms)
+            assert all(e[1] % 2 == 0 for e, _ in c.num.items())
 
     @pytest.mark.parametrize("space", [SP0, SP1, PAIR],
                              ids=["neutral", "pair+neutral", "pairs-only"])
@@ -468,12 +468,12 @@ def _rf_z_coefficient(rf: RatFunc, z_exps: Mapping[int, int],
         raise InternalInvariantError("denominator involves charge variables")
     keep = [i for i in range(len(rf.table)) if i not in z_set]
     num_terms = {}
-    for e, c in rf.num.terms.items():
+    for e, c in rf.num.items():
         if all(e[i] == z_exps.get(i, 0) for i in z_set):
             num_terms[tuple(e[i] for i in keep)] = c
-    num = LaurentPoly(out_table, num_terms, _clean=True)
-    den_terms = {tuple(e[i] for i in keep): c for e, c in rf.den.terms.items()}
-    den = LaurentPoly(out_table, den_terms, _clean=True)
+    num = LaurentPoly(out_table, num_terms)
+    den_terms = {tuple(e[i] for i in keep): c for e, c in rf.den.items()}
+    den = LaurentPoly(out_table, den_terms)
     return RatFunc(num, den, _canonical=True)
 
 
@@ -546,7 +546,8 @@ class TestExtractionWithoutTheProduct:
                                    for v in c.num.terms.values())
                         # the factor record mapped over from the trace is
                         # the one a fresh split of the denominator gives
-                        assert c.dfac == _split(c.den.terms), (l, lam)
+                        assert c.dfac == _split(c.den.terms, len(c.table)), \
+                            (l, lam)
                         records += bool(c.dfac)
                     compared += 1
         # 10 traces per l (plain and signed; n = 0 symbolic, n = 1, 2 both

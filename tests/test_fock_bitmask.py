@@ -313,7 +313,7 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
     for e2, level in sums.items():
         c = RatFunc.zero(out_table)
         for key, weight in level.items():
-            c = c + weight * LaurentPoly(out_table, {key: 1}, _clean=True)
+            c = c + weight * LaurentPoly(out_table, {key: 1})
         if c:
             terms[e2] = c
     return HalfSeries(out_table, trunc2, terms, _clean=True)

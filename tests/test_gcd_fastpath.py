@@ -19,17 +19,18 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import prs_gcd  # noqa: E402
+from tuple_kernel import _d_mul  # noqa: E402
 from qfock import laurent  # noqa: E402
 from qfock.laurent import (  # noqa: E402
     InternalInvariantError,
     LaurentPoly,
     VarTable,
     _binomial_split,
-    _d_divexact,
     _d_gcd,
-    _d_mul,
     _d_strip_monomial,
     _integerize,
+    _packed,
+    _t_divexact,
     poly_gcd,
 )
 
@@ -109,7 +110,7 @@ def test_shared_factors_with_multiplicity(split, cof_a, cof_b):
     assert g == prs_gcd(a, b)
     _assert_matches_sympy(g, a, b)
     stripped, _ = _d_strip_monomial(_integerize(den))
-    assert _binomial_split(stripped) is not None
+    assert _binomial_split(_packed(stripped), WIDTH) is not None
 
 
 NON_BINOMIAL = (
@@ -127,7 +128,7 @@ def test_non_binomial_factor_falls_back(split_a, split_b, extra_a, extra_b):
     a = _d_mul(split_a[0], extra_a)
     b = _d_mul(split_b[0], extra_b)
     ia, _ = _d_strip_monomial(_integerize(a))
-    assert _binomial_split(ia) is None
+    assert _binomial_split(_packed(ia), WIDTH) is None
     g = _d_gcd(a, b)
     assert g == prs_gcd(a, b)
     _assert_matches_sympy(g, a, b)
@@ -140,7 +141,7 @@ def test_heap_division_matches_sympy(split, cof):
     num = _d_mul(den, cof)
     q, r = sympy.div(_to_sympy(num), _to_sympy(den))
     assert r.is_zero
-    got = _d_divexact(*(_d_strip_monomial(x)[0] for x in (num, den)))
+    got = _t_divexact(*(_d_strip_monomial(x)[0] for x in (num, den)))
     shift = tuple(x - y for x, y in zip(_d_strip_monomial(num)[1],
                                         _d_strip_monomial(den)[1]))
     assert _to_sympy(_d_mul(got, {shift: 1})) == q
@@ -160,18 +161,18 @@ def test_heap_division_raises_on_remainder(split, cof):
     _, r = sympy.div(_to_sympy(num), _to_sympy(den))
     assert not r.is_zero
     with pytest.raises(InternalInvariantError):
-        _d_divexact(num, den)
+        _t_divexact(num, den)
 
 
 def test_division_raises_on_non_exact_examples():
     with pytest.raises(InternalInvariantError):
-        _d_divexact({(2,): 1, (0,): 1}, {(1,): 1, (0,): -1})
+        _t_divexact({(2,): 1, (0,): 1}, {(1,): 1, (0,): -1})
     with pytest.raises(InternalInvariantError):
-        _d_divexact({(1,): 3}, {(1,): 2})  # integer coefficients stay exact
+        _t_divexact({(1,): 3}, {(1,): 2})  # integer coefficients stay exact
     with pytest.raises(InternalInvariantError):
-        _d_divexact({(1, 0): 1}, {(0, 1): 1})
+        _t_divexact({(1, 0): 1}, {(0, 1): 1})
     with pytest.raises(ZeroDivisionError):
-        _d_divexact({(1,): 1}, {})
+        _t_divexact({(1,): 1}, {})
 
 
 def test_laurent_shifts_through_poly_gcd():
@@ -200,7 +201,7 @@ def test_more_variables_than_the_split_bound_fall_back():
     wide = (1,) * 6  # u1...u6 - 1: 3^6 - 1 candidates, past the bound
     b = {wide: 1, (0,) * 6: -1}
     a = _d_mul(b, {(1, 0, 0, 0, 0, 0): 1, (0,) * 6: 2})
-    assert _binomial_split(b) is None
+    assert _binomial_split(_packed(b), 6) is None
     assert _d_gcd(a, b) == b
 
 
@@ -235,9 +236,9 @@ def test_gcd_outside_the_binomial_basis(shared, cof_a, cof_b, extra_a,
                                         extra_b, shift):
     a, b = _outside_pair(shared, cof_a, cof_b, extra_a, extra_b)
     g = poly_gcd(a, b)
-    da, db = (_d_strip_monomial(p.terms)[0] for p in (a, b))
-    assert g.terms == _d_gcd(da, db) == prs_gcd(da, db)
-    _assert_matches_sympy(g.terms, da, db)
+    da, db = (_d_strip_monomial(dict(p.items()))[0] for p in (a, b))
+    assert dict(g.items()) == _d_gcd(da, db) == prs_gcd(da, db)
+    _assert_matches_sympy(dict(g.items()), da, db)
     assert poly_gcd(a.shift(shift), b) == poly_gcd(a, b.shift(shift)) == g
 
 
@@ -254,7 +255,7 @@ def _random_outside_pairs(n):
     for _ in range(n):
         a, b = _outside_pair(poly(3), poly(1), poly(1),
                              rng.choice(NON_BINOMIAL), rng.choice(NON_BINOMIAL))
-        yield tuple(_d_strip_monomial(p.terms)[0] for p in (a, b))
+        yield tuple(_d_strip_monomial(dict(p.items()))[0] for p in (a, b))
 
 
 def test_prs_answers_when_the_heuristic_gives_up(monkeypatch):

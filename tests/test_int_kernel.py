@@ -29,6 +29,8 @@ from qfock.laurent import (  # noqa: E402
     LaurentPoly,
     VarTable,
     _d_divexact,
+    _packed,
+    _tuples,
     poly_divexact,
     poly_gcd,
 )
@@ -127,12 +129,15 @@ def test_every_ratfunc_coefficient_is_int_or_proper_fraction(run, monkeypatch):
 
 def test_divexact_over_q_on_mixed_coefficients():
     # (x + 1/2) / (2x + 1) = 1/2: an int step whose quotient is not integral
+    def divexact(num, den):
+        return _tuples(_d_divexact(_packed(num), _packed(den), 1), 1)
+
     num = {(1,): 1, (0,): Fraction(1, 2)}
-    assert _d_divexact(num, {(1,): 2, (0,): 1}) == {(0,): Fraction(1, 2)}
-    assert _d_divexact({(1,): Fraction(1, 2), (0,): 1}, {(1,): 1, (0,): 2}) \
+    assert divexact(num, {(1,): 2, (0,): 1}) == {(0,): Fraction(1, 2)}
+    assert divexact({(1,): Fraction(1, 2), (0,): 1}, {(1,): 1, (0,): 2}) \
         == {(0,): Fraction(1, 2)}
     with pytest.raises(InternalInvariantError):
-        _d_divexact({(2,): 1, (0,): Fraction(1, 2)}, {(1,): 1, (0,): -1})
+        divexact({(2,): 1, (0,): Fraction(1, 2)}, {(1,): 1, (0,): -1})
 
 
 def test_constant_value_of_int_constants_is_a_fraction():

@@ -14,7 +14,7 @@ import pytest
 from conftest import clear_caches
 from qfock.cli import series_to_json
 from qfock.correlation import d_sum_function
-from qfock.laurent import LaurentPoly, _d_strip_monomial, poly_gcd
+from qfock.laurent import LaurentPoly, _d_strip, poly_gcd
 from qfock.qdim import qdim_irreducible
 from qfock.ratfunc import RatFunc, _finalize, _merge, _split
 from qfock.series import HalfSeries
@@ -54,7 +54,8 @@ def polynomial_numerator_inverse(self: HalfSeries) -> HalfSeries:
 
         # A_0's binomial factors, split once: each C_k / A_0^(k+1) then
         # cancels by trial division against them
-        split = _split(_d_strip_monomial(a0.terms)[0])
+        w = len(a0.table)
+        split = _split(_d_strip(a0.terms, w)[0], w)
 
         def over_a0pow(num: LaurentPoly, k: int) -> RatFunc:
             if split is not None:

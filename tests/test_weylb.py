@@ -11,6 +11,7 @@ from qfock.ratfunc import RatFunc
 from qfock.weylb import (
     BLabel,
     char_B,
+    char_numerator_B,
     check_partition,
     rho_B,
     sign_vectors,
@@ -86,6 +87,17 @@ class TestDenominator:
         zi = LaurentPoly.monomial(t, {0: -1})
         assert weyl_denominator_B(1, t) == z - zi
         assert weyl_denominator_B(1, t, variant="plus") == z + zi
+
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_every_alternant_refuses_an_unknown_variant(self, l):
+        # the determinant forms once read any variant but "minus" as "plus"
+        t = VarTable.make(0, l)
+        for build in (lambda: weyl_denominator_B(l, t, variant="mnius"),
+                      lambda: weyl_denominator_det(l, t, variant="mnius"),
+                      lambda: char_numerator_B((1,) if l else (), l, t,
+                                               variant="mnius")):
+            with pytest.raises(UsageError, match="mnius"):
+                build()
 
     @pytest.mark.parametrize("l", [0, 1, 2, 3])
     def test_det_equals_group_sum(self, l):
