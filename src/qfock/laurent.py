@@ -96,6 +96,8 @@ class VarTable:
         for k in self.kinds:
             if k not in (T_KIND, Z_KIND):
                 raise UsageError(f"unknown variable kind {k!r}")
+        # the packed monomial layout of this width, (OFF, shifts)
+        object.__setattr__(self, "packing", _layout(len(self.names)))
 
     @classmethod
     def make(cls, n_t: int, n_z: int = 0) -> "VarTable":
@@ -106,6 +108,7 @@ class VarTable:
 
     def __len__(self) -> int:
         return len(self.names)
+
 
     def index(self, name: str) -> int:
         try:
@@ -269,7 +272,7 @@ class LaurentPoly:
         c = _coef(c)
         if c == 0:
             return cls.zero(table)
-        return cls(table, {_layout(len(table))[0]: c}, _clean=True)
+        return cls(table, {table.packing[0]: c}, _clean=True)
 
     @classmethod
     def one(cls, table: VarTable) -> "LaurentPoly":
@@ -293,26 +296,26 @@ class LaurentPoly:
 
     def is_one(self) -> bool:
         return (len(self.terms) == 1
-                and self.terms.get(_layout(len(self.table))[0]) == ONE)
+                and self.terms.get(self.table.packing[0]) == ONE)
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and
-                                  _layout(len(self.table))[0] in self.terms)
+                                  self.table.packing[0] in self.terms)
 
     def constant_value(self) -> Coeff:
         if not self.is_constant():
             raise UsageError("not a constant polynomial")
-        return self.terms.get(_layout(len(self.table))[0], ZERO)
+        return self.terms.get(self.table.packing[0], ZERO)
 
     def variables_used(self) -> tuple[int, ...]:
-        off, shifts = _layout(len(self.table))
+        off, shifts = self.table.packing
         used = reduce(or_, (k ^ off for k in self.terms), 0)
         return tuple(i for i, s in enumerate(shifts) if used >> s & _MASK)
 
     def items(self) -> list[tuple[Exps, Coeff]]:
         """The (exponent tuple, coefficient) pairs, in lex order of the
         exponents."""
-        shifts = _layout(len(self.table))[1]
+        shifts = self.table.packing[1]
         return [(tuple((k >> s & _MASK) - _H for s in shifts), c)
                 for k, c in sorted(self.terms.items())]
 
@@ -340,7 +343,7 @@ class LaurentPoly:
             return self._moved(0, c) if c else LaurentPoly.zero(self.table)
         self._check(other)
         p, m = (other, self) if len(self.terms) == 1 else (self, other)
-        off = _layout(len(self.table))[0]
+        off = self.table.packing[0]
         if len(m.terms) == 1:
             # by a monomial: a scalar, or a shift of every key
             (k, c), = m.terms.items()
@@ -356,7 +359,7 @@ class LaurentPoly:
         if d:
             terms = ({k + d: v for k, v in self.terms.items()} if c == 1 else
                      _whole({k + d: v * c for k, v in self.terms.items()}))
-            _checked(terms, _layout(len(self.table))[0])
+            _checked(terms, self.table.packing[0])
         elif c == 1:
             return self  # nothing mutates .terms in place
         else:
@@ -367,7 +370,7 @@ class LaurentPoly:
         """Multiply by the monomial with the given (doubled) exponents."""
         if len(exps) != len(self.table):
             raise UsageError("shift needs one exponent per table variable")
-        return self._moved(_pack(exps) - _layout(len(self.table))[0])
+        return self._moved(_pack(exps) - self.table.packing[0])
 
     # -- the t d/dt operator ------------------------------------------------
 
@@ -379,7 +382,7 @@ class LaurentPoly:
         """
         if self.table.kinds[var] != T_KIND:
             raise UsageError("tddt applies to t-type variables only")
-        s = _layout(len(self.table))[1][var]
+        s = self.table.packing[1][var]
         out: dict[int, Coeff] = {}
         for key, c in self.terms.items():
             k = (key >> s & _MASK) - _H
@@ -406,7 +409,7 @@ class LaurentPoly:
         images = self.table.drop_images(assignment)
         if len(new_table) != sum(map(bool, images)):
             raise UsageError("new_table must hold the unassigned variables")
-        shifts = _layout(len(self.table))[1]
+        shifts = self.table.packing[1]
         # each variable's powers, once per call: with v = a/b and lo, hi
         # the least and greatest exponent of v in use, v^k is the integer
         # a^(k-lo) * b^(hi-k) times a^lo / b^hi, so every term takes integer
@@ -430,6 +433,8 @@ class LaurentPoly:
             for s, pw in powers:
                 c *= pw[k >> s & _MASK]
             terms[k] = c
+        if not len(new_table):  # a number: no renaming needed to sum it
+            return LaurentPoly.const(new_table, sum(terms.values()) * scale)
         return LaurentPoly(self.table, _whole(terms), _clean=True
                            ).rename_signed(new_table, images) * scale
 
@@ -442,7 +447,7 @@ class LaurentPoly:
         exponent e of variable j adds e*sign to each target's exponent."""
         if len(mapping) != len(self.table):
             raise UsageError("mapping must cover every source variable")
-        noff, nshifts = _layout(len(new_table))
+        noff, nshifts = new_table.packing
         out: dict[int, Coeff] = {}
         targets = [t for image in mapping for t, _ in image]
         if (len(set(targets)) < len(targets)
@@ -464,7 +469,7 @@ class LaurentPoly:
         # a target field sums at most two exponents, in (-2^15, 2^15], so
         # its guard bit is set whenever the sum leaves the range
         moves = []
-        for s, image in zip(_layout(len(self.table))[1], mapping):
+        for s, image in zip(self.table.packing[1], mapping):
             d = sum(sgn * (1 << nshifts[tgt]) for tgt, sgn in image)
             if d:
                 moves.append((s, d))

@@ -46,7 +46,6 @@ from .laurent import (
     _d_strip_monomial,
     _ig_primitive,
     _integerize,
-    _layout,
     _pack,
     _tuples,
     _unpack,
@@ -377,7 +376,7 @@ def _cancel(num: LaurentPoly, factors: Factors) -> tuple[LaurentPoly, Factors]:
 
 def _expand(table: VarTable, factors: Factors) -> LaurentPoly:
     """The product of the binomial factors."""
-    off = _layout(len(table))[0]
+    off = table.packing[0]
     out = None
     for (p, q, c), m in factors:
         for _ in range(m):
