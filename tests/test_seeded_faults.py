@@ -20,6 +20,7 @@ import pytest
 from conftest import clear_caches
 import test_fock
 from qfock import correlation, fock, special, verify, weylb
+from qfock.series import HalfSeries
 
 
 def _central_zeroed(mp):
@@ -97,6 +98,45 @@ def _extraction_variant_swapped(mp):
                extract(trace, lam, l, zi, swap[den]))
 
 
+def _holes_counted_positive(mp):
+    """Each pair's charge counted as particles plus holes, not minus."""
+    mp.setattr(fock, "charges", lambda state, space: tuple(
+        state[2 * p].bit_count() + state[2 * p + 1].bit_count()
+        for p in range(space.pairs)))
+
+
+def _integer_energies(mp):
+    """Each occupied mode's energy counted as (m2 + 1)/2, not m2/2."""
+    mode_sets = fock._distinct_mode_sets
+    mp.setattr(fock, "_distinct_mode_sets", lambda max2: [
+        (mask, e2 + mask.bit_count()) for mask, e2 in mode_sets(max2)])
+
+
+def _f_bo_link_sign_dropped(mp):
+    """F_bo's link sign (-1)^(k-1) dropped: Theta^(k) negated at even k >= 2,
+    where only f_bo's recursion asks for it."""
+    theta_deriv = special.theta_deriv
+
+    def patched(table, trunc2, k, arg):
+        out = theta_deriv(table, trunc2, k, arg)
+        return -out if k and k % 2 == 0 else out
+    mp.setattr(special, "theta_deriv", patched)
+
+
+def _product_truncation_raised(mp):
+    """A series product claims the larger of its two propagated truncations,
+    so the terms it did not compute read as zero."""
+    mul = HalfSeries.__mul__
+
+    def patched(self, other):
+        out = mul(self, other)
+        if not isinstance(other, HalfSeries):
+            return out
+        t2 = max(self.trunc2 + other.floor2(), other.trunc2 + self.floor2())
+        return HalfSeries._of(out.table, t2, out.terms)
+    mp.setattr(HalfSeries, "__mul__", patched)
+
+
 def _flip_sign_dropped(mp):
     """Every anticommutation sign of the mode operators forced to +1."""
     flip = fock._flip
@@ -151,6 +191,24 @@ FAULTS = {
     "extraction denominators swapped": (_extraction_variant_swapped, {
         "main-theorem": (16, "e6deb893211d2bef"),
         "qdim": (16, "d64194fc5351e557"),
+    }),
+    "holes counted as positive charge": (_holes_counted_positive, {
+        "main-theorem": (24, "a5ab8f64ce6cd41b"),
+        "needed": (2, "d4f2bcc32bf88217"),
+        "qdim": (18, "33e4fcc09eb5fc18"),
+    }),
+    "integer mode energies": (_integer_energies, {
+        "vacuum-recursion": (22, "7add6a71b3e00d53"),
+        "onepoint": (2, "bb642eb111e3267a"),
+        "main-theorem": (32, "caf90af72a71c089"),
+        "needed": (2, "d4f2bcc32bf88217"),
+        "qdim": (20, "8ac39920b267d330"),
+    }),
+    "f_bo's link sign dropped at even k": (_f_bo_link_sign_dropped, {
+        "vacuum-recursion": (4, "5cbba533001f3d6d"),
+    }),
+    "series product truncation raised": (_product_truncation_raised, {
+        "qdim": (14, "100a433ba7d799ce"),
     }),
 }
 
