@@ -21,10 +21,9 @@ The diagonal operator inserted in traces acts on a state as
     sum over occupied modes m of (t^m - t^(-m))
       + (2*pairs + neutral) / (t^(1/2) - t^(-1/2)),
 
-assembled here term by term from apply_field so the anticommutation
-bookkeeping is exercised, not assumed.  Over a bound table
-(VarTable.bind) the same operators run with Fraction coefficients in place of
-RatFuncs.
+which apply_D applies term by term, flipping each slot with _flip after one
+shape check: the anticommutation bookkeeping is exercised, not assumed.  Over
+a bound table (VarTable.bind) the operators run with Fractions, not RatFuncs.
 """
 
 from __future__ import annotations
@@ -211,10 +210,11 @@ def apply_D(state: State, space: FockSpace, table: VarTable,
 
     For each occupied slot (fam, m2), two normal-ordered bilinears have
     their annihilator act there: the positive-index term t^(m2/2) and the
-    negative-index one -t^(-m2/2).  Both are the same pair of elementary
-    operators with different coefficients, so the pair is applied once and
-    its image takes both.  Every other bilinear annihilates the state.  The
-    central scalar then adds the input state back.  insertion holds the
+    negative-index one -t^(-m2/2).  Both annihilate the slot and re-create
+    it (psi-/psi+ in a plus family, psi+/psi- in a minus one, phi/phi on the
+    neutral), so the two flips are applied once and their image takes both
+    coefficients.  Every other bilinear annihilates the state.  The central
+    scalar then adds the input state back.  insertion holds the
     coefficients (built here unless given).
     """
     _check_shape(state, space)
@@ -222,24 +222,14 @@ def apply_D(state: State, space: FockSpace, table: VarTable,
         insertion = _Insertion(space, table, t_index)
     out: StateVector = {}
     for fam, mask in enumerate(state):
-        # psi-_k annihilates in a plus family and psi+_{-k} creates there;
-        # the roles swap in a minus family; phi_k, phi_{-k} act on the neutral
-        if fam == 2 * space.pairs:
-            ann, cre = "phi", "phi"
-        else:
-            ann, cre = ("psi+", "psi-") if fam % 2 else ("psi-", "psi+")
         while mask:
             low = mask & -mask
             mask ^= low
             m2 = 2 * low.bit_length() - 1
-            r = apply_field(state, space, ann, fam // 2, m2)
-            if r is not None:
-                s1, st1 = r
-                r = apply_field(st1, space, cre, fam // 2, -m2)
-                if r is not None:
-                    s2, st2 = r
-                    _add_to(out, st2, insertion[m2, s1 * s2])
-                    _add_to(out, st2, insertion[-m2, -s1 * s2])
+            s1, st1 = _flip(state, fam, m2, True)
+            s2, st2 = _flip(st1, fam, m2, False)
+            _add_to(out, st2, insertion[m2, s1 * s2])
+            _add_to(out, st2, insertion[-m2, -s1 * s2])
     _add_to(out, state, insertion.central)
     return out
 
