@@ -231,9 +231,9 @@ def _run_verify(args) -> int:
         elif nm in ("main-theorem",):
             kwargs = {"trunc2": _parse_order(args.order), "mode": args.mode,
                       "seed": args.seed}
-        elif nm in ("needed", "onepoint"):
+        elif nm == "needed":
             kwargs = {"trunc2": _parse_order(args.order)}
-        elif nm == "qdim":
+        elif nm in ("onepoint", "qdim"):
             kwargs = {"trunc2": max(_parse_order(args.order), 2)}
         checks = fn(**kwargs)
         for c in checks:
@@ -301,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="omit the neutral fermion")
     o.add_argument("--z-grading", action="store_true",
                    help="grade by the charge of each pair (one z-variable "
-                        "per pair)")
+                        "per pair); with no pair there is no z-variable, so "
+                        "the output is the ungraded trace")
     o.add_argument("--parity-sign", action="store_true",
                    help="insert (-1)^parity, after any projector; the "
                         "parity counts neutral excitations, or all "

@@ -366,7 +366,8 @@ class TestCommandsAgainstTheLibrary:
          {"trunc2": 2, "mode": "eval", "seed": 5}),
         (("--suite", "needed", "--order", "3/2"), "needed", {"trunc2": 3}),
         (("--suite", "qdim", "--order", "1/2"), "qdim", {"trunc2": 2}),
-    ], ids=["vacuum-recursion", "main-theorem", "needed", "qdim"])
+        (("--suite", "onepoint", "--order", "1/2"), "onepoint", {"trunc2": 2}),
+    ], ids=["vacuum-recursion", "main-theorem", "needed", "qdim", "onepoint"])
     def test_verify_arguments(self, monkeypatch, argv, suite, kwargs):
         fn = verify.SUITES[suite]
         calls = []
