@@ -486,13 +486,6 @@ class LaurentPoly:
 
     # -- ordering helpers -----------------------------------------------------
 
-    def lead(self) -> tuple[Exps, Coeff]:
-        """Lex-leading (exponents, coefficient)."""
-        if not self.terms:
-            raise UsageError("zero polynomial has no leading term")
-        k = max(self.terms)
-        return _unpack(k, len(self.table)), self.terms[k]
-
     # -- equality / display ---------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -117,9 +117,6 @@ class RatFunc:
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
-    def is_poly(self) -> bool:
-        return self.den.is_one()
-
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other) -> "RatFunc":

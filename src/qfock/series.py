@@ -232,11 +232,6 @@ class HalfSeries:
 
     __rmul__ = __mul__
 
-    def shift_q(self, e2: int) -> "HalfSeries":
-        """Multiply by q^(e2/2)."""
-        return HalfSeries(self.table, self.trunc2 + e2,
-                          {e + e2: c for e, c in self.terms.items()}, _clean=True)
-
     def inverse(self) -> "HalfSeries":
         """Multiplicative inverse.
 

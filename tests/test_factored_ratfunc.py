@@ -107,7 +107,7 @@ def _normalizing_scale(p: LaurentPoly) -> Fraction:
     for c in coeffs:
         num_gcd = gcd(num_gcd, c.numerator * (den_lcm // c.denominator))
     scale = Fraction(den_lcm, num_gcd)
-    _, lead = p.lead()
+    _, lead = p.items()[-1]
     if lead * scale < 0:
         scale = -scale
     return scale
