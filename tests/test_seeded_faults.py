@@ -208,7 +208,7 @@ FAULTS = {
         "vacuum-recursion": (4, "5cbba533001f3d6d"),
     }),
     "series product truncation raised": (_product_truncation_raised, {
-        "qdim": (14, "100a433ba7d799ce"),
+        "qdim": (28, "8c8d059c57683833"),
     }),
 }
 
