@@ -96,18 +96,6 @@ def pad_weight(parts: Sequence[int], l: int) -> Weight:
     return t
 
 
-def weyl_charges(lam: Sequence[int], l: int):
-    """Yield (character pair, integer charge vector, doubled q-norm) per
-    Weyl element; charges are the components of lam + rho - sigma(rho)."""
-    lamrho = tuple(a + b for a, b in zip(pad_weight(lam, l), rho_B(l)))
-    for srho, full_char, perm_sign in weyl_orbit(l):
-        mu = tuple(a - b for a, b in zip(lamrho, srho))
-        if any(m.denominator != 1 for m in mu):
-            raise UsageError("charges must be integers")
-        mu_int = tuple(int(m) for m in mu)
-        yield full_char, perm_sign, mu_int, sum(m * m for m in mu_int)
-
-
 def _z_vars(table: VarTable, l: int, z_indices: Sequence[int] | None) -> tuple[int, ...]:
     """The l distinct charge variables (default: every z-variable)."""
     z_indices = table.z_indices() if z_indices is None else tuple(z_indices)

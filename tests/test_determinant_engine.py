@@ -18,10 +18,10 @@ import pytest
 
 from qfock.cli import series_to_json
 from qfock.correlation import _d_function, _vacuum_on, pair_block
-from qfock.laurent import EvaluationPointError, VarTable
+from qfock.laurent import EvaluationPointError, UsageError, VarTable
 from qfock.series import HalfSeries
 from qfock.special import f_bo, qq_inf, theta, theta_deriv
-from qfock.weylb import check_partition, weyl_charges
+from qfock.weylb import check_partition, pad_weight, rho_B, weyl_orbit
 
 
 def _invert_checked(s: HalfSeries) -> HalfSeries:
@@ -79,6 +79,18 @@ def perm_sum_f_bo(n, trunc2, table, t_indices, assignment=None):
                 ev(theta(table, trunc2, arg(sigma[:j]))))
         total = term if total is None else total + term
     return total * ev(qq_inf(table, trunc2)).inverse()
+
+
+def weyl_charges(lam, l):
+    """Yield (character pair, integer charge vector, doubled q-norm) per
+    Weyl element; charges are the components of lam + rho - sigma(rho)."""
+    lamrho = tuple(a + b for a, b in zip(pad_weight(lam, l), rho_B(l)))
+    for srho, full_char, perm_sign in weyl_orbit(l):
+        mu = tuple(a - b for a, b in zip(lamrho, srho))
+        if any(m.denominator != 1 for m in mu):
+            raise UsageError("charges must be integers")
+        mu_int = tuple(int(m) for m in mu)
+        yield full_char, perm_sign, mu_int, sum(m * m for m in mu_int)
 
 
 def weyl_sum_d_function(lam, l, n, trunc2, twisted, structure, table):

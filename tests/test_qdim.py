@@ -1,12 +1,19 @@
-"""q-dimension tests, with an independent partition-counting oracle."""
+"""q-dimension tests, with an independent partition-counting oracle and
+the q-dimensions' own sum over W(B_l) as a reference."""
 
+import json
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
+from qfock.cli import series_to_json
 from qfock.laurent import UsageError, VarTable
-from qfock.weylb import BLabel
+from qfock.series import HalfSeries
+from qfock.special import pochhammer_inf, qq_inf
+from qfock.weylb import BLabel, _det_sector, check_partition
 from qfock.qdim import QDimForm, q_minus, q_plus, qdim_irreducible
+from test_determinant_engine import weyl_charges
 
 TAB = VarTable.make(0)
 
@@ -103,3 +110,66 @@ class TestForms:
     def test_arity_guard(self):
         with pytest.raises(UsageError):
             q_plus((1, 1), 1, 6)
+
+
+# The Weyl-sum form as a sum of its own over W(B_l), with the prefactors
+# written out (the form qdim computed before it became the 0-point function).
+
+def _prefactor(table: VarTable, trunc2: int, twisted: bool,
+               reading: str) -> HalfSeries:
+    sign = 1 if twisted else -1
+    poch = pochhammer_inf(table, trunc2 + 1, 1, coeff=sign)
+    if reading == "corrected":
+        return poch.truncate(trunc2)
+    # as-printed: (sign*q^(-1/2); q)_inf = (1 - sign*q^(-1/2)) * (sign*q^(1/2); q)_inf
+    factor = HalfSeries(table, trunc2 + 1,
+                        {0: 1, -1: Fraction(-sign)}, _clean=False)
+    return (factor * poch).truncate(trunc2)
+
+
+def _qdim(lam: Sequence[int], l: int, trunc2: int, twisted: bool,
+          form: QDimForm, table: VarTable) -> HalfSeries:
+    lam = check_partition(lam, l)
+    pref = _prefactor(table, trunc2, twisted, form.reading)
+    if l:
+        qq_inv = qq_inf(table, trunc2).inverse()
+        for _ in range(l):
+            pref = pref * qq_inv
+    body: dict[int, Fraction] = {}
+    for full_char, perm_char, _mu, nrm2 in weyl_charges(lam, l):
+        if nrm2 > trunc2:
+            continue
+        char = perm_char if (twisted and form.reading == "corrected") \
+            else full_char
+        body[nrm2] = body.get(nrm2, Fraction(0)) + char
+    return pref * HalfSeries(table, trunc2, body)
+
+
+def _bytes(s):
+    return json.dumps(series_to_json(s), sort_keys=True)
+
+
+LAMS = [(), (1,), (2,), (1, 1), (2, 1), (3, 2, 1), (5,)]
+ORDERS = [0, 1, 2, 3, 4, 7, 10]
+
+
+@pytest.mark.parametrize("l", range(4))
+def test_zero_point_function_matches_the_weyl_sum(l):
+    """The Weyl-sum form, computed as the 0-point function, is the group
+    sum byte for byte (truncation order included), in both sectors and both
+    readings; so are both det-sectors of the irreducible."""
+    for lam in (lam for lam in LAMS if len(lam) <= l):
+        for trunc2 in ORDERS:
+            ref = {}
+            for twisted, fn in ((False, q_plus), (True, q_minus)):
+                for reading in ("corrected", "as-printed"):
+                    form = QDimForm("weyl-sum", reading)
+                    want = ref[twisted, reading] = _qdim(
+                        lam, l, trunc2, twisted, form, TAB)
+                    assert _bytes(fn(lam, l, trunc2, form)) == _bytes(want), \
+                        (fn.__name__, lam, trunc2, reading)
+            for det in (False, True):
+                want = _det_sector(ref[False, "corrected"],
+                                   ref[True, "corrected"], det)
+                got = qdim_irreducible(BLabel(lam, det), l, trunc2)
+                assert _bytes(got) == _bytes(want), (lam, trunc2, det)

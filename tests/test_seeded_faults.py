@@ -173,10 +173,11 @@ FAULTS = {
         "vacuum-recursion": (8, "22cad5ef78b8a5a2"),
         "onepoint": (1, "c1eb09e370a79e96"),
         "main-theorem": (32, "caf90af72a71c089"),
+        "qdim": (50, "87c9abd61cc29ed3"),
     }),
     "full character as the permutation sign": (_full_character_dropped, {
         "main-theorem": (12, "35e5decd6016ce91"),
-        "qdim": (8, "45cbed2354686eb8"),
+        "qdim": (8, "06d0a9c0b9346b2c"),
         "weyl-denominator": (3, "edb4a16f3f3afc3d"),
     }),
     "theta_deriv negated at k = 0": (_theta_negated, {
@@ -187,6 +188,7 @@ FAULTS = {
     }),
     "rho_B shifted in the closed forms": (_rho_shifted, {
         "main-theorem": (16, "e6deb893211d2bef"),
+        "qdim": (32, "4367f094866e9527"),
     }),
     "extraction denominators swapped": (_extraction_variant_swapped, {
         "main-theorem": (16, "e6deb893211d2bef"),
@@ -208,7 +210,7 @@ FAULTS = {
         "vacuum-recursion": (4, "5cbba533001f3d6d"),
     }),
     "series product truncation raised": (_product_truncation_raised, {
-        "qdim": (28, "8c8d059c57683833"),
+        "qdim": (14, "100a433ba7d799ce"),
     }),
 }
 
