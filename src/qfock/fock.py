@@ -177,8 +177,7 @@ class _Insertion(dict):
 
     def __init__(self, space: FockSpace, table: VarTable, t_index: int):
         super().__init__()
-        if not (0 <= t_index < len(table) and table.kinds[t_index] == T_KIND):
-            raise UsageError(f"no t-variable at index {t_index}")
+        table.check_vars(T_KIND, (t_index,), 1)
         self.table, self.t_index = table, t_index
         v = self.v = dict(table.values).get(t_index)
         if not table.values:

@@ -122,6 +122,18 @@ class VarTable:
     def z_indices(self) -> tuple[int, ...]:
         return tuple(i for i, k in enumerate(self.kinds) if k == Z_KIND)
 
+    def check_vars(self, kind: str, indices: Sequence[int], n: int) -> tuple[int, ...]:
+        """indices as a tuple; UsageError unless n distinct kind-variables."""
+        indices = tuple(indices)
+        if len(indices) != n:
+            raise UsageError(f"need {n} {kind}-variables, got {len(indices)}")
+        if len(set(indices)) != n:
+            raise UsageError(f"repeated {kind}-variable in {indices}")
+        for i in indices:
+            if not (0 <= i < len(self) and self.kinds[i] == kind):
+                raise UsageError(f"no {kind}-variable at index {i}")
+        return indices
+
     def without(self, indices: Container[int]) -> "VarTable":
         """The unbound table with the variables at the given indices removed
         (the same table when none of them is here)."""
@@ -145,8 +157,7 @@ class VarTable:
         if not point:
             return self
         for i, v in point.items():
-            if not (0 <= i < len(self) and self.kinds[i] == T_KIND):
-                raise UsageError(f"no t-variable at index {i}")
+            self.check_vars(T_KIND, (i,), 1)
             if v == 0:
                 raise EvaluationPointError("square-root values must be nonzero")
         return VarTable(self.names, self.kinds,

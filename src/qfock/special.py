@@ -54,16 +54,8 @@ def _points_of(n: int, table: VarTable | None,
     distinct insertion variables (default: its first n t-variables)."""
     if table is None:
         table = VarTable.make(n, z)
-    t_indices = tuple(table.t_indices()[:n] if t_indices is None
-                      else t_indices)
-    if len(t_indices) != n:
-        raise UsageError(f"need {n} t-variables, got {len(t_indices)}")
-    if len(set(t_indices)) != n:
-        raise UsageError(f"repeated t-variable in {t_indices}")
-    for i in t_indices:
-        if not (0 <= i < len(table) and table.kinds[i] == T_KIND):
-            raise UsageError(f"no t-variable at index {i}")
-    return table, t_indices
+    return table, table.check_vars(
+        T_KIND, table.t_indices()[:n] if t_indices is None else t_indices, n)
 
 
 def theta(table: VarTable, trunc2: int, arg: ThetaArg) -> HalfSeries:

@@ -98,15 +98,8 @@ def pad_weight(parts: Sequence[int], l: int) -> Weight:
 
 def _z_vars(table: VarTable, l: int, z_indices: Sequence[int] | None) -> tuple[int, ...]:
     """The l distinct charge variables (default: every z-variable)."""
-    z_indices = table.z_indices() if z_indices is None else tuple(z_indices)
-    if len(z_indices) != l:
-        raise UsageError(f"need {l} z-variables, got {len(z_indices)}")
-    if len(set(z_indices)) != l:
-        raise UsageError(f"repeated z-variable in {z_indices}")
-    for i in z_indices:
-        if not (0 <= i < len(table) and table.kinds[i] == Z_KIND):
-            raise UsageError(f"no z-variable at index {i}")
-    return z_indices
+    return table.check_vars(
+        Z_KIND, table.z_indices() if z_indices is None else z_indices, l)
 
 
 def weyl_denominator_B(l: int, table: VarTable,
