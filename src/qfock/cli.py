@@ -185,13 +185,15 @@ def _run_compute(args) -> int:
 def _run_qdim(args) -> int:
     trunc2 = _parse_order(args.order)
     lam = _parse_lambda(args.lam)
-    if args.det:
-        s = qdim_irreducible(BLabel(lam, True), args.l, trunc2)
-    elif args.irreducible:
-        s = qdim_irreducible(BLabel(lam, False), args.l, trunc2)
+    if args.det or args.irreducible:
+        if args.sector or args.form or args.reading:
+            raise UsageError("--sector, --form and --reading do not apply to "
+                             "an irreducible q-dimension")
+        s = qdim_irreducible(BLabel(lam, args.det), args.l, trunc2)
     else:
         fn = q_minus if args.sector == "minus" else q_plus
-        s = fn(lam, args.l, trunc2, QDimForm(args.form, args.reading))
+        s = fn(lam, args.l, trunc2,
+               QDimForm(args.form or "weyl-sum", args.reading or "corrected"))
     _emit(args, s)
     return 0
 
@@ -316,15 +318,15 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("qdim", help="graded dimensions")
     q.add_argument("--l", type=_count, default=0)
     q.add_argument("--lambda", dest="lam", default="")
-    q.add_argument("--det", action="store_true",
-                   help="irreducible det-sector dimension")
-    q.add_argument("--irreducible", action="store_true",
-                   help="irreducible plain-sector dimension")
-    q.add_argument("--sector", choices=("plus", "minus"), default="plus")
-    q.add_argument("--form", choices=("weyl-sum", "product"),
-                   default="weyl-sum")
-    q.add_argument("--reading", choices=("corrected", "as-printed"),
-                   default="corrected")
+    irr = q.add_mutually_exclusive_group()
+    irr.add_argument("--det", action="store_true",
+                     help="irreducible det-sector dimension")
+    irr.add_argument("--irreducible", action="store_true",
+                     help="irreducible plain-sector dimension")
+    # not with --det or --irreducible; default plus, weyl-sum, corrected
+    q.add_argument("--sector", choices=("plus", "minus"))
+    q.add_argument("--form", choices=("weyl-sum", "product"))
+    q.add_argument("--reading", choices=("corrected", "as-printed"))
     common(q, with_mode=False)
     q.set_defaults(fn=_run_qdim)
 

@@ -278,6 +278,9 @@ class TestFailureReporting:
         assert verify._cmp("a == b", a, a).line() == "PASS  a == b"
         assert verify._cmp("a == b", a, b).line() == \
             "FAIL  a == b  [q^1/2: (t1)/(t1 - 1) vs -1/2]"
+        # agreeing terms, but a claims one half-step more of them
+        assert verify._cmp("a == b", a, a.truncate(3)).line() == \
+            "FAIL  a == b  [order 2 vs 3/2]"
 
     def test_reading_lines(self):
         a, b = _two_series()
@@ -356,6 +359,21 @@ class TestCommandsAgainstTheLibrary:
                                "--order", "3", flag)
         assert code == 0
         assert out == _json_line(qdim_irreducible(BLabel((2, 1), det), 2, 6))
+
+    @pytest.mark.parametrize("flags", [
+        ("--det", "--irreducible"),
+        ("--det", "--sector", "minus"),
+        ("--det", "--form", "product"),
+        ("--det", "--reading", "as-printed"),
+        ("--irreducible", "--sector", "plus"),
+        ("--irreducible", "--form", "weyl-sum"),
+        ("--irreducible", "--reading", "corrected"),
+    ], ids=" ".join)
+    def test_qdim_irreducible_refuses_sector_options(self, flags):
+        # an irreducible has no sector, form or reading to choose; the
+        # option is refused, not ignored
+        code, out, err = run_cli("qdim", "--l", "1", "--order", "2", *flags)
+        assert code == 2 and not out and err
 
     @pytest.mark.parametrize("argv, suite, kwargs", [
         (("--suite", "vacuum-recursion", "--n", "1", "--order", "1",
