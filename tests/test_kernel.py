@@ -271,6 +271,15 @@ class TestHalfSeries:
         assert p.coeff(0).is_one()
         assert p.coeff(2).is_zero()
         assert p.coeff(4) == RatFunc.const(TAB, -1)
+        # unequal floors, one negative: a product is exact to
+        # min(Na + mb, Nb + ma), where both factors' known terms reach
+        c = {-1: 1, 0: 1}  # 1 + q^(-1/2)
+        d = {2: 1, 3: 2, 4: -1}  # starts at q^1
+        exact = HalfSeries(TAB, 9, c) * HalfSeries(TAB, 9, d)
+        for p in (HalfSeries(TAB, 5, c) * HalfSeries(TAB, 4, d),
+                  HalfSeries(TAB, 4, d) * HalfSeries(TAB, 5, c)):
+            assert p.trunc2 == min(5 + 2, 4 - 1) == 3
+            assert list(p.items()) == list(exact.truncate(3).items())
 
     def test_mul_inv_round_trip(self):
         rng = random.Random(8)
