@@ -4,9 +4,8 @@ computation, most of them against the brute-force Fock oracle.
 Each suite returns a list of Check records; a Check may be a hard assertion
 (passed must be True for the suite to pass) or an informational finding
 (reading selections, first failing coefficients of rejected readings).
-A hard comparison of two series also compares their truncation orders, so
-a series that claims more exact terms than it has fails even where the
-terms both sides hold agree.
+A comparison of two series (_cmp) also compares their truncation orders: a
+series that claims more exact terms than it holds fails.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ def _mismatch_detail(a: HalfSeries, b: HalfSeries) -> str:
 
 
 def _cmp(name: str, a: HalfSeries, b: HalfSeries) -> Check:
-    """a and b agree: the same coefficients and the same truncation order."""
     detail = _mismatch_detail(a, b)
     if not detail and a.trunc2 != b.trunc2:
         detail = (f"order {format_exponent(a.trunc2)} vs "
