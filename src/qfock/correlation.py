@@ -105,15 +105,16 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
     out = HalfSeries.zero(table, trunc2)
     if qexp2 <= trunc2:
         generic = _f_bo_generic(m, trunc2)
+        products = []
         for eps, peps in sign_vectors(m):
             ekey = (table, t_indices, eps, trunc2)
             if ekey not in _fbo_eval_cache:
                 _fbo_eval_cache[ekey] = generic.rename_signed(
                     table, [((i, e),) for i, e in zip(t_indices, eps)])
             exps = {i: 2 * k * e for i, e in zip(t_indices, eps)}
-            out = out + _fbo_eval_cache[ekey].scale(
-                LaurentPoly.monomial(table, exps, peps))
-        out = out * HalfSeries.q_power(table, trunc2, qexp2)
+            products.append((_fbo_eval_cache[ekey], HalfSeries(
+                table, trunc2, {0: LaurentPoly.monomial(table, exps, peps)})))
+        out = out.plus(products) * HalfSeries.q_power(table, trunc2, qexp2)
     _pair_block_cache[key] = out
     return out
 
@@ -146,12 +147,13 @@ def _vacuum_on(table: VarTable, t_indices: tuple[int, ...], trunc2: int,
                               t_indices)
     # half the sum over ordered splits: the splits whose left part holds the
     # first point (odd masks)
-    sub = HalfSeries.zero(table, trunc2)
+    products = []
     for m in range(1, (1 << n) - 1, 2):
         left = tuple(t_indices[i] for i in range(n) if m >> i & 1)
         right = tuple(t_indices[i] for i in range(n) if not m >> i & 1)
-        sub = sub + _vacuum_on(table, left, trunc2, twisted) * \
-            _vacuum_on(table, right, trunc2, twisted)
+        products.append((_vacuum_on(table, left, trunc2, twisted),
+                         _vacuum_on(table, right, trunc2, twisted)))
+    sub = HalfSeries.zero(table, trunc2).plus(products)
     out = (ksum * Fraction(1, 2) - sub) * base.inverse()
     _vacuum_cache[key] = out
     return out
@@ -199,11 +201,10 @@ def fock_trace_closed(n: int, trunc2: int, table: VarTable | None = None,
     """Charge-graded one-pair trace: sum_k z^k q^(k^2/2) (inversion blocks)."""
     table, t_indices = _points_of(n, table, t_indices, z=1)
     z_index, = _z_vars(table, 1, None if z_index is None else (z_index,))
-    acc = HalfSeries.zero(table, trunc2)
-    for k in range(-isqrt(trunc2), isqrt(trunc2) + 1):
-        blk = pair_block(table, t_indices, k, trunc2)
-        acc = acc + blk.scale(LaurentPoly.monomial(table, {z_index: 2 * k}))
-    return acc
+    return HalfSeries.zero(table, trunc2).plus(
+        pair_block(table, t_indices, k, trunc2).scale(
+            LaurentPoly.monomial(table, {z_index: 2 * k}))
+        for k in range(-isqrt(trunc2), isqrt(trunc2) + 1))
 
 
 def fock_trace_at_sign(n: int, trunc2: int, sign: int,
@@ -213,11 +214,10 @@ def fock_trace_at_sign(n: int, trunc2: int, sign: int,
     if sign not in (1, -1):
         raise UsageError("sign must be +1 or -1")
     table, t_indices = _points_of(n, table, t_indices)
-    acc = HalfSeries.zero(table, trunc2)
-    for k in range(-isqrt(trunc2), isqrt(trunc2) + 1):
-        blk = pair_block(table, t_indices, k, trunc2)
-        acc = acc - blk if sign < 0 and k % 2 else acc + blk
-    return acc
+    blocks = ((k, pair_block(table, t_indices, k, trunc2))
+              for k in range(-isqrt(trunc2), isqrt(trunc2) + 1))
+    return HalfSeries.zero(table, trunc2).plus(
+        -blk if sign < 0 and k % 2 else blk for k, blk in blocks)
 
 
 def _d_function(lam: Sequence[int], l: int, n: int, trunc2: int,
@@ -237,52 +237,49 @@ def _d_function(lam: Sequence[int], l: int, n: int, trunc2: int,
     points = [tuple(t_indices[j] for j in range(n) if m >> j & 1)
               for m in range(full + 1)]
 
-    def mul(x: HalfSeries, y: HalfSeries) -> HalfSeries:
-        # factors start at q^0 or later: each needs its terms up to trunc2
-        # minus the other's floor, and the product is exact to trunc2 only
+    zero = HalfSeries.zero(table, trunc2)
+
+    def factors(x: HalfSeries, y: HalfSeries) -> tuple[HalfSeries, ...]:
+        # factors start at q^0 or later: each needs its terms to trunc2 less
+        # the other's floor; the product is exact to trunc2, () when 0 there
         fx, fy = x.floor2(), y.floor2()
         if fx + fy > trunc2:
-            return HalfSeries.zero(table, trunc2)
-        return x.truncate(trunc2 - fy) * y.truncate(trunc2 - fx)
+            return ()
+        return x.truncate(trunc2 - fy), y.truncate(trunc2 - fx)
 
-    def put(f: dict, m: int, x: HalfSeries) -> None:
-        f[m] = f[m] + x if m in f else x
+    def gather(parts) -> dict:
+        # per mask, one n-ary sum of the (mask, series or factors) parts
+        out: dict[int, list] = {}
+        for m, x in parts:
+            out.setdefault(m, []).append(x)
+        return {m: zero.plus(filter(None, xs)) for m, xs in out.items()}
 
     def conv(f: dict, g: dict) -> dict:
-        out: dict[int, HalfSeries] = {}
-        for m1, x in f.items():
-            for m2, y in g.items():
-                if printed or not m1 & m2:
-                    put(out, m1 | m2, mul(x, y))
-        return out
+        return gather((m1 | m2, factors(x, y)) for m1, x in f.items()
+                      for m2, y in g.items() if printed or not m1 & m2)
 
     def add(f: dict, g: dict) -> dict:
-        out = dict(f)
-        for m, y in g.items():
-            put(out, m, y)
-        return out
+        return gather([*f.items(), *g.items()])
 
     def entry(a: int, b: int) -> dict | None:
-        f: dict[int, HalfSeries] = {}
+        parts = []
         for m in [full] if printed else range(full + 1):
             for eps in (1, -1):
                 k = int(lamrho[a] - eps * rho[b])
                 if k * k > trunc2:  # the block starts at q^(k^2/2)
                     continue
                 blk = pair_block(table, points[m], k, trunc2)
-                put(f, m, -blk if eps < 0 and (printed or not twisted)
-                    else blk)
-        return f or None
+                parts.append((m, -blk if eps < 0 and (printed or not twisted)
+                              else blk))
+        return gather(parts) or None
 
     det = _det([[entry(a, b) for b in range(l)] for a in range(l)],
                {0: HalfSeries.one(table, trunc2)}, conv, add,
                lambda f: {m: -x for m, x in f.items()}) or {}
-    acc = HalfSeries.zero(table, trunc2)
-    for m, x in det.items():
-        vac = _vacuum_on(table, points[full if printed else full & ~m],
-                         trunc2, twisted)
-        acc = acc + mul(vac, x)
-    return acc
+    return zero.plus(filter(None, (
+        factors(_vacuum_on(table, points[full if printed else full & ~m],
+                           trunc2, twisted), x)
+        for m, x in det.items())))
 
 
 def d_sum_function(lam: Sequence[int], l: int, n: int, trunc2: int,

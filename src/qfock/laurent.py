@@ -572,9 +572,11 @@ def _d_neg(a: _Dict) -> _Dict:
     return {e: -c for e, c in a.items()}
 
 
-def _d_mul(a: _Dict, b: _Dict, off: int) -> _Dict:
-    """The product of packed dicts over a table whose OFF is off."""
-    out: _Dict = {}
+def _d_mul(a: _Dict, b: _Dict, off: int, out: _Dict | None = None) -> _Dict:
+    """The product of packed dicts over a table whose OFF is off; given out,
+    added to it in place, range unchecked (_checked) and maybe whole."""
+    if out is None:
+        return _checked(_d_mul(a, b, off, {}), off)
     get = out.get
     for k1, c1 in a.items():
         k1 -= off
@@ -585,7 +587,7 @@ def _d_mul(a: _Dict, b: _Dict, off: int) -> _Dict:
                 out[k] = s
             else:
                 del out[k]
-    return _checked(out, off)
+    return out
 
 
 def _d_divexact(num: _Dict, den: _Dict, w: int) -> _Dict:

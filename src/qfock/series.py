@@ -22,25 +22,72 @@ computes at the point with no code of its own.
 Truncation propagates conservatively through multiplication: the product of
 series exact to Na and Nb with supports starting at ma and mb is exact to
 min(Na + mb, Nb + ma), so no retained coefficient is ever approximate.
+
+A sum of series and products (plus; + and * are its two-part cases) puts
+unreduced numerators into one bucket per exponent and denominator factor
+record, and reduces each bucket once by trial division (the GCD without a
+record).  The canonical form is unique and the record exact, so each
+coefficient has the bytes that reducing every product and sum gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .laurent import (
     LaurentPoly,
     UsageError,
     VarTable,
+    _checked,
     _coef,
+    _d_mul,
     _whole,
     format_exponent,
 )
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, _merge
 
 Coeff = RatFunc | int | Fraction
+
+
+def _collect(table: VarTable, t2: int, terms) -> dict[int, Coeff]:
+    """The nonzero coefficients up to q^(t2/2) of the sum of q^(e/2) a*b over
+    terms (e, a, b), b None for a alone; a lone a*b is RatFunc's product."""
+    out: dict[int, Coeff] = {}
+    buckets: dict = {}  # (e, record or den) -> lone (a, b) or [num, den, record]
+    dens: dict = {}  # (records, or dens without both) -> the product's
+    off = table.packing[0]
+    for e, a, b in terms:
+        if e > t2:
+            continue
+        den, dfac = a.den, a.dfac
+        if b is not None:
+            split = dfac is not None and b.dfac is not None
+            key = (dfac, b.dfac) if split else (den, b.den)
+            if key not in dens:
+                dens[key] = den * b.den, _merge(dfac, b.dfac) if split else None
+            den, dfac = dens[key]
+        key = e, den if dfac is None else dfac
+        acc = buckets.get(key)
+        if acc is None:
+            buckets[key] = a, b
+            continue
+        if acc.__class__ is tuple:  # a*b in place, a alone as a*1
+            a1, b1 = acc
+            acc = buckets[key] = [_d_mul(a1.num.terms, b1.num.terms if b1
+                                         else {off: 1}, off, {}), den, dfac]
+        _d_mul(a.num.terms, b.num.terms if b else {off: 1}, off, acc[0])
+    for (e, _), acc in buckets.items():
+        if acc.__class__ is tuple:
+            c = acc[0] if acc[1] is None else acc[0] * acc[1]
+        elif acc[0]:
+            num = _whole(_checked(acc[0], off))  # see laurent._d_mul
+            c = RatFunc(LaurentPoly(table, num, _clean=True), acc[1], dfac=acc[2])
+        else:
+            continue
+        out[e] = out[e] + c if e in out else c
+    return {e: c for e, c in out.items() if c}
 
 
 def _over_lcm(terms: Mapping[int, int | Fraction]) -> tuple[dict[int, int], int]:
@@ -153,19 +200,36 @@ class HalfSeries:
         if not isinstance(other, HalfSeries):
             # a constant lies beyond a series exact only below q^0
             other = HalfSeries(self.table, max(self.trunc2, 0), {0: other})
-        self._check(other)
-        t2 = min(self.trunc2, other.trunc2)
-        out = {e: c for e, c in self.terms.items() if e <= t2}
-        for e, c in other.terms.items():
-            if e > t2:
-                continue
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return HalfSeries._of(self.table, t2, out)
+        return self.plus((other,))
+
+    def plus(self, parts: Iterable) -> "HalfSeries":
+        """self plus every part, a series or a pair (x, y) for the product
+        x*y, exact to the least of their truncations; each coefficient is
+        reduced once (see the module docstring)."""
+        t2, numbers, live = self.trunc2, not len(self.table), [(self, None)]
+        for x in parts:
+            x, y = x if isinstance(x, tuple) else (x, None)
+            self._check(x)
+            if y is not None:
+                self._check(y)
+                if numbers:  # each product on its own path
+                    x, y = x * y, None
+            t2 = min(t2, x.trunc2 if y is None else
+                     min(x.trunc2 + y.floor2(), y.trunc2 + x.floor2()))
+            live.append((x, y))
+        parts = [(x, y) for x, y in live if x.terms and (y is None or y.terms)]
+        if len(parts) == 1 and parts[0][1] is None:  # one series: no sum
+            return parts[0][0].truncate(t2)
+        if not numbers:  # x alone is x times 1*q^0
+            return HalfSeries._of(self.table, t2, _collect(self.table, t2, (
+                (e1 + e2, c1, c2) for x, y in parts for e1, c1 in x.terms.items()
+                for e2, c2 in (y.terms.items() if y else ((0, None),)))))
+        out: dict[int, Coeff] = {}
+        for x, _ in parts:
+            for e, c in x.terms.items():
+                if e <= t2:
+                    out[e] = out[e] + c if e in out else c
+        return HalfSeries._of(self.table, t2, {e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 
@@ -191,44 +255,25 @@ class HalfSeries:
             return self.scale(other)
         self._check(other)
         t2 = min(self.trunc2 + other.floor2(), other.trunc2 + self.floor2())
-        if not len(self.table):
-            # integer numerators over each factor's common denominator
-            (a, da), (b, db) = _over_lcm(self.terms), _over_lcm(other.terms)
-            sums: dict[int, int] = {}
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = e1 + e2
-                    if e <= t2:
-                        sums[e] = sums.get(e, 0) + c1 * c2
-            d = da * db
+        if len(self.table):
+            return HalfSeries.zero(self.table, t2).plus([(self, other)])
+        x, y = (self, other) if len(other.terms) == 1 else (other, self)
+        if len(y.terms) == 1:  # numbers by one term: a shift and a scale
+            (f, c), = y.terms.items()
             return HalfSeries._of(self.table, t2, {
-                e: Fraction(c, d) if d != 1 else c
-                for e, c in sums.items() if c})
-        # accumulate numerators per (exponent, denominator): polynomial adds
-        # are free, cross-denominator reductions happen once per bucket pair
-        buckets: dict[int, dict[LaurentPoly, LaurentPoly]] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+                e + f: v * c for e, v in x.terms.items() if e + f <= t2})
+        # numbers: integer numerators over each factor's common denominator
+        (a, da), (b, db) = _over_lcm(self.terms), _over_lcm(other.terms)
+        sums: dict[int, int] = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
-                if e > t2:
-                    continue
-                p = c1 * c2
-                by_den = buckets.setdefault(e, {})
-                cur = by_den.get(p.den)
-                by_den[p.den] = (p.num, p.dfac) if cur is None else \
-                    (cur[0] + p.num, cur[1])
-        out: dict[int, RatFunc] = {}
-        for e, by_den in buckets.items():
-            acc = None
-            for den, (num, dfac) in by_den.items():
-                if num.is_zero():
-                    continue
-                # den's factors are known: the reduction only trial-divides
-                rf = RatFunc(num, den, dfac=dfac)
-                acc = rf if acc is None else acc + rf
-            if acc:
-                out[e] = acc
-        return HalfSeries(self.table, t2, out, _clean=True)
+                if e <= t2:
+                    sums[e] = sums.get(e, 0) + c1 * c2
+        d = da * db
+        return HalfSeries._of(self.table, t2, {
+            e: Fraction(c, d) if d != 1 else c
+            for e, c in sums.items() if c})
 
     __rmul__ = __mul__
 
@@ -253,11 +298,10 @@ class HalfSeries:
         out = {-m2: inv_lead}
         shifted_b: dict[int, Coeff] = {0: inv_lead}
         for k in range(1, kmax + 1):
-            acc = None
-            for j, aj in shifted_a.items():
-                if 0 < j <= k and (k - j) in shifted_b:
-                    p = aj * shifted_b[k - j]
-                    acc = p if acc is None else acc + p
+            pairs = [(aj, shifted_b[k - j]) for j, aj in shifted_a.items()
+                     if 0 < j <= k and (k - j) in shifted_b]
+            acc = (_collect(self.table, 0, ((0, a, b) for a, b in pairs)).get(0)
+                   if len(self.table) else sum(a * b for a, b in pairs))
             if acc:
                 bk = -(acc * inv_lead)
                 shifted_b[k] = bk

@@ -168,15 +168,14 @@ def f_bo(n: int, trunc2: int, table: VarTable | None = None,
     # permutations through each link of a chain cancel the 1/|S-T|!.
     points = [frozenset(t_indices[j] for j in range(n) if m >> j & 1)
               for m in range(1 << n)]
-    g: list[HalfSeries | None] = [None]  # None stands for G(empty) = 1
+    g = [HalfSeries.one(table, trunc2)]
     for s in range(1, 1 << n):
-        acc = None
+        products = []
         for t in (t for t in range(s) if not t & ~s):
             k = len(points[s]) - len(points[t])
             th = theta_k_at(k, points[t])
-            term = th if t == 0 else (th * g[t]).truncate(trunc2)
-            term = term if k % 2 else -term
-            acc = term if acc is None else acc + term
+            products.append((th if k % 2 else -th, g[t]))
+        acc = HalfSeries.zero(table, trunc2).plus(products)
         g.append((acc * theta_k_at(0, points[s]).inverse()).truncate(trunc2))
     return g[-1] * qq_inf(table, trunc2).inverse()
 

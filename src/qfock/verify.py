@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 from .laurent import VarTable, format_exponent
 from .series import HalfSeries
 from .weylb import (
-    BLabel,
     _det_sector,
     weyl_denominator_B,
     weyl_denominator_det,
@@ -33,7 +32,7 @@ from .correlation import (
     fock_trace_closed,
     vacuum_one_point_series,
 )
-from .qdim import QDimForm, q_minus, q_plus, qdim_irreducible
+from .qdim import QDimForm, q_minus, q_plus
 from .fock import FockSpace, extract_module_function, oracle_trace
 
 
@@ -294,8 +293,7 @@ def suite_qdim(trunc2: int = 12, l_max: int = 2, max_part: int = 2) -> list[Chec
             halves = {}
             ok = True
             for det in (False, True):
-                h = qdim_irreducible(BLabel(lam, det), l, trunc2, table)
-                halves[det] = h
+                h = halves[det] = _det_sector(qp_w, qm_w, det)
                 for e2, c in h.items():
                     if c.denominator != 1 or c < 0:
                         ok = False

@@ -367,6 +367,22 @@ class TestGcdOffTheHotPath:
         assert calls["prs"] == 0
         assert calls["gcd"] <= 96
 
+    def test_each_coefficient_is_reduced_once(self, monkeypatch):
+        # series sums and products reduce each coefficient once, not each
+        # term pair and partial sum: cold, this function made 4,500
+        # divisibility tests when every pair was cross-cancelled
+        calls = [0]
+        inner = ratfunc._binomial_divides
+
+        def counting(*args):
+            calls[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(ratfunc, "_binomial_divides", counting)
+        clear_caches()  # cached blocks would hide the work
+        d_sum_function((1,), 1, 3, 6)
+        assert calls[0] <= 2500
+
 
 class TestWorkDoneOnce:
     @pytest.mark.parametrize("mode, printed", [("symbolic", 1), ("eval", 0)])
