@@ -105,16 +105,16 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
     out = HalfSeries.zero(table, trunc2)
     if qexp2 <= trunc2:
         generic = _f_bo_generic(m, trunc2)
-        products = []
+        parts = []
         for eps, peps in sign_vectors(m):
             ekey = (table, t_indices, eps, trunc2)
             if ekey not in _fbo_eval_cache:
                 _fbo_eval_cache[ekey] = generic.rename_signed(
                     table, [((i, e),) for i, e in zip(t_indices, eps)])
             exps = {i: 2 * k * e for i, e in zip(t_indices, eps)}
-            products.append((_fbo_eval_cache[ekey], HalfSeries(
-                table, trunc2, {0: LaurentPoly.monomial(table, exps, peps)})))
-        out = out.plus(products) * HalfSeries.q_power(table, trunc2, qexp2)
+            parts.append(_fbo_eval_cache[ekey].scale(
+                LaurentPoly.monomial(table, exps, peps)))
+        out = out.plus(parts) * HalfSeries.q_power(table, trunc2, qexp2)
     _pair_block_cache[key] = out
     return out
 

@@ -90,6 +90,11 @@ def _collect(table: VarTable, t2: int, terms) -> dict[int, Coeff]:
     return {e: c for e, c in out.items() if c}
 
 
+def _product_trunc2(x: "HalfSeries", y: "HalfSeries") -> int:
+    """The doubled order to which x*y is exact (see the module docstring)."""
+    return min(x.trunc2 + y.floor2(), y.trunc2 + x.floor2())
+
+
 def _over_lcm(terms: Mapping[int, int | Fraction]) -> tuple[dict[int, int], int]:
     """Numbers as integer numerators over their least common denominator."""
     d = lcm(*(c.denominator for c in terms.values()))
@@ -214,8 +219,7 @@ class HalfSeries:
                 self._check(y)
                 if numbers:  # each product on its own path
                     x, y = x * y, None
-            t2 = min(t2, x.trunc2 if y is None else
-                     min(x.trunc2 + y.floor2(), y.trunc2 + x.floor2()))
+            t2 = min(t2, x.trunc2 if y is None else _product_trunc2(x, y))
             live.append((x, y))
         parts = [(x, y) for x, y in live if x.terms and (y is None or y.terms)]
         if len(parts) == 1 and parts[0][1] is None:  # one series: no sum
@@ -254,14 +258,9 @@ class HalfSeries:
         if not isinstance(other, HalfSeries):
             return self.scale(other)
         self._check(other)
-        t2 = min(self.trunc2 + other.floor2(), other.trunc2 + self.floor2())
+        t2 = _product_trunc2(self, other)
         if len(self.table):
             return HalfSeries.zero(self.table, t2).plus([(self, other)])
-        x, y = (self, other) if len(other.terms) == 1 else (other, self)
-        if len(y.terms) == 1:  # numbers by one term: a shift and a scale
-            (f, c), = y.terms.items()
-            return HalfSeries._of(self.table, t2, {
-                e + f: v * c for e, v in x.terms.items() if e + f <= t2})
         # numbers: integer numerators over each factor's common denominator
         (a, da), (b, db) = _over_lcm(self.terms), _over_lcm(other.terms)
         sums: dict[int, int] = {}

@@ -281,6 +281,17 @@ class TestHalfSeries:
             assert p.trunc2 == min(5 + 2, 4 - 1) == 3
             assert list(p.items()) == list(exact.truncate(3).items())
 
+    def test_a_sum_of_products_cancels_once(self):
+        # at q^0, t0/((t0-1)(t1-1)) - 1/((t0-1)(t1-1)): neither product
+        # cancels, the one reduction of their sum must, to 1/(t1-1)
+        t0 = LaurentPoly.monomial(TAB, {0: 2})
+        t0m, t1m = t0 - ONE, LaurentPoly.monomial(TAB, {1: 2}) - ONE
+        a = HalfSeries(TAB, 2, {0: RatFunc(ONE, t0m), 1: RatFunc(ONE, t1m)})
+        b = HalfSeries(TAB, 2, {0: RatFunc(t0, t1m), -1: RatFunc(-ONE, t0m)})
+        p = a * b
+        assert p.coeff(0) == RatFunc(ONE, t1m)
+        assert p.coeff(-1) == RatFunc(-ONE, t0m * t0m)
+
     def test_mul_inv_round_trip(self):
         rng = random.Random(8)
         count = 0

@@ -248,15 +248,3 @@ def test_a_bucket_that_cancels(xy):
     a, b = HalfSeries(TAB, 2, {0: x, -1: y}), HalfSeries(TAB, 3, {0: 1, 1: 1})
     _same(a * b, reference_mul(a, b))
 
-
-def test_the_single_reduction_cancels():
-    # at q^0, t0/((t0-1)(t1-1)) - 1/((t0-1)(t1-1)): neither product cancels,
-    # their bucket's one reduction must, to 1/(t1-1)
-    one, t0 = _poly({(0, 0): 1}), _poly({(2, 0): 1})
-    t0m, t1m = _poly(BINOMIALS[0]), _poly(BINOMIALS[2])
-    x = HalfSeries(TAB, 2, {0: RatFunc(one, t0m), 1: RatFunc(one, t1m)})
-    y = HalfSeries(TAB, 2, {0: RatFunc(t0, t1m), -1: RatFunc(-one, t0m)})
-    got = x * y
-    _same(got, reference_mul(x, y))
-    assert got.coeff(0) == RatFunc(one, t1m)
-    assert got.coeff(-1) == RatFunc(-one, t0m * t0m)
