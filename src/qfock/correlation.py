@@ -46,7 +46,7 @@ from typing import Sequence
 from .laurent import LaurentPoly, UsageError, VarTable
 from .ratfunc import RatFunc
 from .series import HalfSeries
-from .special import _det, _points_of, f_bo, pochhammer_inf, qq_inf
+from .special import _det, _f_bo_tables, _points_of, pochhammer_inf, qq_inf
 from .weylb import (
     _det_sector,
     _z_vars,
@@ -63,9 +63,8 @@ from .weylb import (
 # ---------------------------------------------------------------------------
 
 _fbo_generic_cache: dict[tuple[int, int], HalfSeries] = {}
-# pair_block's kernel at the signed points, one entry per sign vector:
-# (table, t_indices, eps, trunc2) -> the generic kernel renamed onto the
-# signed t-variables (its values there, over a bound table)
+# pair_block's (table, t_indices, eps, trunc2), eps_1 = +1 -> the generic
+# kernel renamed onto the signed t-variables (its values, if bound there)
 _fbo_eval_cache: dict = {}
 _pair_block_cache: dict = {}
 _vacuum_cache: dict = {}
@@ -73,10 +72,10 @@ _one_point_cache: dict = {}
 
 
 def _f_bo_generic(m: int, trunc2: int) -> HalfSeries:
-    key = (m, trunc2)
-    if key not in _fbo_generic_cache:
-        _fbo_generic_cache[key] = f_bo(m, trunc2)
-    return _fbo_generic_cache[key]
+    if (m, trunc2) not in _fbo_generic_cache:  # every size up to m at once
+        _fbo_generic_cache.update(((j, trunc2), fb) for j, fb in enumerate(
+            _f_bo_tables(m, trunc2)))
+    return _fbo_generic_cache[m, trunc2]
 
 
 def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
@@ -85,18 +84,17 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
 
         sum_{eps in {+1,-1}^S} [eps] (prod_S t^eps)^k F_bo(q; t_S^eps)
 
-    This is the z^k coefficient of the charge-graded one-pair trace.  Each
-    term renames the one cached symbolic kernel F_bo(q; t_1..t_m) onto the
-    signed t-variables and scales it by the monomial (prod t^eps)^k.  The
-    kernel at the signed points does not depend on k, so it is made once
-    per sign vector and held in _fbo_eval_cache.  Over a bound table,
-    partly or wholly, HalfSeries takes the renamed kernel and the monomial
-    at the table's point.  An evaluation fails only at a pole of the reduced
-    kernel, whose denominators are products of t_j^(1/2) +- 1 (see
-    verify.random_point).
+    This is the z^k coefficient of the charge-graded one-pair trace.  As
+    F_bo(1/u) = (-1)^m F_bo(u) (Theta(1/t) = -Theta(t)), the term of -eps is
+    [eps] u^-k F_bo(u), u = t^eps, so the block at -k is the block at k.  The
+    cached symbolic kernel is renamed onto u once per pair {eps, -eps} and
+    scaled by u^k and u^-k.  Over a bound table, partly or wholly, HalfSeries
+    takes these at the table's point; an evaluation fails only at a pole of
+    the reduced kernel, whose denominators are products of t_j^(1/2) +- 1.
     """
     t_indices = tuple(t_indices)
     m = len(t_indices)
+    k = abs(k)
     qexp2 = k * k  # doubled exponent of q^(k^2/2)
     key = (table, t_indices, k, trunc2)
     if key in _pair_block_cache:
@@ -104,16 +102,20 @@ def pair_block(table: VarTable, t_indices: Sequence[int], k: int,
     _points_of(m, table, t_indices)
     out = HalfSeries.zero(table, trunc2)
     if qexp2 <= trunc2:
-        generic = _f_bo_generic(m, trunc2)
         parts = []
-        for eps, peps in sign_vectors(m):
+        signs = dict(sign_vectors(m))
+        for eps in [eps for eps in signs if eps[:1] != (-1,)]:  # eps_1 = +1
             ekey = (table, t_indices, eps, trunc2)
             if ekey not in _fbo_eval_cache:
-                _fbo_eval_cache[ekey] = generic.rename_signed(
+                _fbo_eval_cache[ekey] = _f_bo_generic(m, trunc2).rename_signed(
                     table, [((i, e),) for i, e in zip(t_indices, eps)])
-            exps = {i: 2 * k * e for i, e in zip(t_indices, eps)}
-            parts.append(_fbo_eval_cache[ekey].scale(
-                LaurentPoly.monomial(table, exps, peps)))
+            # the term of -eps: [-eps] u^-k F_bo(1/u), none at m = 0
+            pair = ((k, signs[eps]),
+                    (-k, (-1) ** m * signs[tuple(-e for e in eps)]))
+            for s, c in pair if m else pair[:1]:
+                exps = {i: 2 * s * e for i, e in zip(t_indices, eps)}
+                parts.append(_fbo_eval_cache[ekey].scale(
+                    LaurentPoly.monomial(table, exps, c)))
         out = out.plus(parts) * HalfSeries.q_power(table, trunc2, qexp2)
     _pair_block_cache[key] = out
     return out
@@ -263,7 +265,8 @@ def _d_function(lam: Sequence[int], l: int, n: int, trunc2: int,
 
     def entry(a: int, b: int) -> dict | None:
         parts = []
-        for m in [full] if printed else range(full + 1):
+        # the full mask first: its kernel build makes every smaller one too
+        for m in [full] if printed else range(full, -1, -1):
             for eps in (1, -1):
                 k = int(lamrho[a] - eps * rho[b])
                 if k * k > trunc2:  # the block starts at q^(k^2/2)

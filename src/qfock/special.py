@@ -7,15 +7,15 @@ Theta here is the specific product
 
 and F_bo packages all n-point functions as the standard permutation sum of
 determinants of theta derivatives divided by a chain of theta factors, with
-the conventions 1/(-k)! = 0 for k > 0 and F_bo() = (q;q)_inf^(-1).  The sum
-is computed as a recursion over the 2^n subsets of the points (see f_bo).
-Theta is built once per truncation, as the zeroth of its t d/dt derivatives
-in a scratch variable, and renamed onto each argument (theta_deriv).
+the conventions 1/(-k)! = 0 for k > 0 and F_bo() = (q;q)_inf^(-1), by a
+subset recursion run once per subset size on integers (_f_bo_tables).  Theta
+and D_k = (2 t d/dt)^k Theta are built once per truncation in a scratch
+variable; theta_deriv renames 2^-k D_k onto each argument.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from fractions import Fraction
 from typing import Sequence
 
 from .laurent import LaurentPoly, T_KIND, UsageError, VarTable
@@ -64,28 +64,31 @@ def theta(table: VarTable, trunc2: int, arg: ThetaArg) -> HalfSeries:
     return theta_deriv(table, trunc2, 0, arg)
 
 
-# Scratch table holding the single formal argument of theta derivatives.
+# Scratch table of theta's formal argument; (k, trunc2) -> D_k over it.
 _SCRATCH = VarTable(("theta_arg",), (T_KIND,))
 _theta_deriv_cache: dict[tuple[int, int], HalfSeries] = {}
 
 
+def _theta_d(k: int, trunc2: int) -> HalfSeries:
+    """D_k = (2 t d/dt)^k Theta = 2^k Theta^(k) in the scratch variable."""
+    cache = _theta_deriv_cache
+    if (0, trunc2) not in cache:
+        # (t^(1/2) - t^(-1/2)) (q;q)_inf^-2 (qt;q)_inf (q/t;q)_inf
+        u, ui = (LaurentPoly.monomial(_SCRATCH, {0: e2}) for e2 in (1, -1))
+        qq = qq_inf(_SCRATCH, trunc2)
+        cache[0, trunc2] = HalfSeries(_SCRATCH, trunc2, {0: u - ui}) \
+            * (qq * qq).truncate(trunc2).inverse() \
+            * pochhammer_inf(_SCRATCH, trunc2, 2, u * u) \
+            * pochhammer_inf(_SCRATCH, trunc2, 2, ui * ui)
+    for j in range(1, k + 1):
+        if (j, trunc2) not in cache:
+            cache[j, trunc2] = cache[j - 1, trunc2].tddt(0) * 2
+    return cache[k, trunc2]
+
+
 def _theta_deriv_scratch(k: int, trunc2: int) -> HalfSeries:
     """Theta^{(k)} as a series in the single scratch variable t."""
-    key = (k, trunc2)
-    if key not in _theta_deriv_cache:
-        if k == 0:
-            # (t^(1/2) - t^(-1/2)) (q;q)_inf^-2 (qt;q)_inf (q/t;q)_inf
-            def mono(e2: int) -> LaurentPoly:
-                return LaurentPoly.monomial(_SCRATCH, {0: e2})
-            pref = HalfSeries(_SCRATCH, trunc2, {0: mono(1) - mono(-1)})
-            qq = qq_inf(_SCRATCH, trunc2)
-            T = pref * (qq * qq).truncate(trunc2).inverse() \
-                * pochhammer_inf(_SCRATCH, trunc2, 2, mono(2)) \
-                * pochhammer_inf(_SCRATCH, trunc2, 2, mono(-2))
-        else:
-            T = _theta_deriv_scratch(k - 1, trunc2).tddt(0)
-        _theta_deriv_cache[key] = T
-    return _theta_deriv_cache[key]
+    return _theta_d(k, trunc2) * Fraction(1, 1 << k)
 
 
 def theta_deriv(table: VarTable, trunc2: int, k: int, arg: ThetaArg) -> HalfSeries:
@@ -129,53 +132,47 @@ def _det(entries: list[list], one, mul, add, neg):
     return minor(tuple(range(n))) if n else one
 
 
+def _f_bo_tables(n: int, trunc2: int) -> list[HalfSeries]:
+    """F_bo over VarTable.make(j), for j = 0..n.  The permutation sum of
+    Hessenberg determinants folds into a recursion over the subsets S of the
+    points: G(empty) = 1 and
+      G(S) = Theta(S)^-1 sum_{T < S} (-1)^(|S-T|-1) Theta^(|S-T|)(T) G(T).
+    The subdiagonal Theta's cancel the chain denominators, and the |S-T|!
+    permutations through each link of a chain cancel the 1/|S-T|!.  G(S)
+    depends on S only up to a renaming, so H_j = 2^j G([j]) is built once
+    per size on integers, from the D_k and the smaller H's renamed onto each
+    proper subset; F_bo = 2^-j H_j (q;q)_inf^-1.  Theta(S) starts at q^0
+    with u_S - 1/u_S (u_S^2 = prod_S t), so every inverse exists.
+    """
+    qq_inv = qq_inf(VarTable.make(0), trunc2).inverse()  # numbers
+    h, out = [HalfSeries.one(VarTable.make(0), trunc2)], [qq_inv]
+    for j in range(1, n + 1):
+        table = VarTable.make(j)
+        def d_at(k: int, mask: int) -> HalfSeries:  # D_k at prod_mask t_i
+            return _theta_d(k, trunc2).rename_signed(
+                table, [tuple((i, 1) for i in range(j) if mask >> i & 1)])
+        links = ((t, j - t.bit_count()) for t in range((1 << j) - 1))
+        h.append(HalfSeries.zero(table, trunc2).plus(
+            (d_at(k, t) if k % 2 else -d_at(k, t), h[j - k].rename_signed(
+                table, [((i, 1),) for i in range(j) if t >> i & 1]))
+            for t, k in links) * d_at(0, (1 << j) - 1).inverse())
+        out.append((h[j] * HalfSeries(table, trunc2, qq_inv.terms)).scale(
+            Fraction(1, 1 << j)))
+    return out
+
+
 def f_bo(n: int, trunc2: int, table: VarTable | None = None,
          t_indices: Sequence[int] | None = None) -> HalfSeries:
-    """The n-point correlation kernel in the variables t_indices, by the
-    subset recursion below for every n >= 1.  At n = 1 the recursion gives
-    Theta'(1)/Theta(t) (q;q)_inf^-1, the closed form 1/((q;q)_inf Theta(t))
-    since Theta'(1) = 1.
-
-    Each Theta(S) it divides by starts at q^0 with the nonzero coefficient
-    u_S - 1/u_S (u_S the square root of the product over S), so every
-    inverse exists.  Over a bound table the kernel is computed symbolically
-    and then renamed onto the table, which takes it at the table's point,
-    unlike every other function here: Theta(S) may vanish at the point
-    (u_S = +-1 with no u_j = +-1, a removable singularity of the kernel), so
-    computing at the point could divide by zero.  The evaluation fails only
-    at a pole of a reduced coefficient.
+    """The n-point correlation kernel in the variables t_indices: the one
+    _f_bo_tables builds over VarTable.make(n) (at n = 1, 1/((q;q)_inf
+    Theta(t))), renamed onto table.  Over a bound table the renaming takes
+    it at the table's point: computing at the point could divide by zero,
+    as Theta(S) may vanish there (u_S = +-1 with no u_j = +-1, a removable
+    singularity).  The evaluation fails only at a pole of a reduced
+    coefficient.
     """
     if n < 0:
         raise UsageError("point count must be nonnegative")
     table, t_indices = _points_of(n, table, t_indices)
-    if table.values:
-        return f_bo(n, trunc2).rename_signed(
-            table, [((i, 1),) for i in t_indices])
-
-    if n == 0:
-        return qq_inf(table, trunc2).inverse()
-
-    @cache
-    def theta_k_at(k: int, vars_: frozenset[int]) -> HalfSeries:
-        """Theta^(k) at the product of a set of variables."""
-        arg = tuple((i, 1) for i in sorted(vars_))
-        return theta_deriv(table, trunc2, k, arg)
-
-    # The permutation sum of Hessenberg determinants folds into a recursion
-    # over the subsets S of the points (bitmasks): G(empty) = 1 and
-    #   G(S) = Theta(S)^-1 sum_{T < S} (-1)^(|S-T|-1) Theta^(|S-T|)(T) G(T).
-    # The subdiagonal Theta's cancel the chain denominators, and the |S-T|!
-    # permutations through each link of a chain cancel the 1/|S-T|!.
-    points = [frozenset(t_indices[j] for j in range(n) if m >> j & 1)
-              for m in range(1 << n)]
-    g = [HalfSeries.one(table, trunc2)]
-    for s in range(1, 1 << n):
-        products = []
-        for t in (t for t in range(s) if not t & ~s):
-            k = len(points[s]) - len(points[t])
-            th = theta_k_at(k, points[t])
-            products.append((th if k % 2 else -th, g[t]))
-        acc = HalfSeries.zero(table, trunc2).plus(products)
-        g.append((acc * theta_k_at(0, points[s]).inverse()).truncate(trunc2))
-    return g[-1] * qq_inf(table, trunc2).inverse()
-
+    return _f_bo_tables(n, trunc2)[n].rename_signed(
+        table, [((i, 1),) for i in t_indices])

@@ -1,12 +1,13 @@
 """Correlation-engine tests: closed forms, vacuum recursion, block functions."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import CACHES, clear_caches
-from qfock import correlation, laurent, ratfunc, special
+from qfock import correlation, laurent, ratfunc
 from qfock.cli import series_to_json
 from qfock.laurent import (EvaluationPointError, LaurentPoly, UsageError,
                            VarTable, _unpack)
@@ -408,21 +409,38 @@ class TestWorkDoneOnce:
         assert len(calls) == 2 * len(cells) + printed
 
     def test_one_renamed_kernel_per_signed_point(self, monkeypatch):
-        # pair_block renames the kernel onto each sign vector of each subset
-        # once, not once per charge: at most sum_S 2^|S| = 27 for 3 points
-        # (theta_deriv's maps out of the scratch table do not count)
+        # pair_block renames the kernel onto one sign vector of each pair
+        # {eps, -eps} of each subset once, not once per charge: at most
+        # 1 + sum_{S nonempty} 2^(|S|-1) = 14 for 3 points (the kernel's own
+        # renamings inside f_bo do not count)
         calls = []
         inner = HalfSeries.rename_signed
 
         def counting(self, *args, **kwargs):
-            if self.table != special._SCRATCH:
+            if sys._getframe(1).f_code is correlation.pair_block.__code__:
                 calls.append(1)
             return inner(self, *args, **kwargs)
 
         monkeypatch.setattr(HalfSeries, "rename_signed", counting)
         clear_caches()
         d_sum_function((1,), 1, 3, 6)
-        assert 0 < len(calls) <= 27
+        assert 0 < len(calls) <= 14
+
+    def test_one_inverse_per_subset_size(self, monkeypatch):
+        # a cold f_bo(4) inverts Theta(S) once per subset size, not once per
+        # subset, besides the (q;q)_inf^2 inside Theta and the final
+        # (q;q)_inf: 1 + 4 + 1
+        calls = []
+        inner = HalfSeries.inverse
+
+        def counting(self):
+            calls.append(1)
+            return inner(self)
+
+        monkeypatch.setattr(HalfSeries, "inverse", counting)
+        clear_caches()
+        f_bo(4, 6)
+        assert len(calls) <= 6
 
 
 

@@ -1,6 +1,7 @@
 """Special-series tests: Pochhammer products, theta and its derivatives, and
 the n-point kernel."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -156,6 +157,20 @@ class TestFbo:
         swap = fb.rename_signed(tab, [((1, 1),), ((0, 1),), ((2, 1),)])
         assert fb.eq_upto(cyc)
         assert fb.eq_upto(swap)
+
+    # the SHA-256 of series_to_json, recorded from the per-subset recursion
+    # that built G(S) for every subset S
+    PINS = {
+        (3, 6): "9574010c30b900430703584f4d1340c6bf62b37cd53d029db11c1466b1edd5a3",
+        (4, 4): "9ac065a4bb7ec71c5e18be6d62b509452a6f3bbecccefda696945ab9152045eb",
+    }
+
+    def test_pinned_bytes(self):
+        # three and four points reach the links of length k = 2, whose sign
+        # (-1)^(k-1) the two-point kernel cannot see (Theta''(1) = 0)
+        for (n, trunc2), digest in self.PINS.items():
+            got = json.dumps(series_to_json(f_bo(n, trunc2))).encode()
+            assert hashlib.sha256(got).hexdigest() == digest, (n, trunc2)
 
     def test_negative_points_rejected(self):
         with pytest.raises(UsageError):
