@@ -495,8 +495,6 @@ class LaurentPoly:
                 del out[nk]
         return LaurentPoly(new_table, _whole(_checked(out, noff)), _clean=True)
 
-    # -- ordering helpers -----------------------------------------------------
-
     # -- equality / display ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -606,7 +604,7 @@ def _d_divexact(num: _Dict, den: _Dict, w: int) -> _Dict:
     ints small.  The quotient exponents are range-checked against the
     degree bounds an exact quotient obeys, which keeps every repacked
     product inside the radix.  Quotient terms come out in decreasing lex
-    order.
+    order; a two-term divisor takes the linear pass _d_div_binomial.
 
     When every coefficient of num and den is an int, the division is over
     Z and a quotient coefficient that is not an integer raises; otherwise
@@ -616,7 +614,9 @@ def _d_divexact(num: _Dict, den: _Dict, w: int) -> _Dict:
         raise ZeroDivisionError("division by zero polynomial")
     if not num:
         return {}
-    over_z = all(c.__class__ is int for d in (num, den) for c in d.values())
+    over_z = {*map(type, num.values()), *map(type, den.values())} == {int}
+    if len(den) == 2:
+        return _d_div_binomial(num, den, over_z, w)
     off, shifts = _layout(w)
     # each variable's exponent field (e + 2^14) term by term
     ncols = [[k >> s & _MASK for k in num] for s in shifts]
@@ -699,6 +699,53 @@ def _d_divexact(num: _Dict, den: _Dict, w: int) -> _Dict:
                 heappush(heap, -mm)
             else:
                 ch.append((j, 1))
+
+
+def _d_div_binomial(num: _Dict, den: _Dict, over_z: bool, w: int) -> _Dict:
+    """_d_divexact by den = a*x^P + b*x^Q, P lex above Q, in one pass: the
+    remainder's leading term c*x^m leaves -(c/a)*b at x^(m - P + Q), below
+    every key carried before, so num's keys merge with a FIFO of carried
+    keys.  A quotient exponent below 0 (the heap path's bound: it ends a
+    non-exact chain of carries) or above 2^14 - 1 - deg(den) raises."""
+    (pk, a), (qk, b) = sorted(den.items(), reverse=True)
+    off, shifts = _layout(w)
+    guard = off << 1
+    # each field of m - P is in (-2^15, 2^15): lo - m sets a guard bit for
+    # a negative exponent of x^(m - P), and m - hi one for one too large
+    lo = pk - guard - 1
+    hi = pk - sum(max(pk >> s & _MASK, qk >> s & _MASK) << s for s in shifts)
+    qd, cd, nb = pk - off, pk - qk, -b
+    unit = over_z and a == 1
+    keys = sorted(num, reverse=True) + [-1]  # -1: below every key
+    ck, cc, quo = [], [], {}  # the FIFO: carried keys and coefficients
+    fi = ci = 0
+    while True:
+        nk = keys[fi]
+        if ci < len(ck) and ck[ci] >= nk:
+            m, c = ck[ci], cc[ci]
+            ci += 1
+        elif nk < 0:
+            return quo
+        else:
+            m, c = nk, 0
+        if m == nk:
+            fi += 1
+            c += num[m]
+            if not c:
+                continue
+        if ((lo - m) | (m - hi)) & guard:
+            raise InternalInvariantError("non-exact polynomial division")
+        if unit:
+            q = c
+        elif over_z:
+            q, r = divmod(c, a)
+            if r:
+                raise InternalInvariantError("non-exact coefficient division")
+        else:
+            q = _coef(Fraction(c) / a)
+        quo[m - qd] = q
+        ck.append(m - cd)
+        cc.append(nb * q)
 
 
 def _d_strip(a: _Dict, w: int) -> tuple[_Dict, int]:
@@ -1184,24 +1231,24 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(a.table, _d_gcd(da, db))
 
 
-def poly_divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact division in the Laurent ring; raises InternalInvariantError."""
-    if num.table != den.table:
-        raise UsageError("operands use different variable tables")
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if num.is_zero():
-        return LaurentPoly.zero(num.table)
-    w = len(num.table)
-    dn, sn = _d_strip(num.terms, w)
-    dd, sd = _d_strip(den.terms, w)
-    # divide the primitive integer parts: by Gauss's lemma an exact quotient
-    # of primitive polynomials is primitive, with integer coefficients
-    ni, di = _integerize(dn), _integerize(dd)
-    q = LaurentPoly(num.table, _d_divexact(ni, di, w), _clean=True)
-    if ni is not dn or di is not dd:
-        e, f = next(iter(dn)), next(iter(dd))
-        q = q * (Fraction(dn[e], ni[e]) * Fraction(di[f], dd[f]))
-    # times x^sn first: that stays within num's exponents, so the guard
-    # bits see only a quotient that itself leaves the range
-    return q._moved(sn)._moved(-sd)
+def poly_divexact(num: LaurentPoly, *dens: LaurentPoly) -> LaurentPoly:
+    """Exact division by the product of dens in the Laurent ring, raising
+    InternalInvariantError on a remainder.  Each operand is stripped and
+    made primitive integer once, and by Gauss's lemma so is each quotient,
+    which the next divisor divides; scale and monomial go on once."""
+    w, off = len(num.table), num.table.packing[0]
+    scale, shift, q = 1, [0] * w, None
+    for sign, p in ((1, num), *((-1, den) for den in dens)):
+        num._check(p)
+        dp, sp = _d_strip(p.terms, w)
+        ip = _integerize(dp)
+        if ip is not dp:
+            e = next(iter(dp))
+            scale *= Fraction(dp[e], ip[e]) ** sign
+        if sp:
+            shift = [x + sign * y for x, y in zip(shift, _unpack(sp + off, w))]
+        q = ip if q is None else _d_divexact(q, ip, w)
+    # shift holds the result's least exponents (for a zero num, those of
+    # 1/prod(dens)), so a result out of range fails _pack or sets a guard bit
+    return LaurentPoly(num.table, q, _clean=True)._moved(
+        _pack(shift, -_H) - off, _coef(scale))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product as iproduct
+from itertools import combinations, permutations, product as iproduct
 from typing import Iterator, Sequence
 
 from .laurent import LaurentPoly, UsageError, VarTable, Z_KIND, poly_divexact
@@ -164,15 +164,28 @@ def char_numerator_B(lam: Sequence[int], l: int, table: VarTable,
     return _alternant_det(table, zi, nu, variant)
 
 
+def weyl_denominator_factors(l: int, table: VarTable,
+                             z_indices: Sequence[int] | None = None
+                             ) -> list[LaurentPoly]:
+    """The l^2 binomials whose product is the type-B Weyl denominator:
+    z_i - z_j and 1 - z_i^(-1) z_j^(-1) for i < j, then z_i^(1/2) -
+    z_i^(-1/2) (in this order the quotients on the way stay smaller)."""
+    zi = _z_vars(table, l, z_indices)
+    pairs = [pq for a, b in combinations(zi, 2)
+             for pq in (({a: 2}, {b: 2}), ({}, {a: -2, b: -2}))]
+    return [LaurentPoly.monomial(table, p) - LaurentPoly.monomial(table, q)
+            for p, q in pairs + [({z: 1}, {z: -1}) for z in zi]]
+
+
 def char_B(lam: Sequence[int], l: int, table: VarTable | None = None,
            z_indices: Sequence[int] | None = None) -> RatFunc:
     """Odd-orthogonal character as the exact ratio of two determinants.
 
-    The quotient is a Laurent polynomial, computed by exact division; a
-    remainder raises InternalInvariantError (it indicates a bug).
+    Exact division by the Weyl denominator's binomial factors gives the
+    quotient, a Laurent polynomial; a remainder raises InternalInvariantError.
     """
     if table is None:
         table = VarTable.make(0, l)
     num = char_numerator_B(lam, l, table, z_indices, "minus")
-    den = weyl_denominator_det(l, table, z_indices, "minus")
-    return RatFunc.from_poly(poly_divexact(num, den))
+    return RatFunc.from_poly(poly_divexact(
+        num, *weyl_denominator_factors(l, table, z_indices)))

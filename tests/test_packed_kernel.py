@@ -3,14 +3,16 @@
 Each operation of the packed kernel (tests/tuple_kernel.py keeps the tuple
 one verbatim) runs on tables of width 0 to 5, with exponents both small and
 within a few steps of the layout's bound H = 2^14: _d_mul, _d_add,
-_binomial_divides and _d_divexact on dicts, and LaurentPoly.shift,
-rename_signed, evaluate and tddt.  Where the tuple result keeps every
-exponent in [-H, H), the packed one must be the same; where it leaves that
-range, the packed one must raise UsageError, never wrap.  Key order must be
-lex order on the exponent tuples.
+_binomial_divides and _d_divexact (its two-term pass too) on dicts, and
+LaurentPoly.shift, rename_signed, evaluate and tddt.  Where the tuple
+result keeps every exponent in [-H, H), the packed one must be the same;
+where it leaves that range, the packed one must raise UsageError, never
+wrap.  Key order must be lex order on the exponent tuples.
 """
 
+import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -27,12 +29,14 @@ from qfock.laurent import (  # noqa: E402
     _H,
     _binomial_divides,
     _d_add,
+    _d_div_binomial,
     _d_divexact,
     _d_mul,
     _layout,
     _pack,
     _packed,
     _tuples,
+    poly_divexact,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -99,7 +103,19 @@ QUOTIENT = st.one_of(st.integers(0, 3), st.integers(_H - 8, _H - 5))
     st.just(w), dicts(w, SMALL, 3).filter(bool),
     dicts(w, QUOTIENT, 3).filter(bool), dicts(w, SMALL, 1))))
 def test_divexact(args):
-    w, den, quo, extra = args
+    check_divexact(*args)
+
+
+@SETTINGS
+@given(st.integers(1, 5).flatmap(lambda w: st.tuples(
+    st.just(w), dicts(w, SMALL, 2).filter(lambda d: len(d) == 2),
+    dicts(w, QUOTIENT, 4).filter(bool), dicts(w, SMALL, 1))))
+def test_divexact_by_two_terms(args):
+    # the linear pass of _d_div_binomial, over Z and over Q
+    check_divexact(*args)
+
+
+def check_divexact(w, den, quo, extra):
     num = ref._d_mul(den, quo)
     assume(num)
     got = _d_divexact(_packed(num), _packed(den), w)
@@ -115,6 +131,43 @@ def test_divexact(args):
             _d_divexact(_packed(num), _packed(den), w)
     else:
         assert _tuples(_d_divexact(_packed(num), _packed(den), w), w) == want
+
+
+def lines_run(fn, code) -> int:
+    """The number of line events of code while fn() runs; fn must raise
+    InternalInvariantError."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    outer = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code is code else None)
+    try:
+        with pytest.raises(InternalInvariantError):
+            fn()
+    finally:
+        sys.settrace(outer)
+    return count
+
+
+@pytest.mark.parametrize("num, den", [
+    ({(1, 5): 1, (0, 0): 1}, {(0, 1): 1, (0, 0): -1}),   # x0 x1^5 + 1, x1 - 1
+    ({(1, 0): 1}, {(0, 1): 1, (0, 0): -1}),              # x0, x1 - 1
+    # x0^3, x0 - x1^6000: the quotient x1^12000 is above 2^14 - 1 - 6000
+    ({(3, 0): 1}, {(1, 0): 1, (0, 6000): -1}),
+])
+def test_a_non_exact_two_term_division_stops_at_the_degree_bounds(num, den):
+    # a lex-only bound would walk the chain of carries x0 x1^k, k = 4, 3,
+    # ..., down toward the guard bits, about 2^14 steps
+    run = partial(_d_divexact, _packed(num), _packed(den), 2)
+    assert lines_run(run, _d_div_binomial.__code__) < 200
+    with pytest.raises(InternalInvariantError):
+        poly_divexact(LaurentPoly(VarTable.make(2), num),
+                      LaurentPoly(VarTable.make(2), den))
 
 
 @st.composite

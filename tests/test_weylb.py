@@ -2,21 +2,24 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
 
-from qfock.laurent import LaurentPoly, UsageError, VarTable
+from qfock.laurent import LaurentPoly, UsageError, VarTable, poly_divexact
 from qfock.ratfunc import RatFunc
 from qfock.weylb import (
     BLabel,
     char_B,
     char_numerator_B,
     check_partition,
+    pad_weight,
     rho_B,
     sign_vectors,
     weyl_denominator_B,
     weyl_denominator_det,
+    weyl_denominator_factors,
     weyl_orbit,
 )
 
@@ -99,13 +102,18 @@ class TestDenominator:
             with pytest.raises(UsageError, match="mnius"):
                 build()
 
-    @pytest.mark.parametrize("l", [0, 1, 2, 3])
+    @pytest.mark.parametrize("l", [0, 1, 2, 3, 4])
     def test_det_equals_group_sum(self, l):
         t = VarTable.make(0, l)
-        assert weyl_denominator_det(l, t, variant="minus") == \
-            weyl_denominator_B(l, t, variant="minus")
+        minus = weyl_denominator_B(l, t, variant="minus")
+        assert weyl_denominator_det(l, t, variant="minus") == minus
         assert weyl_denominator_det(l, t, variant="plus") == \
             weyl_denominator_B(l, t, variant="plus")
+        # and the minus form is the product of char_B's binomial factors
+        factors = weyl_denominator_factors(l, t)
+        assert len(factors) == l * l
+        assert all(len(f.terms) == 2 for f in factors)
+        assert prod(factors, start=LaurentPoly.one(t)) == minus
 
     def test_antisymmetry_under_simple_reflections(self):
         # swapping adjacent z-variables negates the alternating sum, as does
@@ -135,13 +143,19 @@ class TestCharacter:
         z2i = LaurentPoly.monomial(t, {0: -4})
         assert char_B((2,), 1, t) == RatFunc.from_poly(z2 + z + one + zi + z2i)
 
-    def test_exact_division_sweep(self):
-        for l in (1, 2, 3):
-            t = VarTable.make(0, l)
-            lams = _partitions_up_to(3, l)
-            for lam in lams:
-                c = char_B(lam, l, t)
-                assert c.den.is_one()
+    @pytest.mark.parametrize("l, max_part", [(1, 3), (2, 3), (3, 3), (4, 2)])
+    def test_exact_division_sweep(self, l, max_part):
+        # against one heap division by the whole Weyl denominator, and at
+        # z = 1 against the Weyl dimension formula
+        t = VarTable.make(0, l)
+        den = weyl_denominator_det(l, t)
+        one = {i: 1 for i in range(l)}
+        for lam in _partitions_up_to(max_part, l):
+            c = char_B(lam, l, t)
+            assert c.den.is_one()
+            assert c == RatFunc.from_poly(
+                poly_divexact(char_numerator_B(lam, l, t), den))
+            assert c.evaluate(one).constant_value() == _weyl_dimension(lam, l)
 
     def test_inversion_symmetry_at_random_points(self):
         rng = random.Random(13)
@@ -161,6 +175,18 @@ class TestCharacter:
         assert lab.partition == (2, 1) and lab.det
         with pytest.raises(UsageError):
             BLabel((1, 2))
+
+
+def _weyl_dimension(lam, l):
+    """The product over the positive roots alpha of B_l (e_i, and e_i - e_j,
+    e_i + e_j for i < j) of <lam + rho, alpha> / <rho, alpha>."""
+    rho = rho_B(l)
+    nu = [x + r for x, r in zip(pad_weight(lam, l), rho)]
+
+    def pairings(v):
+        return list(v) + [v[i] + s * v[j] for i, j in combinations(range(l), 2)
+                          for s in (1, -1)]
+    return prod(pairings(nu)) / prod(pairings(rho))
 
 
 def _det_int(m):
