@@ -29,7 +29,7 @@ a bound table (VarTable.bind) the operators run with Fractions, not RatFuncs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .laurent import (
     EvaluationPointError,
@@ -41,14 +41,7 @@ from .laurent import (
 )
 from .ratfunc import RatFunc, _rename_factors
 from .series import HalfSeries
-from .weylb import (
-    _det_sector,
-    _z_vars,
-    check_partition,
-    pad_weight,
-    rho_B,
-    weyl_denominator_B,
-)
+from .weylb import _det_sector, _z_vars, check_partition, extraction_charges
 
 
 @dataclass(frozen=True)
@@ -289,7 +282,8 @@ def _diagonal_weight(state: State, space: FockSpace, table: VarTable,
 
 def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
                  t_indices: Sequence[int] = (),
-                 z_indices: Sequence[int] | None = None
+                 z_indices: Sequence[int] | None = None,
+                 sectors: Iterable[Sequence[int]] | None = None
                  ) -> tuple[HalfSeries, HalfSeries]:
     """The parity projections (even, odd) of the exact graded trace over the
     states of energy <= trunc2/2, from one pass over the states: the plain
@@ -298,6 +292,12 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
     Insertions: one diagonal operator per t-variable in t_indices, and
     optional charge grading in z_indices (distinct z-variables, one per
     pair).  The insertions are diagonal, so each q^(m) coefficient is exact.
+
+    sectors, which needs the charge grading, keeps only the states whose
+    charge vector (one charge per pair) it holds: the others are skipped
+    before their weight, and the trace has only those z-monomials.  The
+    default keeps every state.  weylb.extraction_sectors gives the vectors
+    that extract_module_function reads.
 
     Over a bound table, which must bind every insertion variable, every
     weight is a Fraction at the table's point; each level is built over the
@@ -309,16 +309,27 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
     coefficients are the summed weights.
     """
     zi = () if z_indices is None else _z_vars(table, space.pairs, z_indices)
+    if sectors is not None:
+        if z_indices is None:
+            raise UsageError("a sector request needs charge grading")
+        sectors = {tuple(v) for v in sectors}
+        for v in sectors:
+            if len(v) != space.pairs:
+                raise UsageError(f"charge vector {v} does not have one "
+                                 f"charge for each of {space.pairs} pairs")
     insertions = {i: _Insertion(space, table, i) for i in t_indices}
     # parity -> q-level -> z-exponents over table -> summed weight
     sums: tuple[dict[int, dict[tuple[int, ...], object]], ...] = ({}, {})
     for e2, states in enumerate_states(space, trunc2).items():
         for state in states:
+            charge = charges(state, space)
+            if sectors is not None and charge not in sectors:
+                continue
             weight = _diagonal_weight(state, space, table, t_indices,
                                       insertions=insertions)
             if not weight:
                 continue
-            z_exps = {i: 2 * c for i, c in zip(zi, charges(state, space))}
+            z_exps = {i: 2 * c for i, c in zip(zi, charge)}
             key = tuple(z_exps.get(i, 0) for i in range(len(table)))
             level = sums[parity(state, space)].setdefault(e2, {})
             level[key] = level[key] + weight if key in level else weight
@@ -347,42 +358,42 @@ def extract_module_function(trace: HalfSeries, lam: Sequence[int], l: int,
 
     Use denominator "minus" on plain traces and "plus" on parity-signed
     traces (the twisted sectors decompose over the +-alternant characters).
+    At l = 0 the denominator is 1 and the trace is its own extraction.
 
     The Weyl denominator has only z-variables and a trace coefficient's
     denominator has none, so c * den is c.num * den over c.den, already
-    reduced.  The coefficient is read off the terms of c.num and den without
-    forming the product; it keeps c.den and its factor record, as that
+    reduced.  The coefficient is read off the terms of c.num without
+    forming the product: a term whose charges are one of
+    weylb.extraction_charges, found by its packed z-field, times that
+    charge vector's sign.  It keeps c.den and its factor record, as that
     product would.  Over a table with no variables left the coefficients
     are numbers.
     """
     lam = check_partition(lam, l)
     table = trace.table
     z_indices = _z_vars(table, l, z_indices)
+    signs = extraction_charges(lam, l, denominator)
+    if not l:
+        return trace
     z_set = frozenset(z_indices)
-    keep = [i for i in range(len(table)) if i not in z_set]
     out_table = table.without(z_set)
-    den = weyl_denominator_B(l, table, z_indices, variant=denominator)
-    if not len(table):
-        return trace.scale(den.constant_value())  # l = 0: numbers
-    rho = rho_B(l)
-    target = tuple(int(2 * (a + b)) for a, b in zip(pad_weight(lam, l), rho))
-    # the z-exponents a term of c.num needs: den's coefficient at target - e_z
-    need = {tuple(t - e[i] for t, i in zip(target, z_indices)): c
-            for e, c in den.items()}
-    # c.den and its binomial factors are zero in every z-column, so they
-    # map over with those columns dropped
+    # the packed z-field of each charge vector read -> its sign
+    zmask = table.field_mask(z_indices)
+    need = {table.key({i: 2 * c for i, c in zip(z_indices, v)}) & zmask: s
+            for v, s in signs.items()}
+    # dropping the z-variables maps c.num's matched terms, c.den and its
+    # binomial factors over (the latter two are zero in every z-column)
     drop = table.drop_images(z_set)
     out: dict[int, RatFunc] = {}
     for e2, c in trace.terms.items():
         if any(i in z_set for i in c.den.variables_used()):
             raise InternalInvariantError("denominator involves charge variables")
-        num_terms: dict = {}
-        for e, a in c.num.items():
-            b = need.get(tuple(e[i] for i in z_indices))
-            if b is not None:
-                k = tuple(e[i] for i in keep)
-                num_terms[k] = num_terms.get(k, 0) + a * b
-        num = LaurentPoly(out_table, num_terms)  # drops zeros, normalizes
+        matched = {k: a * s for k, a in c.num.terms.items()
+                   if (s := need.get(k & zmask))}
+        if not matched:
+            continue
+        num = LaurentPoly(table, matched, _clean=True).rename_signed(
+            out_table, drop)  # sums the terms that differ only in z
         if num.terms:
             dfac = c.dfac and _rename_factors(c.dfac, len(out_table), drop)
             out[e2] = RatFunc(num, c.den.rename_signed(out_table, drop),

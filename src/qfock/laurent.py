@@ -24,8 +24,10 @@ is a guard bit: no valid key sets one, and a product or shift whose
 exponent leaves [-2^14, 2^14) does, so it raises UsageError instead of
 wrapping into a wrong polynomial.  Every doubled exponent given to the
 kernel must have absolute value below 2^14; a computed one may also reach
--2^14, which the layout still holds.  Only this module reads keys:
-the constructor takes exponent tuples, and items() gives them back.
+-2^14, which the layout still holds.  Only this module builds keys:
+the constructor takes exponent tuples, items() gives them back, and
+VarTable.key packs one monomial.  Outside it a key is only compared
+through a mask of whole fields, VarTable.field_mask.
 
   t1^(1/2) - (1/2)*t1^(-1/2)   over  VarTable(("t1", "t2"))
       items():  [((-1, 0), Fraction(-1, 2)), ((1, 0), 1)]
@@ -44,7 +46,7 @@ from itertools import combinations, compress, product, repeat
 from math import gcd, isqrt
 from operator import add, and_, mul, or_, sub
 from fractions import Fraction
-from typing import Container, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 Exps = tuple[int, ...]
 
@@ -133,6 +135,20 @@ class VarTable:
             if not (0 <= i < len(self) and self.kinds[i] == kind):
                 raise UsageError(f"no {kind}-variable at index {i}")
         return indices
+
+    def key(self, exps: Mapping[int, int]) -> int:
+        """The packed key (see LaurentPoly) of the monomial with the given
+        doubled exponents, 0 for every variable not in exps."""
+        e = [0] * len(self)
+        for i, v in exps.items():
+            e[i] = v
+        return _pack(e)
+
+    def field_mask(self, indices: Iterable[int]) -> int:
+        """The bits of a packed key that hold the fields of the variables at
+        indices: key & field_mask(indices) determines their exponents."""
+        shifts = self.packing[1]
+        return sum(_MASK << shifts[i] for i in indices)
 
     def without(self, indices: Container[int]) -> "VarTable":
         """The unbound table with the variables at the given indices removed
@@ -295,10 +311,7 @@ class LaurentPoly:
         c = _coef(c)
         if c == 0:
             return cls.zero(table)
-        e = [0] * len(table)
-        for i, v in exps.items():
-            e[i] = v
-        return cls(table, {_pack(e): c}, _clean=True)
+        return cls(table, {table.key(exps): c}, _clean=True)
 
     # -- inspection --------------------------------------------------------
 

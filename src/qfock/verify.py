@@ -20,6 +20,7 @@ from .laurent import VarTable, format_exponent
 from .series import HalfSeries
 from .weylb import (
     _det_sector,
+    extraction_sectors,
     weyl_denominator_B,
     weyl_denominator_det,
 )
@@ -112,11 +113,11 @@ def random_point(t_indices: Sequence[int], seed: int):
     return asn
 
 
-def _traces(space: FockSpace, trunc2: int, table: VarTable,
-            t_indices: Sequence[int] = (),
-            z_indices: Sequence[int] | None = None) -> tuple[HalfSeries, HalfSeries]:
-    """The plain and the parity-signed oracle traces, from one pass."""
-    even, odd = oracle_trace(space, trunc2, table, t_indices, z_indices)
+def _traces(projections: tuple[HalfSeries, HalfSeries]
+            ) -> tuple[HalfSeries, HalfSeries]:
+    """The plain and the parity-signed traces from the parity projections
+    (even, odd) that one oracle_trace pass returns."""
+    even, odd = projections
     return even + odd, even - odd
 
 
@@ -135,9 +136,11 @@ def suite_vacuum_recursion(n_max: int = 3, trunc2: int = 6,
         ti = tuple(range(n))
         at = table.bind(random_point(ti, seed)) if use_eval else table
         # indexed by twisted: the plain and the parity-signed traces
-        pair = _traces(FockSpace(1, neutral=False), trunc2, at, ti)
+        pair = _traces(oracle_trace(FockSpace(1, neutral=False), trunc2, at,
+                                    ti))
         if n <= 2:
-            neutral = _traces(FockSpace(0, neutral=True), trunc2, table, ti)
+            neutral = _traces(oracle_trace(FockSpace(0, neutral=True), trunc2,
+                                           table, ti))
         for twisted in (False, True):
             lab = "twisted" if twisted else "untwisted"
             sign = -1 if twisted else 1
@@ -166,7 +169,7 @@ def suite_onepoint(trunc2: int = 6) -> list[Check]:
     """Disambiguate the classical twisted-vacuum one-point prefactor."""
     checks: list[Check] = []
     table = VarTable.make(1)
-    oracle = _traces(FockSpace(0, True), trunc2, table, (0,))[1]
+    oracle = _traces(oracle_trace(FockSpace(0, True), trunc2, table, (0,)))[1]
     rec = d_half_vacuum(1, trunc2, True, table, (0,))
     checks.append(_cmp("twisted vacuum one-point recursion == neutral oracle",
                        rec, oracle))
@@ -216,9 +219,12 @@ def suite_main_theorem(trunc2: int = 6, mode: str = "symbolic",
         point = random_point(ti, seed) if mode == "eval" else {}
         table = VarTable.make(n, l).bind(point)
         ftab = VarTable.make(n).bind(point)
-        if (l, n) not in traces:
-            traces[l, n] = _traces(FockSpace(l, neutral=True), trunc2, table,
-                                   ti, zi)
+        if (l, n) not in traces:  # only the charges the cell's lams read
+            lams = [lm for l2, lm, n2 in _main_grid(l_values, n_values)
+                    if (l2, n2) == (l, n)]
+            traces[l, n] = _traces(oracle_trace(
+                FockSpace(l, neutral=True), trunc2, table, ti, zi,
+                extraction_sectors(lams, l)))
         tru, trt = traces[l, n]
         fu = d_sum_function(lam, l, n, trunc2, "convolved", ftab, ti)
         ft = d_twisted_function(lam, l, n, trunc2, "convolved", ftab, ti)
@@ -246,8 +252,8 @@ def suite_needed(trunc2: int = 6, n_values=(1, 2)) -> list[Check]:
         ti = tuple(range(n))
         z = n
         closed = fock_trace_closed(n, trunc2, table, ti, z)
-        oracle = _traces(FockSpace(1, neutral=False), trunc2, table, ti,
-                         z_indices=(z,))[0]
+        oracle = _traces(oracle_trace(FockSpace(1, neutral=False), trunc2,
+                                      table, ti, z_indices=(z,)))[0]
         checks.append(_cmp(f"charge-graded pair trace n={n}: closed == oracle",
                            closed, oracle))
     return checks
@@ -268,8 +274,9 @@ def suite_qdim(trunc2: int = 12, l_max: int = 2, max_part: int = 2) -> list[Chec
             lams += [(a, b) for a in range(1, max_part + 1)
                      for b in range(1, a + 1)]
         ztab = VarTable.make(0, l)
-        tru, trt = _traces(FockSpace(l, neutral=True), trunc2, ztab, (),
-                           tuple(range(l)))
+        tru, trt = _traces(oracle_trace(
+            FockSpace(l, neutral=True), trunc2, ztab, (), tuple(range(l)),
+            extraction_sectors(lams, l)))
         for lam in lams:
             tag = f"l={l} lam={lam}"
             qp_w = q_plus(lam, l, trunc2, QDimForm("weyl-sum", "corrected"), table)

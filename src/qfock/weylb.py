@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product as iproduct
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .laurent import LaurentPoly, UsageError, VarTable, Z_KIND, poly_divexact
 from .ratfunc import RatFunc
@@ -119,6 +119,26 @@ def weyl_denominator_B(l: int, table: VarTable,
         out = out + LaurentPoly.monomial(
             table, exps, full_char if minus else perm_sign)
     return out
+
+
+def extraction_charges(lam: Sequence[int], l: int, variant: str = "minus"
+                       ) -> dict[tuple[int, ...], int]:
+    """The charge vectors lam + rho - sigma(rho) over W(B_l), one per term
+    of the variant's Weyl denominator, each with that term's sign: the
+    coefficient of z^(lam+rho) in a trace times the denominator reads the
+    trace at these charges only, each times its sign."""
+    minus = _entry_sign(variant) < 0
+    target = tuple(a + b for a, b in zip(pad_weight(lam, l), rho_B(l)))
+    return {tuple(int(t - w) for t, w in zip(target, srho)):
+            full_char if minus else perm_sign
+            for srho, full_char, perm_sign in weyl_orbit(l)}
+
+
+def extraction_sectors(lams: Iterable[Sequence[int]], l: int
+                       ) -> frozenset[tuple[int, ...]]:
+    """Every charge vector the extraction of some lam in lams reads, with
+    either variant (both have the whole orbit as their support)."""
+    return frozenset(c for lam in lams for c in extraction_charges(lam, l))
 
 
 def weyl_denominator_det(l: int, table: VarTable,

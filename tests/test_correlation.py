@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import CACHES, clear_caches
-from qfock import correlation, laurent, ratfunc
+from qfock import correlation, fock, laurent, ratfunc
 from qfock.cli import series_to_json
 from qfock.laurent import (EvaluationPointError, LaurentPoly, UsageError,
                            VarTable, _unpack)
@@ -425,6 +425,28 @@ class TestWorkDoneOnce:
         clear_caches()
         d_sum_function((1,), 1, 3, 6)
         assert 0 < len(calls) <= 14
+
+    @pytest.mark.parametrize("mode", ["symbolic", "eval"])
+    def test_one_weight_per_requested_state(self, monkeypatch, mode):
+        # at l = 1 and q^3 the three lams read charges 0 to 3, which hold 32
+        # of the 47 states; each cell weighs those 32 once and no other
+        space = fock.FockSpace(1, True)
+        levels = fock.enumerate_states(space, 6)
+        held = sum(fock.charges(st, space)[0] in range(4)
+                   for states in levels.values() for st in states)
+        assert (held, sum(map(len, levels.values()))) == (32, 47)
+        calls = []
+        inner = fock._diagonal_weight
+
+        def counting(state, *args, **kwargs):
+            calls.append(state)
+            return inner(state, *args, **kwargs)
+
+        monkeypatch.setattr(fock, "_diagonal_weight", counting)
+        checks = suite_main_theorem(trunc2=6, mode=mode, l_values=(1,))
+        assert suite_passed(checks)
+        assert len(calls) == 2 * 32  # n = 1, 2
+        assert len(set(calls)) == 32
 
     def test_one_inverse_per_subset_size(self, monkeypatch):
         # a cold f_bo(4) inverts Theta(S) once per subset size, not once per

@@ -18,11 +18,13 @@ from qfock.laurent import (
     UsageError,
     VarTable,
 )
-from qfock.ratfunc import RatFunc, _split
+from qfock.ratfunc import RatFunc, _rename_factors, _split
 from qfock.series import HalfSeries
 from qfock.weylb import (
     BLabel,
+    _z_vars,
     check_partition,
+    extraction_sectors,
     pad_weight,
     rho_B,
     weyl_denominator_B,
@@ -572,3 +574,171 @@ class TestExtractionWithoutTheProduct:
                                              z + LaurentPoly.one(tab))})
         with pytest.raises(InternalInvariantError):
             extract_module_function(bad, (), 1)
+
+
+# ---------------------------------------------------------------------------
+# the extraction as it was on exponent tuples, word for word: every key of
+# the trace unpacked, matched by its z-exponents, the rest packed again
+# ---------------------------------------------------------------------------
+
+def _extract_by_tuples(trace: HalfSeries, lam: Sequence[int], l: int,
+                       z_indices: Sequence[int] | None = None,
+                       denominator: str = "minus") -> HalfSeries:
+    lam = check_partition(lam, l)
+    table = trace.table
+    z_indices = _z_vars(table, l, z_indices)
+    z_set = frozenset(z_indices)
+    keep = [i for i in range(len(table)) if i not in z_set]
+    out_table = table.without(z_set)
+    den = weyl_denominator_B(l, table, z_indices, variant=denominator)
+    if not len(table):
+        return trace.scale(den.constant_value())  # l = 0: numbers
+    rho = rho_B(l)
+    target = tuple(int(2 * (a + b)) for a, b in zip(pad_weight(lam, l), rho))
+    # the z-exponents a term of c.num needs: den's coefficient at target - e_z
+    need = {tuple(t - e[i] for t, i in zip(target, z_indices)): c
+            for e, c in den.items()}
+    # c.den and its binomial factors are zero in every z-column, so they
+    # map over with those columns dropped
+    drop = table.drop_images(z_set)
+    out: dict[int, RatFunc] = {}
+    for e2, c in trace.terms.items():
+        if any(i in z_set for i in c.den.variables_used()):
+            raise InternalInvariantError("denominator involves charge variables")
+        num_terms: dict = {}
+        for e, a in c.num.items():
+            b = need.get(tuple(e[i] for i in z_indices))
+            if b is not None:
+                k = tuple(e[i] for i in keep)
+                num_terms[k] = num_terms.get(k, 0) + a * b
+        num = LaurentPoly(out_table, num_terms)  # drops zeros, normalizes
+        if num.terms:
+            dfac = c.dfac and _rename_factors(c.dfac, len(out_table), drop)
+            out[e2] = RatFunc(num, c.den.rename_signed(out_table, drop),
+                              _canonical=True, dfac=dfac)
+    return HalfSeries(out_table, trace.trunc2, out)
+
+
+def _json(s: HalfSeries) -> str:
+    return json.dumps(series_to_json(s))
+
+
+def _mixed_traces():
+    """Traces over tables whose z-variables are not the last fields: z1 t1
+    (l = 1) and z1 t1 z2 t2 (l = 2), symbolic and at a point."""
+    for names, zi, ti in ((("z1", "t1"), (0,), (1,)),
+                          (("z1", "t1", "z2", "t2"), (0, 2), (1, 3))):
+        table = VarTable(names, tuple(nm[0] for nm in names))
+        l = len(zi)
+        lams = [lam for r in range(l + 1)
+                for lam in combinations_with_replacement((2, 1), r)]
+        for asn in ({}, random_point(ti, 11)):
+            even, odd = oracle_trace(FockSpace(l, True), 6, table.bind(asn),
+                                     ti, z_indices=zi)
+            for trace in (even + odd, even - odd):
+                yield l, lams, trace
+
+
+class TestPackedExtraction:
+    def test_matches_the_tuple_extraction(self):
+        compared = 0
+        for l, lams, trace in [*_suite_traces(), *_mixed_traces()]:
+            for lam in lams:
+                for variant in ("minus", "plus"):
+                    got = extract_module_function(trace, lam, l, None,
+                                                  variant)
+                    want = _extract_by_tuples(trace, lam, l, None, variant)
+                    assert _json(got) == _json(want), (l, lam, variant)
+                    assert got.terms == want.terms
+                    compared += 1
+        # _suite_traces as in TestExtractionWithoutTheProduct; then 4
+        # traces at l = 1 with 3 partitions, 4 at l = 2 with 6
+        assert compared == 10 * (1 + 3 + 6) * 2 + (4 * 3 + 4 * 6) * 2
+
+    def test_the_z_fields_are_read_where_the_table_puts_them(self):
+        # z1 first; at lam = () the minus variant reads charge 0 with sign
+        # +1 and charge 1 with -1: (t1 + 5 z1 t1 + 7 z1^2) gives -4 t1
+        table = VarTable(("z1", "t1"), ("z", "t"))
+        trace = HalfSeries(table, 0, {0: RatFunc.from_poly(
+            LaurentPoly(table, {(0, 2): 1, (2, 2): 5, (4, 0): 7}))})
+        got = extract_module_function(trace, (), 1)
+        assert got.table.names == ("t1",)
+        assert _json(got) == _json(_extract_by_tuples(trace, (), 1))
+        assert got.coeff(0) == RatFunc.from_poly(
+            LaurentPoly.monomial(got.table, {0: 2}, -4))
+
+    @pytest.mark.parametrize("variant", ["minus", "plus"])
+    def test_rank_zero_returns_the_trace(self, variant):
+        for table in (VarTable.make(1), VarTable.make(1).bind({0: 3})):
+            tr = plain_trace(SP0, 4, table, (0,))
+            assert extract_module_function(tr, (), 0, None, variant) is tr
+
+    def test_rank_zero_still_refuses_bad_arguments(self):
+        tr = plain_trace(SP0, 4, VarTable.make(1), (0,))
+        for args in (((1,), 0), ((), 0, None, "sideways"), ((), 0, (0,))):
+            with pytest.raises(UsageError):
+                extract_module_function(tr, *args)
+
+
+# ---------------------------------------------------------------------------
+# the oracle's sector request
+# ---------------------------------------------------------------------------
+
+def _charges_held(trace: HalfSeries) -> set[tuple[int, ...]]:
+    """The charge vectors of the z-monomials in the trace's coefficients."""
+    z = trace.table.z_indices()
+    if not z:  # numbers, or no charge grading: the empty vector
+        return {()}
+    return {tuple(e[i] // 2 for i in z)
+            for _, c in trace.items() for e, _ in c.num.items()}
+
+
+class TestSectorRequest:
+    """oracle_trace(..., sectors) weighs only the states of the requested
+    charge vectors, and extraction reads nothing else."""
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 3])
+    def test_restricted_extraction_matches_the_full_trace(self, l):
+        lams = [lam for _, lam, _ in verify._main_grid((l,), (1,))]
+        sectors = extraction_sectors(lams, l)
+        assert len(sectors) == {0: 1, 1: 4, 2: 20, 3: 128}[l]
+        dropped = 0
+        for n in (0, 1, 2):
+            table = VarTable.make(n, l)
+            ti = tuple(range(n))
+            zi = tuple(range(n, n + l))
+            for asn in [{}] + ([random_point(ti, 11)] if n else []):
+                args = (FockSpace(l, True), 6, table.bind(asn), ti, zi)
+                (fe, fo), (pe, po) = (oracle_trace(*args),
+                                      oracle_trace(*args, sectors))
+                for full, part in ((fe + fo, pe + po), (fe - fo, pe - po)):
+                    # only the requested charge vectors are left
+                    assert _charges_held(part) <= sectors
+                    dropped += _charges_held(full) > _charges_held(part)
+                    for lam in lams:
+                        for variant in ("minus", "plus"):
+                            assert _json(extract_module_function(
+                                part, lam, l, None, variant)) == _json(
+                                extract_module_function(
+                                    full, lam, l, None, variant)), \
+                                (l, n, asn, lam, variant)
+        assert dropped or l == 0
+
+    def test_the_request_is_a_filter(self):
+        tab = VarTable.make(1, 1)
+        full = plain_trace(SP1, 6, tab, (0,), (1,))
+        assert plain_trace(SP1, 6, tab, (0,), (1,), None).eq_upto(full)
+        every = {(c,) for c in range(-3, 4)}
+        assert plain_trace(SP1, 6, tab, (0,), (1,), every).eq_upto(full)
+        assert plain_trace(SP1, 6, tab, (0,), (1,), []).is_zero()
+
+    def test_a_request_needs_charge_grading(self):
+        # UsageError, exit 2 in the CLI
+        with pytest.raises(UsageError):
+            oracle_trace(SP1, 2, VarTable.make(0, 1), (), None, [(0,)])
+
+    @pytest.mark.parametrize("vector", [(), (0, 0)], ids=str)
+    def test_a_vector_needs_one_charge_per_pair(self, vector):
+        with pytest.raises(UsageError):
+            oracle_trace(SP1, 2, VarTable.make(0, 1), (), (0,),
+                         [(0,), vector])

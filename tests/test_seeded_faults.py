@@ -25,7 +25,7 @@ import test_special
 import test_weylb
 from qfock import (correlation, fock, laurent, ratfunc, series, special,
                    verify, weylb)
-from qfock.laurent import InternalInvariantError, LaurentPoly
+from qfock.laurent import InternalInvariantError, LaurentPoly, VarTable
 
 
 def _central_zeroed(mp):
@@ -190,6 +190,14 @@ def _binomial_trail_negated(mp):
     mp.setattr(laurent, "_d_div_binomial", patched)
 
 
+def _sector_request_short(mp):
+    """The oracle's sector request without its least charge vector: the
+    suites ask oracle_trace for one sector fewer than extraction reads."""
+    sectors = weylb.extraction_sectors
+    mp.setattr(verify, "extraction_sectors",
+               lambda lams, l: (s := sectors(lams, l)) - {min(s)})
+
+
 def _flip_sign_dropped(mp):
     """Every anticommutation sign of the mode operators forced to +1."""
     flip = fock._flip
@@ -284,6 +292,11 @@ FAULTS = {
             "main-theorem": (1, "d8fe3d311b99e49d"),
             "needed": (1, "d8fe3d311b99e49d"),
         }),
+    "the oracle's sector request misses one charge vector": (
+        _sector_request_short, {
+            "main-theorem": (16, "5f6d70b6ff1340d4"),
+            "qdim": (6, "d768751d0d9b79fb"),
+        }),
 }
 
 # Faults that no verify check can see, with the reason and the unit tests
@@ -374,3 +387,23 @@ def test_a_unit_test_sees_the_binomial_trail():
         _binomial_trail_negated(mp)
         with pytest.raises(InternalInvariantError):
             test_weylb.TestCharacter().test_rank_one_values()
+
+
+def test_the_charge_fault_reaches_the_sector_filter(monkeypatch):
+    # the filter reads fock.charges, as the z-grading does: with holes
+    # counted positive, charge 0 holds only the states without a pair
+    # excitation (the neutral family's 6 at q^3, against 17 states)
+    weighed = []
+    inner = fock._diagonal_weight
+    monkeypatch.setattr(fock, "_diagonal_weight",
+                        lambda state, *a, **k: weighed.append(state)
+                        or inner(state, *a, **k))
+    space, table = fock.FockSpace(1, True), VarTable.make(0, 1)
+    counts = []
+    for fault in (lambda mp: None, _holes_counted_positive):
+        weighed.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            fault(mp)
+            fock.oracle_trace(space, 6, table, (), (0,), [(0,)])
+        counts.append(len(weighed))
+    assert counts == [17, 6]
