@@ -241,27 +241,18 @@ def _d_function(lam: Sequence[int], l: int, n: int, trunc2: int,
 
     zero = HalfSeries.zero(table, trunc2)
 
-    def factors(x: HalfSeries, y: HalfSeries) -> tuple[HalfSeries, ...]:
-        # factors start at q^0 or later: each needs its terms to trunc2 less
-        # the other's floor; the product is exact to trunc2, () when 0 there
-        fx, fy = x.floor2(), y.floor2()
-        if fx + fy > trunc2:
-            return ()
-        return x.truncate(trunc2 - fy), y.truncate(trunc2 - fx)
-
     def gather(parts) -> dict:
-        # per mask, one n-ary sum of the (mask, series or factors) parts
+        # per mask, one n-ary sum; factors are exact to trunc2 from q^0 on
         out: dict[int, list] = {}
         for m, x in parts:
             out.setdefault(m, []).append(x)
-        return {m: zero.plus(filter(None, xs)) for m, xs in out.items()}
+        return {m: zero.plus(xs) for m, xs in out.items()}
 
-    def conv(f: dict, g: dict) -> dict:
-        return gather((m1 | m2, factors(x, y)) for m1, x in f.items()
-                      for m2, y in g.items() if printed or not m1 & m2)
-
-    def add(f: dict, g: dict) -> dict:
-        return gather([*f.items(), *g.items()])
+    def combine(terms) -> dict:
+        # sum of s*f*g over a minor's cofactor terms, by subset convolution
+        return gather((m1 | m2, (-x if s < 0 else x, y)) for s, f, g in terms
+                      for m1, x in f.items() for m2, y in g.items()
+                      if printed or not m1 & m2)
 
     def entry(a: int, b: int) -> dict | None:
         parts = []
@@ -277,12 +268,10 @@ def _d_function(lam: Sequence[int], l: int, n: int, trunc2: int,
         return gather(parts) or None
 
     det = _det([[entry(a, b) for b in range(l)] for a in range(l)],
-               {0: HalfSeries.one(table, trunc2)}, conv, add,
-               lambda f: {m: -x for m, x in f.items()}) or {}
-    return zero.plus(filter(None, (
-        factors(_vacuum_on(table, points[full if printed else full & ~m],
-                           trunc2, twisted), x)
-        for m, x in det.items())))
+               {0: HalfSeries.one(table, trunc2)}, combine) or {}
+    return zero.plus(
+        (_vacuum_on(table, points[full if printed else full & ~m], trunc2,
+                    twisted), x) for m, x in det.items())
 
 
 def d_sum_function(lam: Sequence[int], l: int, n: int, trunc2: int,

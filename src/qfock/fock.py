@@ -40,7 +40,7 @@ from .laurent import (
     VarTable,
 )
 from .ratfunc import RatFunc, _rename_factors
-from .series import HalfSeries
+from .series import HalfSeries, _collect
 from .weylb import _det_sector, _z_vars, check_partition, extraction_charges
 
 
@@ -304,9 +304,10 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
     table, and the result lives over table.free() (z-variables survive).
 
     The weights are summed per parity, q-level and charge vector, and each
-    q-level is built once: the sum of weight * z^charges when the weights
-    are RatFuncs, else the polynomial (a number when no z survives) whose
-    coefficients are the summed weights.
+    q-level is built once: when the weights are RatFuncs, by one n-ary sum
+    of weight * z^charges per parity (series._collect, each coefficient
+    reduced once), else as the polynomial (a number when no z survives)
+    whose coefficients are the summed weights.
     """
     zi = () if z_indices is None else _z_vars(table, space.pairs, z_indices)
     if sectors is not None:
@@ -333,16 +334,13 @@ def oracle_trace(space: FockSpace, trunc2: int, table: VarTable,
             key = tuple(z_exps.get(i, 0) for i in range(len(table)))
             level = sums[parity(state, space)].setdefault(e2, {})
             level[key] = level[key] + weight if key in level else weight
-    ratfuncs = bool(t_indices) and not table.values  # the weights' domain
-
-    def coeff(level: dict[tuple[int, ...], object]):
-        if not ratfuncs:
-            return LaurentPoly(table, level)
-        return sum((w * LaurentPoly(table, {key: 1})
-                    for key, w in level.items()), RatFunc.zero(table))
-
-    return tuple(HalfSeries(table, trunc2,
-                            {e2: coeff(level) for e2, level in levels.items()})
+    if t_indices and not table.values:  # RatFunc weights: one sum
+        return tuple(HalfSeries._of(table, trunc2, _collect(table, trunc2, (
+            (e2, w, RatFunc.from_poly(LaurentPoly(table, {key: 1})))
+            for e2, level in levels.items() for key, w in level.items())))
+            for levels in sums)
+    return tuple(HalfSeries(table, trunc2, {e2: LaurentPoly(table, level)
+                                            for e2, level in levels.items()})
                  for levels in sums)
 
 

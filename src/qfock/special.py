@@ -77,7 +77,7 @@ def _theta_d(k: int, trunc2: int) -> HalfSeries:
         u, ui = (LaurentPoly.monomial(_SCRATCH, {0: e2}) for e2 in (1, -1))
         qq = qq_inf(_SCRATCH, trunc2)
         cache[0, trunc2] = HalfSeries(_SCRATCH, trunc2, {0: u - ui}) \
-            * (qq * qq).truncate(trunc2).inverse() \
+            * (qq * qq).inverse() \
             * pochhammer_inf(_SCRATCH, trunc2, 2, u * u) \
             * pochhammer_inf(_SCRATCH, trunc2, 2, ui * ui)
     for j in range(1, k + 1):
@@ -101,10 +101,11 @@ def theta_deriv(table: VarTable, trunc2: int, k: int, arg: ThetaArg) -> HalfSeri
     return _theta_deriv_scratch(k, trunc2).rename_signed(table, [tuple(arg)])
 
 
-def _det(entries: list[list], one, mul, add, neg):
+def _det(entries: list[list], one, combine):
     """Cofactor-expansion determinant over a commutative ring given by its
-    one, product, sum and negation; None entries are zero, and the result is
-    None when every term vanishes."""
+    one and combine(terms), the sum of s*a*b over the (s, a, b) cofactor
+    terms of one minor; None entries are zero, and the result is None when
+    every term vanishes."""
     n = len(entries)
     memo: dict[tuple[int, ...], object] = {}
 
@@ -112,22 +113,15 @@ def _det(entries: list[list], one, mul, add, neg):
         row = n - len(cols)
         if len(cols) == 1:
             return entries[row][cols[0]]
-        if cols in memo:
-            return memo[cols]
-        acc = None
-        for pos, j in enumerate(cols):
-            e = entries[row][j]
-            if e is None:
-                continue
-            sub = minor(cols[:pos] + cols[pos + 1:])
-            if sub is None:
-                continue
-            term = mul(e, sub)
-            if pos % 2:
-                term = neg(term)
-            acc = term if acc is None else add(acc, term)
-        memo[cols] = acc
-        return acc
+        if cols not in memo:
+            terms = []
+            for pos, j in enumerate(cols):
+                e = entries[row][j]
+                sub = None if e is None else minor(cols[:pos] + cols[pos + 1:])
+                if sub is not None:
+                    terms.append((-1 if pos % 2 else 1, e, sub))
+            memo[cols] = combine(terms) if terms else None
+        return memo[cols]
 
     return minor(tuple(range(n))) if n else one
 

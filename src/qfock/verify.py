@@ -144,13 +144,11 @@ def suite_vacuum_recursion(n_max: int = 3, trunc2: int = 6,
         for twisted in (False, True):
             lab = "twisted" if twisted else "untwisted"
             sign = -1 if twisted else 1
-            rhs = None
-            for r in range(n + 1):
-                for I in combinations(range(n), r):
-                    Ic = tuple(i for i in ti if i not in I)
-                    term = d_half_vacuum(len(I), trunc2, twisted, at, I) * \
-                        d_half_vacuum(len(Ic), trunc2, twisted, at, Ic)
-                    rhs = term if rhs is None else rhs + term
+            rhs = HalfSeries.zero(at, trunc2).plus(
+                (d_half_vacuum(len(I), trunc2, twisted, at, I),
+                 d_half_vacuum(n - len(I), trunc2, twisted, at,
+                               tuple(i for i in ti if i not in I)))
+                for r in range(n + 1) for I in combinations(ti, r))
             closed = fock_trace_at_sign(n, trunc2, sign, at, ti)
             oracle = pair[twisted]
             checks.append(_cmp(f"subset identity n={n} {lab}: closed z-sum == pair oracle",

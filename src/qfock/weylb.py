@@ -15,13 +15,13 @@ equals the determinant with + entries.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product as iproduct
 from typing import Iterable, Iterator, Sequence
 
-from .laurent import LaurentPoly, UsageError, VarTable, Z_KIND, poly_divexact
+from .laurent import (LaurentPoly, UsageError, VarTable, Z_KIND, _checked,
+                      _d_mul, _whole, poly_divexact)
 from .ratfunc import RatFunc
 from .special import _det
 
@@ -168,8 +168,15 @@ def _alternant_det(table: VarTable, zi: Sequence[int], exps: Weight,
         entries.append([LaurentPoly.monomial(table, {z: e2})
                         + LaurentPoly.monomial(table, {z: -e2}, sign)
                         for z in zi])
-    return _det(entries, LaurentPoly.one(table), operator.mul, operator.add,
-                operator.neg) or LaurentPoly.zero(table)
+    off = table.packing[0]
+
+    def combine(terms) -> LaurentPoly:  # sum of s*a*b, products accumulated
+        acc: dict = {}
+        for s, a, b in terms:
+            _d_mul((a if s > 0 else -a).terms, b.terms, off, acc)
+        return LaurentPoly(table, _whole(_checked(acc, off)), _clean=True)
+
+    return _det(entries, LaurentPoly.one(table), combine)
 
 
 def char_numerator_B(lam: Sequence[int], l: int, table: VarTable,

@@ -5,7 +5,7 @@ import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from typing import Mapping, Sequence
 
 import pytest
@@ -742,3 +742,46 @@ class TestSectorRequest:
         with pytest.raises(UsageError):
             oracle_trace(SP1, 2, VarTable.make(0, 1), (), (0,),
                          [(0,), vector])
+
+
+# ---------------------------------------------------------------------------
+# canonical coefficients: the oracle's level sums and the extraction build
+# RatFuncs without re-reducing them, so each must already be reduced
+# ---------------------------------------------------------------------------
+
+def _assert_canonical(c, where) -> int:
+    """c is a number, or a RatFunc equal to its full re-reduction with the
+    factor record a fresh split of its denominator gives; 1 if a RatFunc."""
+    if not isinstance(c, RatFunc):
+        return 0
+    r = RatFunc(c.num, c.den)
+    assert (r.num, r.den) == (c.num, c.den), where
+    assert c.dfac == _split(c.den.terms, len(c.table)), where
+    return 1
+
+
+class TestCanonicalCoefficients:
+    def test_oracle_and_extraction_coefficients_are_reduced(self):
+        checked = extracted = 0
+        for l in (0, 1, 2):
+            lams = [lam for lam in ((), (1,), (2,), (3,), (1, 1), (2, 1))
+                    if len(lam) <= l]
+            for n in (0, 1, 2):
+                table = VarTable.make(n, l)
+                ti = tuple(range(n))
+                zi = tuple(range(n, n + l))
+                for asn in [{}] + ([random_point(ti, 11)] if n else []):
+                    even, odd = oracle_trace(FockSpace(l, True), 6,
+                                             table.bind(asn), ti, z_indices=zi)
+                    for trace in (even, odd, even + odd, even - odd):
+                        for e2, c in trace.items():
+                            checked += _assert_canonical(c, (l, n, asn, e2))
+                    for trace in (even + odd, even - odd):
+                        for lam, variant in product(lams, ("minus", "plus")):
+                            for e2, c in extract_module_function(
+                                    trace, lam, l, None, variant).items():
+                                extracted += _assert_canonical(
+                                    c, (l, n, asn, lam, variant, e2))
+        # RatFunc coefficients: 4 traces per table, 2 traces x 2 variants
+        # per lam
+        assert (checked, extracted) == (306, 332)

@@ -3,7 +3,9 @@ the n-point kernel."""
 
 import hashlib
 import json
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -175,3 +177,63 @@ class TestFbo:
     def test_negative_points_rejected(self):
         with pytest.raises(UsageError):
             f_bo(-1, 4)
+
+
+def _perm_det(entries):
+    """The permutation-sum determinant, None entries zero; None when every
+    permutation meets a None entry."""
+    n, total, live = len(entries), 0, False
+    for perm in permutations(range(n)):
+        row = [entries[i][perm[i]] for i in range(n)]
+        if None in row:
+            continue
+        inversions = sum(a > b for i, a in enumerate(perm)
+                         for b in perm[i + 1:])
+        term = -1 if inversions % 2 else 1
+        for x in row:
+            term *= x
+        total, live = total + term, True
+    return total if live else None
+
+
+class TestDet:
+    """special._det with a combine that sums s*a*b over one minor's terms."""
+
+    @staticmethod
+    def _det(entries, calls=None):
+        def combine(terms):
+            if calls is not None:
+                calls.append(len(terms))
+            return sum(s * a * b for s, a, b in terms)
+        return special._det(entries, "one", combine)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_permutation_sum(self, n):
+        rng = random.Random(n)
+        nones = 0
+        for trial in range(60):
+            frac = trial % 2
+            entries = [[None if rng.random() < 0.3 else
+                        Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                        if frac else rng.randint(-5, 5)
+                        for _ in range(n)] for _ in range(n)]
+            calls = []
+            got, want = self._det(entries, calls), _perm_det(entries)
+            assert got == want, entries
+            assert (got is None) == (want is None), entries
+            nones += got is None
+            # one combine per minor of two or more columns, at most
+            assert len(calls) <= 2 ** n - n - 1
+            assert all(calls)
+        assert nones  # the all-vanishing case is reached
+
+    def test_every_term_vanishing_gives_none(self):
+        # a zero column, and a permutation pattern with no full diagonal
+        assert self._det([[1, None], [2, None]]) is None
+        assert self._det([[None, None, 1], [None, None, 2],
+                          [3, 4, None]]) is None
+        # a zero value is not a vanished term
+        assert self._det([[0, 1], [0, 1]]) == 0
+
+    def test_zero_size_gives_one(self):
+        assert self._det([]) == "one"
